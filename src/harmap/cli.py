@@ -1,7 +1,8 @@
 """Command-line front end: evaluation, class checks, bound sweeps, scans, SVG.
 
-Exit codes: 0 = success / check passed, 1 = a check or scan reported a
-failure, 2 = usage, parameter, or domain error.  With ``--json`` every
+Exit codes: 0 = success / check passed, 1 = a check failed or a scan did
+not certify (collision, degenerate Jacobian, or inconclusive after truncating
+its candidates), 2 = usage, parameter, or domain error.  With ``--json`` every
 subcommand emits a single JSON document carrying the artifact version and
 the fully resolved configuration, matching the documents under
 ``harmap/schemas/``.
@@ -328,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the subcommand's main tolerance")
     common.add_argument("--out", type=str, default=None,
                         help="write the output to this file instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the config (reserved for "
-                             "sampling diagnostics; all checks are deterministic)")
 
     top = argparse.ArgumentParser(
         prog="harmap",

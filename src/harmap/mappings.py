@@ -2,7 +2,10 @@
 
 A mapping bundles the analytic part ``h`` and co-analytic part ``g`` as
 evaluator triples (value, first, second derivative), optionally with Taylor
-coefficient arrays.  Built-in families:
+coefficient arrays.  ``eval_all`` returns ``(f, h', g')`` together; the
+``counterexample`` and ``extremal`` families back it, ``f`` and the Jacobian
+with a fused kernel that computes their shared ``log(1 - delta*z)`` once.
+Built-in families:
 
 * ``identity`` -- ``f(z) = z``;
 * ``counterexample`` -- the shear-type family with dilatation ``z`` whose
@@ -69,56 +72,62 @@ class AnalyticFunction:
         return (self.deriv(z + step) - self.deriv(z - step)) / (2.0 * step)
 
 
+def jacobian_of(hp, gp):
+    """``|h'|^2 - |g'|^2`` from the two derivatives."""
+    return (hp * np.conjugate(hp)).real - (gp * np.conjugate(gp)).real
+
+
 class HarmonicMapping:
-    """``f = h + conj(g)`` with evaluators and optional Taylor data."""
+    """``f = h + conj(g)`` with evaluators and optional Taylor data.
+
+    ``kernel``, when a family supplies one, is its fused evaluator
+    ``kernel(z, value, derivs) -> (f, h', g')`` (``None`` in the entries not
+    asked for); it computes the work the three quantities share, such as
+    ``log(1 - delta z)``, once.  Without a kernel the ``h`` and ``g``
+    evaluators are composed.
+    """
 
     def __init__(self, h: AnalyticFunction, g: AnalyticFunction,
                  taylor_h: PowerSeries | None = None,
                  taylor_g: PowerSeries | None = None,
-                 label: str = "mapping"):
+                 label: str = "mapping", kernel=None):
         self.h = h
         self.g = g
         self.taylor_h = taylor_h
         self.taylor_g = taylor_g
         self.label = label
+        self.kernel = kernel
 
-    # spec-facing evaluator names
-    @property
-    def h_eval(self):
-        return self.h.value
-
-    @property
-    def h_prime_eval(self):
-        return self.h.deriv
-
-    @property
-    def g_eval(self):
-        return self.g.value
-
-    @property
-    def g_prime_eval(self):
-        return self.g.deriv
+    def _eval(self, z, value: bool, derivs: bool):
+        _check_disk(z)
+        if self.kernel is not None:
+            return self.kernel(z, value, derivs)
+        fz = self.h.value(z) + np.conjugate(self.g.value(z)) if value else None
+        if not derivs:
+            return fz, None, None
+        return fz, self.h.deriv(z), self.g.deriv(z)
 
     def __call__(self, z):
-        _check_disk(z)
-        return self.h.value(z) + np.conjugate(self.g.value(z))
+        return self._eval(z, True, False)[0]
 
-    evaluate = __call__
+    def eval_all(self, z):
+        """``(f(z), h'(z), g'(z))`` from one evaluation, disk bound checked once.
+
+        Bit-identical to ``(f(z), f.h.deriv(z), f.g.deriv(z))``.
+        """
+        return self._eval(z, True, True)
 
     def jacobian(self, z):
         """``|h'|^2 - |g'|^2``; positive exactly where f is sense-preserving."""
-        _check_disk(z)
-        hp = self.h.deriv(z)
-        gp = self.g.deriv(z)
-        return (hp * np.conjugate(hp)).real - (gp * np.conjugate(gp)).real
+        _, hp, gp = self._eval(z, False, True)
+        return jacobian_of(hp, gp)
 
     def dilatation(self, z):
         """Second complex dilatation ``g'/h'``."""
-        _check_disk(z)
-        hp = self.h.deriv(z)
+        _, hp, gp = self._eval(z, False, True)
         if np.min(np.abs(hp)) < 1e-300:
             raise SingularityError("dilatation undefined where h' vanishes")
-        return self.g.deriv(z) / hp
+        return gp / hp
 
     def __repr__(self):
         return f"HarmonicMapping({self.label!r})"
@@ -220,24 +229,45 @@ def make_counterexample(gamma: float, order: int = DEFAULT_ORDER) -> HarmonicMap
         raise ParameterError(f"gamma must lie in (1, 7/4], got {gamma}")
     gp1 = gamma + 1.0
 
-    def pw(z, expo):
-        return np.exp(expo * np.log(1.0 - z))
+    def h_of(P):  # h from P = (1-z)**gamma
+        return (1.0 - P) / gamma
 
-    h = AnalyticFunction(
-        lambda z: (1.0 - pw(z, gamma)) / gamma,
-        lambda z: pw(z, gamma - 1.0),
-        lambda z: -(gamma - 1.0) * pw(z, gamma - 2.0),
-    )
-    g = AnalyticFunction(
-        lambda z: (1.0 - (1.0 + gamma * z) * pw(z, gamma)) / (gamma * gp1),
-        lambda z: z * pw(z, gamma - 1.0),
-        lambda z: pw(z, gamma - 1.0) - (gamma - 1.0) * z * pw(z, gamma - 2.0),
-    )
-    kernel = BranchedPower(gamma - 1.0, 1.0).series(order - 1)
-    taylor_h = kernel.integrate()
-    taylor_g = kernel.shift(1).integrate()
+    def g_of(z, P):
+        return (1.0 - (1.0 + gamma * z) * P) / (gamma * gp1)
+
+    def hp_of(L):  # h' from L = log(1-z)
+        return np.exp((gamma - 1.0) * L)
+
+    def power(z):
+        return np.exp(gamma * np.log(1.0 - z))
+
+    def fused(z, value=True, derivs=True):
+        L = np.log(1.0 - z)
+        fz = hp = gp = None
+        if value:
+            P = np.exp(gamma * L)
+            fz = h_of(P) + np.conjugate(g_of(z, P))
+        if derivs:
+            hp = hp_of(L)
+            # numpy's complex array multiply is not commutative bit for bit;
+            # scan reports depend on these bits, so keep this operand order
+            gp = hp * z
+        return fz, hp, gp
+
+    def hpp(z):
+        return -(gamma - 1.0) * np.exp((gamma - 2.0) * np.log(1.0 - z))
+
+    def gpp(z):
+        L = np.log(1.0 - z)
+        return hp_of(L) - (gamma - 1.0) * z * np.exp((gamma - 2.0) * L)
+
+    h = AnalyticFunction(lambda z: h_of(power(z)), lambda z: hp_of(np.log(1.0 - z)), hpp)
+    g = AnalyticFunction(lambda z: g_of(z, power(z)), lambda z: fused(z, False)[2], gpp)
+    hp_series = BranchedPower(gamma - 1.0, 1.0).series(order - 1)
+    taylor_h = hp_series.integrate()
+    taylor_g = hp_series.shift(1).integrate()
     return HarmonicMapping(h, g, taylor_h, taylor_g,
-                           label=f"counterexample:gamma={gamma:g}")
+                           label=f"counterexample:gamma={gamma:g}", kernel=fused)
 
 
 def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
@@ -266,14 +296,16 @@ def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
 
 
 def _extremal_h_factory(alpha: float, delta: complex):
+    """``h`` of the extremal family as a function of ``L = log(1 - delta z)``."""
     q = 2.0 * alpha - 1.0
     if abs(q) < 1e-9:
-        return lambda z: -np.log(1.0 - delta * z) / delta
-    return lambda z: (1.0 - np.exp(q * np.log(1.0 - delta * z))) / (delta * q)
+        return lambda L: -L / delta
+    return lambda L: (1.0 - np.exp(q * L)) / (delta * q)
 
 
 def _extremal_g_factory(alpha: float, zeta: complex, n: int, delta: complex):
-    """Closed form of ``zeta * int_0^z t^n (1 - delta t)^(2 alpha - 2) dt``.
+    """Closed form of ``zeta * int_0^z t^n (1 - delta t)^(2 alpha - 2) dt``,
+    as a function of ``L = log(1 - delta z)``.
 
     Substituting ``u = 1 - delta t`` turns the integral into a finite binomial
     sum of elementary powers (with a log wherever an exponent crosses zero),
@@ -284,15 +316,14 @@ def _extremal_g_factory(alpha: float, zeta: complex, n: int, delta: complex):
     qs = 2.0 * alpha - 1.0 + ms
     pref = zeta * delta ** (-(n + 1))
 
-    def g_eval(z):
-        lw = np.log(1.0 - delta * z)
+    def g_of_log(L):
         acc = None
         for s, q in zip(signs, qs):
-            term = s * (-lw) if abs(q) < 1e-9 else s * (1.0 - np.exp(q * lw)) / q
+            term = s * (-L) if abs(q) < 1e-9 else s * (1.0 - np.exp(q * L)) / q
             acc = term if acc is None else acc + term
         return pref * acc
 
-    return g_eval
+    return g_of_log
 
 
 def make_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> HarmonicMapping:
@@ -304,24 +335,42 @@ def make_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> HarmonicMap
     """
     p = spec.params
     alpha, zeta, n, delta = p.alpha, p.zeta, p.n, spec.delta
+    h_of = _extremal_h_factory(alpha, delta)
+    g_of = _extremal_g_factory(alpha, zeta, n, delta)
+
+    def log1m(z):
+        return np.log(1.0 - delta * z)
+
+    def hp_of(L):
+        return np.exp((2.0 * alpha - 2.0) * L)
+
+    def fused(z, value=True, derivs=True):
+        L = log1m(z)
+        fz = hp = gp = None
+        if value:
+            fz = h_of(L) + np.conjugate(g_of(L))
+        if derivs:
+            hp = hp_of(L)
+            gp = zeta * z**n * hp
+        return fz, hp, gp
 
     def hp(z):
-        return np.exp((2.0 * alpha - 2.0) * np.log(1.0 - delta * z))
+        return hp_of(log1m(z))
 
     def hpp(z):
-        return (2.0 - 2.0 * alpha) * delta * np.exp((2.0 * alpha - 3.0) * np.log(1.0 - delta * z))
+        return (2.0 - 2.0 * alpha) * delta * np.exp((2.0 * alpha - 3.0) * log1m(z))
 
-    h = AnalyticFunction(_extremal_h_factory(alpha, delta), hp, hpp)
+    h = AnalyticFunction(lambda z: h_of(log1m(z)), hp, hpp)
     g = AnalyticFunction(
-        _extremal_g_factory(alpha, zeta, n, delta),
-        lambda z: zeta * z**n * hp(z),
+        lambda z: g_of(log1m(z)),
+        lambda z: fused(z, False)[2],
         lambda z: zeta * (n * z ** (n - 1) * hp(z) + z**n * hpp(z)),
     )
-    kernel = BranchedPower(2.0 * alpha - 2.0, delta).series(order - 1)
-    taylor_h = kernel.integrate()
-    taylor_g = kernel.shift(n).scale(zeta).integrate()
+    hp_series = BranchedPower(2.0 * alpha - 2.0, delta).series(order - 1)
+    taylor_h = hp_series.integrate()
+    taylor_g = hp_series.shift(n).scale(zeta).integrate()
     label = f"extremal:alpha={alpha:g},zeta={zeta:g},n={n},delta={delta:g}"
-    return HarmonicMapping(h, g, taylor_h, taylor_g, label=label)
+    return HarmonicMapping(h, g, taylor_h, taylor_g, label=label, kernel=fused)
 
 
 def make_from_h(h, zeta, n: int, order: int = DEFAULT_ORDER,

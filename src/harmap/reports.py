@@ -68,7 +68,7 @@ class BoundReport:
 class UnivalenceReport:
     """Verdict of an injectivity scan at a fixed grid resolution."""
 
-    verdict: str  # certified-at-resolution | collision | degenerate-jacobian
+    verdict: str  # certified-at-resolution | collision | degenerate-jacobian | inconclusive
     resolution: int
     z1: complex | None = None
     z2: complex | None = None
@@ -101,6 +101,9 @@ class UnivalenceReport:
                     f"gap={self.image_gap:.3g} (resolution {self.resolution})")
         if self.verdict == "degenerate-jacobian":
             return f"degenerate-jacobian at z={self.degenerate_point:.8g}"
+        if self.verdict == "inconclusive":
+            return (f"inconclusive: candidate pairs truncated, no collision confirmed "
+                    f"(resolution {self.resolution})")
         return f"certified-at-resolution (resolution {self.resolution})"
 
 

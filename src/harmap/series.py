@@ -144,5 +144,3 @@ class PowerSeries:
         for c in self.coeffs[::-1]:
             acc = acc * zc + complex(c)
         return acc
-
-    eval = __call__

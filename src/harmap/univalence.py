@@ -20,7 +20,7 @@ from .errors import (
     OnCurveError,
     ParameterError,
 )
-from .mappings import HarmonicMapping, is_conjugate_symmetric, make_counterexample
+from .mappings import HarmonicMapping, is_conjugate_symmetric, jacobian_of, make_counterexample
 from .reports import UnivalenceReport
 
 #: default scan radius for near-boundary collision hunting
@@ -29,6 +29,9 @@ DEFAULT_SCAN_RADIUS = 0.999
 DEFAULT_COLLISION_TOL = 1e-8
 #: preimage pairs closer than this are treated as trivially equal
 DEFAULT_SEPARATION_FLOOR = 0.05
+#: the scan stops collecting candidate pairs beyond this many (memory cap);
+#: a truncated scan without a confirmed collision is ``inconclusive``
+MAX_CANDIDATES = 12_000_000
 
 
 def feasibility_threshold(gamma: float) -> float:
@@ -222,6 +225,16 @@ def _batch_refine_block(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray,
     def gap_of(za, zb):
         return np.abs(f(za) - np.asarray(f(zb)))
 
+    def side(zz, sgn, c, k):
+        """``f(zz)``; writes the d/dx and d/dy columns of ``sgn * f`` at
+        ``zz`` to ``c[k]``, ``c[k + 1]``.  Evaluating one side at a time
+        keeps only one side's derivative arrays alive."""
+        w, hp, gp = f.eval_all(zz)
+        gpc = np.conjugate(gp)
+        c[k] = sgn * (hp + gpc)
+        c[k + 1] = sgn * 1j * (hp - gpc)
+        return w
+
     gap = gap_of(z1, z2)
     alive = np.ones(len(z1), dtype=bool)
     progress = np.ones(len(z1), dtype=bool)
@@ -230,14 +243,9 @@ def _batch_refine_block(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray,
         if not np.any(active):
             break
         a1, a2 = z1[active], z2[active]
-        R = np.asarray(f(a1)) - np.asarray(f(a2))
-        # complex columns of the 2x4 real Jacobian
+        # residual and the complex columns of its 2x4 real Jacobian
         c = np.empty((4, len(a1)), dtype=np.complex128)
-        for base, (zz, sgn) in enumerate(((a1, 1.0), (a2, -1.0))):
-            hp = np.asarray(f.h.deriv(zz))
-            gpc = np.conjugate(np.asarray(f.g.deriv(zz)))
-            c[2 * base] = sgn * (hp + gpc)
-            c[2 * base + 1] = sgn * 1j * (hp - gpc)
+        R = side(a1, 1.0, c, 0) - side(a2, -1.0, c, 2)
         A = np.sum(c.real * c.real, axis=0)
         B = np.sum(c.real * c.imag, axis=0)
         D = np.sum(c.imag * c.imag, axis=0)
@@ -358,7 +366,9 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
       preimage separation >= ``separation_floor`` (re-verified by direct
       evaluation, canonicalised for conjugate-symmetric mappings);
     * ``degenerate-jacobian`` -- a grid point with non-positive Jacobian;
-    * ``certified-at-resolution`` -- neither of the above at this resolution.
+    * ``inconclusive`` -- neither of the above, but the candidate pairs were
+      truncated at ``MAX_CANDIDATES``, so not every pair was refined;
+    * ``certified-at-resolution`` -- none of the above at this resolution.
     """
     if not 0.0 < r < 1.0:
         raise ParameterError(f"scan radius must lie in (0, 1), got {r}")
@@ -369,8 +379,8 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
     rho = r * np.arange(1, n_r + 1) / n_r
     theta = 2.0 * np.pi * np.arange(n_a) / n_a
     Z = rho[:, None] * np.exp(1j * theta)[None, :]
-    W = f(Z)
-    J = f.jacobian(Z)
+    W, hp, gp = f.eval_all(Z)
+    J = jacobian_of(hp, gp)
 
     degenerate_point = None
     bad = np.argwhere(J <= 0.0)
@@ -467,7 +477,7 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
                 cand_i.append(pi[m])
                 cand_j.append(pj[m])
                 total += int(m.sum())
-            if total > 12_000_000:
+            if total > MAX_CANDIDATES:
                 truncated = True
                 break
         if truncated:
@@ -560,8 +570,8 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
             refinement_residual=refinement_residual, details=details)
 
     return UnivalenceReport(
-        verdict="certified-at-resolution", resolution=cells,
-        refinement_residual=refinement_residual, details=details)
+        verdict="inconclusive" if truncated else "certified-at-resolution",
+        resolution=cells, refinement_residual=refinement_residual, details=details)
 
 
 def winding_check(f: HarmonicMapping, r: float, w, M: int = 1024) -> int:

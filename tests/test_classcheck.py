@@ -230,7 +230,7 @@ def test_shear_function_derivatives():
     rng = np.random.default_rng(71)
     for _ in range(10):
         z = 0.7 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-        want = f.h_prime_eval(z) * (1.0 - lam * z**2)
+        want = f.h.deriv(z) * (1.0 - lam * z**2)
         assert abs(F.deriv(z) - want) < 1e-12
         # second derivative consistent with a central difference of F'
         step = 1e-6

@@ -96,8 +96,8 @@ def test_counterexample_closed_forms():
         h_want = (1.0 - (1.0 - z) ** gamma) / gamma
         g_want = (1.0 - (1.0 + gamma * z) * (1.0 - z) ** gamma) / (
             gamma * (gamma + 1.0))
-        assert abs(f.h_eval(z) - h_want) < 1e-12
-        assert abs(f.g_eval(z) - g_want) < 1e-12
+        assert abs(f.h.value(z) - h_want) < 1e-12
+        assert abs(f.g.value(z) - g_want) < 1e-12
         assert abs(f(z) - (h_want + np.conj(g_want))) < 1e-12
 
 
@@ -112,8 +112,8 @@ def test_counterexample_dilatation_is_z():
 def test_counterexample_normalization():
     f = make_counterexample(1.25)
     assert abs(f(0.0)) < 1e-14
-    assert abs(f.h_prime_eval(0.0) - 1.0) < 1e-13
-    assert abs(f.g_prime_eval(0.0)) < 1e-13
+    assert abs(f.h.deriv(0.0) - 1.0) < 1e-13
+    assert abs(f.g.deriv(0.0)) < 1e-13
 
 
 def test_counterexample_taylor_matches_closed_form():
@@ -121,8 +121,8 @@ def test_counterexample_taylor_matches_closed_form():
     rng = np.random.default_rng(33)
     for _ in range(15):
         z = 0.35 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert abs(f.taylor_h(z) - f.h_eval(z)) < 1e-12
-        assert abs(f.taylor_g(z) - f.g_eval(z)) < 1e-12
+        assert abs(f.taylor_h(z) - f.h.value(z)) < 1e-12
+        assert abs(f.taylor_g(z) - f.g.value(z)) < 1e-12
 
 
 def test_counterexample_conjugate_symmetry():
@@ -147,8 +147,8 @@ def test_bshouty_lyzzaik_closed_forms():
             continue
         h_want = z - lam * z * z
         g_want = z * z / 2.0 - 2.0 * lam * z**3 / 3.0
-        assert abs(f.h_eval(z) - h_want) < 1e-13
-        assert abs(f.g_eval(z) - g_want) < 1e-13
+        assert abs(f.h.value(z) - h_want) < 1e-13
+        assert abs(f.g.value(z) - g_want) < 1e-13
         assert abs(f.dilatation(z) - z) < 1e-12
 
 
@@ -172,11 +172,11 @@ def test_extremal_normalization_and_dilatation():
     params = ClassParams(0.25, 0.4, 1)
     f = make_extremal(ExtremalSpec(params, 1.0))
     assert abs(f(0.0)) < 1e-13
-    assert abs(f.h_prime_eval(0.0) - 1.0) < 1e-12
+    assert abs(f.h.deriv(0.0) - 1.0) < 1e-12
     rng = np.random.default_rng(47)
     for _ in range(20):
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        resid = f.g_prime_eval(z) - params.zeta * z**params.n * f.h_prime_eval(z)
+        resid = f.g.deriv(z) - params.zeta * z**params.n * f.h.deriv(z)
         assert abs(resid) < 1e-11
 
 
@@ -184,7 +184,7 @@ def test_extremal_half_alpha_is_log():
     # alpha = 1/2, delta = 1: analytic part is -log(1-z)
     f = make_extremal(ExtremalSpec(ClassParams(0.5, 0.0, 1), 1.0))
     for z in (0.3, -0.4, 0.2 + 0.1j):
-        assert abs(f.h_eval(z) + np.log(1.0 - z)) < 1e-12
+        assert abs(f.h.value(z) + np.log(1.0 - z)) < 1e-12
 
 
 def test_extremal_taylor_matches_values():
@@ -192,8 +192,8 @@ def test_extremal_taylor_matches_values():
     rng = np.random.default_rng(53)
     for _ in range(10):
         z = 0.3 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert abs(f.taylor_h(z) - f.h_eval(z)) < 1e-12
-        assert abs(f.taylor_g(z) - f.g_eval(z)) < 1e-12
+        assert abs(f.taylor_h(z) - f.h.value(z)) < 1e-12
+        assert abs(f.taylor_g(z) - f.g.value(z)) < 1e-12
 
 
 # -- shear construction from a supplied analytic part -------------------------
@@ -205,7 +205,7 @@ def test_make_from_h_series_route():
     rng = np.random.default_rng(59)
     for _ in range(15):
         z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        resid = f.g_prime_eval(z) - 0.5 * z * f.h_prime_eval(z)
+        resid = f.g.deriv(z) - 0.5 * z * f.h.deriv(z)
         assert abs(resid) < 1e-12
 
 
@@ -221,7 +221,7 @@ def test_make_from_h_admissibility_gate():
     with pytest.raises(AdmissibilityError):
         make_from_h(h, 0.9, 2)  # cap is 1/3
     f = make_from_h(h, 0.9, 2, require_admissible=False)
-    assert abs(f.g_prime_eval(0.5) - 0.9 * 0.25) < 1e-12
+    assert abs(f.g.deriv(0.5) - 0.9 * 0.25) < 1e-12
 
 
 # -- family-spec grammar ------------------------------------------------------
@@ -247,7 +247,7 @@ def test_family_from_spec_names_and_aliases():
     assert abs(b1(z) - b3(z)) < 1e-14
 
     e = family_from_spec("extremal:alpha=1/2,zeta=0.9,n=1")
-    assert abs(e.h_prime_eval(0.0) - 1.0) < 1e-12
+    assert abs(e.h.deriv(0.0) - 1.0) < 1e-12
 
     assert abs(family_from_spec("identity")(z) - z) < 1e-15
 
@@ -274,8 +274,8 @@ def test_family_from_spec_from_h_file(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     f = family_from_spec(f"from-h:path={path}")
     z = 0.4
-    assert abs(f.h_eval(z) - (z - 0.25j * z * z)) < 1e-13
-    assert abs(f.g_prime_eval(z) - 0.5 * z * f.h_prime_eval(z)) < 1e-12
+    assert abs(f.h.value(z) - (z - 0.25j * z * z)) < 1e-13
+    assert abs(f.g.deriv(z) - 0.5 * z * f.h.deriv(z)) < 1e-12
 
 
 def test_family_from_spec_from_h_missing_file():

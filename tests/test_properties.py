@@ -1,0 +1,140 @@
+"""Exact identities of the built-in families, checked on random inputs.
+
+Guards the fused ``eval_all`` path against the separate ``h``/``g``
+evaluators (bit for bit) and the closed forms against the Taylor arrays.
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harmap.mappings import (
+    ClassParams,
+    ExtremalSpec,
+    make_bshouty_lyzzaik,
+    make_counterexample,
+    make_extremal,
+    make_from_h,
+    make_identity,
+)
+from harmap.series import PowerSeries
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+points = st.complex_numbers(max_magnitude=0.999, allow_nan=False, allow_infinity=False)
+inner_points = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def class_params(draw, real_zeta=False):
+    n = draw(st.integers(1, 4))
+    cap = 1.0 / (2 * n - 1)
+    rho = draw(st.floats(0.0, 1.0)) * cap
+    phase = 0.0 if real_zeta else draw(st.floats(0.0, 2.0 * np.pi))
+    sign = draw(st.sampled_from((1.0, -1.0))) if real_zeta else 1.0
+    alpha = draw(st.floats(-0.5, 0.99))
+    return ClassParams(alpha, sign * rho * cmath.exp(1j * phase), n)
+
+
+@st.composite
+def mappings(draw, real=False):
+    """A built-in family with drawn parameters; ``real`` restricts to real
+    Taylor coefficients."""
+    kind = draw(st.sampled_from(("identity", "counterexample", "bl", "extremal", "from-h")))
+    if kind == "identity":
+        return make_identity()
+    if kind == "counterexample":
+        return make_counterexample(draw(st.floats(1.0, 1.75, exclude_min=True)))
+    if kind == "bl":
+        return make_bshouty_lyzzaik(draw(st.floats(0.0, 0.49)))
+    if kind == "extremal":
+        params = draw(class_params(real_zeta=real))
+        delta = (draw(st.sampled_from((1.0, -1.0))) if real
+                 else cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi))))
+        return make_extremal(ExtremalSpec(params, delta))
+    coeffs = [0.0, 1.0] + [complex(draw(unit), 0.0 if real else draw(unit)) / 4
+                           for _ in range(draw(st.integers(0, 5)))]
+    zeta = draw(unit) if real else complex(draw(unit), draw(unit)) / 2
+    return make_from_h(PowerSeries(coeffs), zeta, draw(st.integers(1, 3)),
+                       require_admissible=False)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.complex128).tobytes()
+
+
+def _assert_eval_all_matches(f, z):
+    fz, hp, gp = f.eval_all(z)
+    assert _bits(fz) == _bits(f(z))
+    assert _bits(fz) == _bits(f.h.value(z) + np.conjugate(f.g.value(z)))
+    assert _bits(hp) == _bits(f.h.deriv(z))
+    assert _bits(gp) == _bits(f.g.deriv(z))
+
+
+@SETTINGS
+@given(f=mappings(), zs=st.lists(points, min_size=1, max_size=16))
+def test_eval_all_is_bit_identical_to_separate_evaluators(f, zs):
+    _assert_eval_all_matches(f, zs[0])
+    _assert_eval_all_matches(f, np.array(zs))
+
+
+@pytest.mark.parametrize("f", [
+    make_counterexample(1.25),
+    make_extremal(ExtremalSpec(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j))),
+    make_bshouty_lyzzaik(0.4),
+], ids=lambda f: f.label)
+def test_eval_all_is_bit_identical_on_large_arrays(f):
+    # numpy evaluates some expressions in a different operand order once an
+    # array passes 256 KiB, so check sizes on both sides of that
+    rng = np.random.default_rng(5)
+    n = 40_000
+    z = 0.999 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    _assert_eval_all_matches(f, z)
+    _assert_eval_all_matches(f, z[:1000])
+
+
+@SETTINGS
+@given(f=mappings(real=True), z=points)
+def test_conjugate_symmetry_of_real_coefficient_families(f, z):
+    w = complex(f(z))
+    assert abs(complex(f(z.conjugate())) - w.conjugate()) <= 1e-12 * max(1.0, abs(w))
+
+
+@st.composite
+def sheared(draw):
+    """``(mapping, zeta, n)`` for families sheared by ``g' = zeta z^n h'``."""
+    kind = draw(st.sampled_from(("counterexample", "extremal", "from-h")))
+    if kind == "counterexample":
+        return make_counterexample(draw(st.floats(1.0, 1.75, exclude_min=True))), 1.0, 1
+    if kind == "extremal":
+        params = draw(class_params())
+        delta = cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        return make_extremal(ExtremalSpec(params, delta)), params.zeta, params.n
+    coeffs = [0.0, 1.0] + [complex(draw(unit), draw(unit)) for _ in range(6)]
+    zeta, n = complex(draw(unit), draw(unit)), draw(st.integers(1, 3))
+    return make_from_h(PowerSeries(coeffs), zeta, n, require_admissible=False), zeta, n
+
+
+@SETTINGS
+@given(case=sheared())
+def test_taylor_coefficient_relation(case):
+    f, zeta, n = case
+    a, b = f.taylor_h.coeffs, f.taylor_g.coeffs
+    for k in range(1, min(len(a), len(b) - n)):
+        lhs = (k + n) * b[k + n]
+        rhs = zeta * k * a[k]
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), k
+    assert np.all(b[: n + 1] == 0)
+
+
+@SETTINGS
+@given(f=mappings(), z=inner_points)
+def test_horner_matches_closed_forms(f, z):
+    th, tg = f.taylor_h, f.taylor_g
+    for got, want in ((th(z), f.h.value(z)), (tg(z), f.g.value(z)),
+                      (th.derive()(z), f.h.deriv(z)), (tg.derive()(z), f.g.deriv(z))):
+        assert abs(complex(got) - complex(want)) <= 1e-12 * max(1.0, abs(complex(want)))

@@ -111,11 +111,6 @@ def test_horner_evaluation_matches_polyval():
         assert abs(p(complex(zs[0])) - want[0]) < 1e-12
 
 
-def test_eval_alias():
-    p = PowerSeries([0.0, 1.0, 1.0])
-    assert p.eval(0.5) == p(0.5)
-
-
 def test_exponential_series_partial_sums():
     order = 20
     coeffs = [1.0 / math.factorial(k) for k in range(order + 1)]

@@ -1,13 +1,15 @@
 """Collision construction, winding numbers, and the injectivity grid scan."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+from harmap import cli, univalence
 from harmap.errors import InfeasibilityError, OnCurveError, ParameterError
-from harmap.mappings import make_counterexample, make_identity
+from harmap.mappings import make_bshouty_lyzzaik, make_counterexample, make_identity
 from harmap.univalence import (
     CollisionSearchParams,
     feasibility_threshold,
@@ -167,3 +169,23 @@ def test_scan_report_shape():
     assert d["resolution"] == 64
     assert "grid" in report.details and "scan_radius" in report.details
     assert "certified-at-resolution" in report.summary()
+
+
+def test_truncated_scan_is_inconclusive(monkeypatch, tmp_path, schema_check):
+    # lam = 0.30 is univalent; with the candidate cap forced low the scan
+    # cannot refine every pair and must not claim a certificate
+    monkeypatch.setattr(univalence, "MAX_CANDIDATES", 1000)
+    report = univalence_scan(make_bshouty_lyzzaik(0.30), r=0.999, cells=64)
+    assert report.details["truncated"]
+    assert report.verdict == "inconclusive"
+    assert not report.certified
+    assert "inconclusive" in report.summary()
+
+    out = tmp_path / "scan.json"
+    code = cli.main(["univalence", "--family", "bl:lam=0.30", "--r", "0.999",
+                     "--cells", "64", "--json", "--out", str(out)])
+    assert code == 1
+    payload = schema_check(json.loads(out.read_text(encoding="utf-8")),
+                           "univalence_report.json")
+    assert payload["report"]["verdict"] == "inconclusive"
+    assert payload["report"]["details"]["truncated"] is True
