@@ -52,6 +52,20 @@ def coeff_bound_b(k: int, n: int, alpha: float, zeta) -> float:
     return az * _rising_product(k, alpha) / ((k + n) * math.factorial(k - 1))
 
 
+def _worst(cands, lowest: bool = False):
+    """Reduce ``(score, z, *extra)`` candidates to the worst one.
+
+    The worst is the largest score, or the smallest when ``lowest``; ties go
+    to the first candidate.  Returns ``(score, witness, extra)`` with the
+    witness ``{"z": [z, 0], "value": score}``.
+    """
+    worst = (min if lowest else max)(cands, key=lambda c: c[0], default=None)
+    if worst is None:
+        raise ParameterError("nothing to verify: no indices or radii given")
+    score, z, *extra = worst
+    return score, {"z": [float(z), 0.0], "value": score}, extra
+
+
 def verify_coeff_relation(f: HarmonicMapping, n: int, zeta, K: int,
                           tol: float = 1e-12) -> BoundReport:
     """Check the coefficient recursion ``(k+n) b_{k+n} = zeta k a_k``.
@@ -67,20 +81,14 @@ def verify_coeff_relation(f: HarmonicMapping, n: int, zeta, K: int,
             f"({f.taylor_h.order}, {f.taylor_g.order})"
         )
     zeta = complex(zeta)
-    worst = -1.0
-    worst_k = 0
-    for k in range(1, K + 1):
-        a_k = f.taylor_h.coeff(k)
-        b_kn = f.taylor_g.coeff(k + n)
-        res = abs((k + n) * b_kn - zeta * k * a_k)
-        if res > worst:
-            worst = res
-            worst_k = k
+    worst, witness, _ = _worst(
+        (abs((k + n) * f.taylor_g.coeff(k + n) - zeta * k * f.taylor_h.coeff(k)), k)
+        for k in range(1, K + 1))
     return BoundReport(
         check="coefficient-relation",
         passed=worst <= tol,
         margin=float(tol - worst),
-        witness={"z": [float(worst_k), 0.0], "value": worst},
+        witness=witness,
         details={"K": K, "n": n, "zeta": complex_pair(zeta),
                  "max_residual": worst, "tol": tol, "family": f.label},
     )
@@ -215,24 +223,21 @@ def verify_sharpness(params: ClassParams, r_list, tol: float = 1e-8) -> BoundRep
     zeta_phi = zeta if n % 2 == 1 else -zeta
     f_phi = make_extremal(ExtremalSpec(ClassParams(alpha, zeta_phi, n), 1.0))
 
-    worst = -1.0
-    worst_detail = None
-    for r in r_list:
-        gb = growth_bounds(r, base, mode="quadrature")
-        dev_psi = abs(abs(complex(f_psi(r + 0j))) - gb.psi)
-        dev_phi = abs(abs(complex(f_phi(-r + 0j))) - gb.phi)
-        for name, dev, z in (("psi", dev_psi, r), ("phi", dev_phi, -r)):
-            if dev > worst:
-                worst = dev
-                worst_detail = {"z": [float(z), 0.0], "value": dev, "side": name}
+    def deviations():
+        for r in r_list:
+            gb = growth_bounds(r, base, mode="quadrature")
+            yield abs(abs(complex(f_psi(r + 0j))) - gb.psi), r, "psi"
+            yield abs(abs(complex(f_phi(-r + 0j))) - gb.phi), -r, "phi"
+
+    worst, witness, (side,) = _worst(deviations())
     return BoundReport(
         check="growth-sharpness",
         passed=worst <= tol,
         margin=float(tol - worst),
-        witness={"z": worst_detail["z"], "value": worst_detail["value"]},
+        witness=witness,
         details={"alpha": alpha, "zeta": zeta, "n": n, "tol": tol,
                  "radii": [float(r) for r in r_list],
-                 "worst_side": worst_detail["side"]},
+                 "worst_side": side},
     )
 
 
@@ -246,17 +251,15 @@ def verify_coeff_sharpness(spec: ExtremalSpec, K: int = 12,
     """
     p = spec.params
     f = make_extremal(spec, order=max(K + p.n + 2, 16))
-    worst = -1.0
-    witness = None
-    for k in range(2, K + 1):
-        dev = abs(abs(complex(f.taylor_h.coeff(k))) - coeff_bound_a(k, p.alpha))
-        if dev > worst:
-            worst, witness = dev, {"z": [float(k), 0.0], "value": dev}
-    for k in range(1, K + 1):
-        dev = abs(abs(complex(f.taylor_g.coeff(k + p.n)))
-                  - coeff_bound_b(k, p.n, p.alpha, p.zeta))
-        if dev > worst:
-            worst, witness = dev, {"z": [float(k + p.n), 0.0], "value": dev}
+
+    def deviations():
+        for k in range(2, K + 1):
+            yield abs(abs(complex(f.taylor_h.coeff(k))) - coeff_bound_a(k, p.alpha)), k
+        for k in range(1, K + 1):
+            yield (abs(abs(complex(f.taylor_g.coeff(k + p.n)))
+                       - coeff_bound_b(k, p.n, p.alpha, p.zeta)), k + p.n)
+
+    worst, witness, _ = _worst(deviations())
     return BoundReport(
         check="coefficient-sharpness",
         passed=worst <= tol,
@@ -270,23 +273,22 @@ def verify_coeff_sharpness(spec: ExtremalSpec, K: int = 12,
 def verify_growth_consistency(params: ClassParams, r_list,
                               tol: float = 1e-9) -> BoundReport:
     """Closed-form vs adaptive-quadrature agreement of the growth envelope."""
-    worst = -1.0
-    witness = None
-    for r in r_list:
-        closed = growth_bounds(r, params, mode="closed-form")
-        quad = growth_bounds(r, params, mode="quadrature")
-        for side, dev in (("phi", abs(closed.phi - quad.phi)),
-                          ("psi", abs(closed.psi - quad.psi))):
-            if dev > worst:
-                worst = dev
-                witness = {"z": [float(r), 0.0], "value": dev, "side": side}
+
+    def deviations():
+        for r in r_list:
+            closed = growth_bounds(r, params, mode="closed-form")
+            quad = growth_bounds(r, params, mode="quadrature")
+            yield abs(closed.phi - quad.phi), r, "phi"
+            yield abs(closed.psi - quad.psi), r, "psi"
+
+    worst, witness, (side,) = _worst(deviations())
     return BoundReport(
         check="growth-consistency",
         passed=worst <= tol,
         margin=float(tol - worst),
-        witness={"z": witness["z"], "value": witness["value"]},
+        witness=witness,
         details={"alpha": params.alpha, "zeta": complex_pair(params.zeta),
-                 "n": params.n, "tol": tol, "worst_side": witness["side"],
+                 "n": params.n, "tol": tol, "worst_side": side,
                  "radii": [float(r) for r in r_list]},
     )
 
@@ -314,24 +316,23 @@ def verify_area_sandwich(params: ClassParams, r_list,
     two-sided envelope at every radius (small quadrature slack allowed)."""
     f = make_extremal(ExtremalSpec(params, 1.0))
     slack = 10.0 * quad_tol
-    worst = None
-    witness = None
-    for r in r_list:
-        a = area(f, r, tol=quad_tol)
-        ab = area_bounds(params, r)
-        margin = min(a - ab.lower, ab.upper - a) + slack
-        if worst is None or margin < worst:
-            worst = margin
-            witness = {"z": [float(r), 0.0], "value": a,
-                       "lower": ab.lower, "upper": ab.upper}
+
+    def margins():
+        for r in r_list:
+            a = area(f, r, tol=quad_tol)
+            ab = area_bounds(params, r)
+            yield min(a - ab.lower, ab.upper - a) + slack, r, a, ab.lower, ab.upper
+
+    worst, witness, (value, lower, upper) = _worst(margins(), lowest=True)
+    witness["value"] = value
     return BoundReport(
         check="area-sandwich",
         passed=worst >= 0.0,
         margin=float(worst),
-        witness={"z": witness["z"], "value": witness["value"]},
+        witness=witness,
         details={"alpha": params.alpha, "zeta": complex_pair(params.zeta),
                  "n": params.n, "radii": [float(r) for r in r_list],
-                 "lower": witness["lower"], "upper": witness["upper"],
+                 "lower": lower, "upper": upper,
                  "quad_tol": quad_tol},
     )
 

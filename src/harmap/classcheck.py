@@ -135,79 +135,66 @@ def _dilatation_residual(f: HarmonicMapping, zeta: complex, n: int,
     return worst, arg
 
 
-def check_membership(f: HarmonicMapping, params: ClassParams,
-                     grid: DiskGrid | None = None, tol: float = 1e-8) -> BoundReport:
-    """Test the two class conditions on a grid.
+def _band_check(f: HarmonicMapping, check: str, bound: float, upper: bool,
+                zeta: complex, n: int, grid: DiskGrid | None, tol: float,
+                head: dict) -> BoundReport:
+    """Curvature-band check: ``Re(1 + z h''/h')`` stays above ``bound`` (below
+    it when ``upper``) *and* ``g' = zeta z^n h'`` holds, both to ``tol``.
 
-    Passes iff the grid infimum of the curvature real part stays above
-    ``alpha - tol`` *and* the dilatation identity ``g' = zeta z^n h'`` holds
-    to ``tol``.  The report carries both margins; the headline margin and
-    witness come from whichever condition is tighter.
+    The report carries both margins; the headline margin and witness come
+    from whichever condition is tighter.  ``head`` leads the details.
     """
     grid = grid or DiskGrid.default()
     rep = curvature_extrema(f, grid)
-    resid, resid_arg = _dilatation_residual(f, params.zeta, params.n, grid)
-    margin_curv = rep.inf_est - params.alpha
+    resid, resid_arg = _dilatation_residual(f, zeta, n, grid)
+    if upper:
+        side, curv, curv_arg = "sup", rep.sup_est, rep.argmax_z
+        margin_curv = bound - curv
+        curv_ok = curv <= bound + tol
+    else:
+        side, curv, curv_arg = "inf", rep.inf_est, rep.argmin_z
+        margin_curv = curv - bound
+        curv_ok = curv >= bound - tol
     margin_resid = tol - resid
-    passed = (rep.inf_est >= params.alpha - tol) and (resid <= tol)
     if margin_curv <= margin_resid:
-        witness = {"z": complex_pair(rep.argmin_z), "value": rep.inf_est}
+        witness = {"z": complex_pair(curv_arg), "value": curv}
         margin = margin_curv
     else:
         witness = {"z": complex_pair(resid_arg), "value": resid}
         margin = margin_resid
     return BoundReport(
-        check="membership",
-        passed=passed,
+        check=check,
+        passed=curv_ok and resid <= tol,
         margin=float(margin),
         grid=grid.to_dict(),
         witness=witness,
         details={
-            "alpha": params.alpha,
-            "zeta": complex_pair(params.zeta),
-            "n": params.n,
+            **head,
             "tol": tol,
-            "curvature_inf": rep.inf_est,
+            f"curvature_{side}": curv,
             "curvature_margin": margin_curv,
             "dilatation_residual": resid,
             "residual_margin": margin_resid,
             "family": f.label,
         },
     )
+
+
+def check_membership(f: HarmonicMapping, params: ClassParams,
+                     grid: DiskGrid | None = None, tol: float = 1e-8) -> BoundReport:
+    """Test the two class conditions on a grid: the grid infimum of the
+    curvature real part stays above ``alpha - tol`` and ``g' = zeta z^n h'``
+    holds to ``tol``."""
+    return _band_check(f, "membership", params.alpha, False, params.zeta, params.n,
+                       grid, tol, {"alpha": params.alpha,
+                                   "zeta": complex_pair(params.zeta), "n": params.n})
 
 
 def check_pbeta(f: HarmonicMapping, p: PBetaParams,
                 grid: DiskGrid | None = None, tol: float = 1e-8) -> BoundReport:
     """Test the curvature-above class: ``Re`` curvature below ``beta`` and
     dilatation exactly ``z`` (i.e. ``g' = z h'``)."""
-    grid = grid or DiskGrid.default()
-    rep = curvature_extrema(f, grid)
-    resid, resid_arg = _dilatation_residual(f, 1.0, 1, grid)
-    margin_curv = p.beta - rep.sup_est
-    margin_resid = tol - resid
-    passed = (rep.sup_est <= p.beta + tol) and (resid <= tol)
-    if margin_curv <= margin_resid:
-        witness = {"z": complex_pair(rep.argmax_z), "value": rep.sup_est}
-        margin = margin_curv
-    else:
-        witness = {"z": complex_pair(resid_arg), "value": resid}
-        margin = margin_resid
-    return BoundReport(
-        check="pbeta",
-        passed=passed,
-        margin=float(margin),
-        grid=grid.to_dict(),
-        witness=witness,
-        details={
-            "beta": p.beta,
-            "tol": tol,
-            "curvature_sup": rep.sup_est,
-            "curvature_margin": margin_curv,
-            "dilatation_residual": resid,
-            "residual_margin": margin_resid,
-            "family": f.label,
-        },
-    )
+    return _band_check(f, "pbeta", p.beta, True, 1.0, 1, grid, tol, {"beta": p.beta})
 
 
 def check_theorem_b_condition(f: HarmonicMapping, lam: complex, k: float, n: int,
