@@ -59,6 +59,8 @@ from .mappings import (
     ExtremalSpec,
     HarmonicMapping,
     PBetaParams,
+    PolyKernel,
+    PowerKernel,
     family_from_spec,
     is_conjugate_symmetric,
     make_bshouty_lyzzaik,
@@ -93,7 +95,8 @@ __all__ = [
     "AnalyticFunction", "AreaBounds", "BoundReport", "BranchedPower",
     "ClassParams", "CollisionSearchParams", "CurvatureReport", "DiskGrid",
     "ExtremalSpec", "GrowthBounds", "HarmonicMapping", "PBetaParams",
-    "PowerSeries", "SceneSpec", "SymmetricCollision", "UnivalenceReport",
+    "PolyKernel", "PowerKernel", "PowerSeries", "SceneSpec", "SymmetricCollision",
+    "UnivalenceReport",
     "HarmapError", "ParameterError", "AdmissibilityError", "InfeasibilityError",
     "DomainError", "BranchCutError", "PoleError", "NumericalError",
     "DivergenceError", "ConvergenceError", "SingularityError",

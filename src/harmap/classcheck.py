@@ -58,6 +58,10 @@ class DiskGrid:
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.angles_per_circle) / self.angles_per_circle
 
+    def points(self) -> np.ndarray:
+        """All grid points, flattened in (radius, angle-index) order."""
+        return (np.array(self.radii)[:, None] * np.exp(1j * self.angles())).ravel()
+
     def to_dict(self) -> dict:
         return {
             "radii": [float(r) for r in self.radii],
@@ -90,7 +94,7 @@ def curvature(f, z):
     hp = h.deriv(z)
     if np.min(np.abs(hp)) < _SINGULAR_FLOOR:
         raise SingularityError("curvature undefined where h' vanishes")
-    return 1.0 + z * h.second(z) / hp
+    return 1.0 + z * h.deriv2(z) / hp
 
 
 def curvature_extrema(f, grid: DiskGrid | None = None) -> CurvatureReport:
@@ -100,39 +104,20 @@ def curvature_extrema(f, grid: DiskGrid | None = None) -> CurvatureReport:
     refining the grid can only widen the reported range.
     """
     grid = grid or DiskGrid.default()
-    h = _analytic_part(f)
-    phase = np.exp(1j * grid.angles())
-    best_min = math.inf
-    best_max = -math.inf
-    argmin = argmax = 0j
-    for r in grid.radii:
-        z = r * phase
-        vals = np.real(curvature(h, z))
-        i = int(np.argmin(vals))
-        j = int(np.argmax(vals))
-        if vals[i] < best_min:
-            best_min = float(vals[i])
-            argmin = complex(z[i])
-        if vals[j] > best_max:
-            best_max = float(vals[j])
-            argmax = complex(z[j])
-    return CurvatureReport(best_min, best_max, argmin, argmax, grid)
+    z = grid.points()
+    vals = np.real(curvature(f, z))
+    i, j = int(np.argmin(vals)), int(np.argmax(vals))
+    return CurvatureReport(float(vals[i]), float(vals[j]), complex(z[i]), complex(z[j]), grid)
 
 
 def _dilatation_residual(f: HarmonicMapping, zeta: complex, n: int,
                          grid: DiskGrid) -> tuple[float, complex]:
-    """Max of ``|g' - zeta z^n h'|`` over the grid, with its witness."""
-    phase = np.exp(1j * grid.angles())
-    worst = -1.0
-    arg = 0j
-    for r in grid.radii:
-        z = r * phase
-        res = np.abs(f.g.deriv(z) - zeta * z**n * f.h.deriv(z))
-        i = int(np.argmax(res))
-        if res[i] > worst:
-            worst = float(res[i])
-            arg = complex(z[i])
-    return worst, arg
+    """Max of ``|g' - zeta z^n h'|`` over the grid, with its witness (the
+    first in grid order)."""
+    z = grid.points()
+    res = np.abs(f.g.deriv(z) - zeta * z**n * f.h.deriv(z))
+    i = int(np.argmax(res))
+    return float(res[i]), complex(z[i])
 
 
 def _band_check(f: HarmonicMapping, check: str, bound: float, upper: bool,
@@ -226,7 +211,7 @@ def shear_function(h: AnalyticFunction, n: int, lam: complex) -> AnalyticFunctio
         return h.deriv(z) * (1.0 - lam * z**n)
 
     def Fpp(z):
-        return h.second(z) * (1.0 - lam * z**n) - lam * n * z ** (n - 1) * h.deriv(z)
+        return h.deriv2(z) * (1.0 - lam * z**n) - lam * n * z ** (n - 1) * h.deriv(z)
 
     return AnalyticFunction(value=None, deriv=Fp, deriv2=Fpp)
 

@@ -1,22 +1,25 @@
 """Harmonic mappings ``f = h + conj(g)`` on the unit disk.
 
-A mapping bundles the analytic part ``h`` and co-analytic part ``g`` as
-evaluator triples (value, first, second derivative), optionally with Taylor
-coefficient arrays.  ``eval_all`` returns ``(f, h', g')`` together; the
-``counterexample`` and ``extremal`` families back it, ``f`` and the Jacobian
-with a fused kernel that computes their shared ``log(1 - delta*z)`` once.
+Every family is a shear: an ``h'`` kernel plus the dilatation ``zeta z^n``,
+so that ``g' = zeta z^n h'``.  :class:`HarmonicMapping` derives ``f``, ``h``,
+``g``, their first two derivatives and the Taylor arrays from that data in
+one place.  A kernel is either
+
+* :class:`PowerKernel` -- ``h' = (1 - delta z)**q``; ``h`` and ``g`` are
+  closed forms in the one ``log(1 - delta z)``; or
+* :class:`PolyKernel` -- ``h'`` an exact polynomial; ``h`` and ``g`` are
+  Horner on the exact Taylor arrays.
+
 Built-in families:
 
-* ``identity`` -- ``f(z) = z``;
-* ``counterexample`` -- the shear-type family with dilatation ``z`` whose
+* ``identity`` -- ``f(z) = z`` (``h' = 1``, ``zeta = 0``);
+* ``counterexample`` -- ``h' = (1 - z)**(gamma - 1)``, dilatation ``z``; the
   analytic part has curvature ``(1 - gamma*z)/(1 - z)``, parameter
   ``1 < gamma <= 7/4``;
-* ``bl`` -- the quadratic/cubic polynomial family ``h = z - lam*z^2``,
-  ``g = z^2/2 - 2*lam*z^3/3``;
-* ``extremal`` -- the kernel family ``h' = (1 - delta*z)**(2*alpha - 2)``,
-  ``g' = zeta * z^n * h'`` that saturates the class coefficient and growth
-  bounds;
-* ``from-h`` -- an arbitrary normalized analytic part sheared by
+* ``bl`` -- ``h = z - lam*z^2``, dilatation ``z`` (``g = z^2/2 - 2*lam*z^3/3``);
+* ``extremal`` -- ``h' = (1 - delta*z)**(2*alpha - 2)``, dilatation
+  ``zeta z^n``; saturates the class coefficient and growth bounds;
+* ``from-h`` -- a normalized polynomial analytic part sheared by
   ``g' = zeta * z^n * h'``.
 
 All evaluators accept complex scalars or numpy arrays.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .quadrature import integrate_path
 from .series import PowerSeries
 from .special import BranchedPower
 
@@ -45,8 +47,8 @@ from .special import BranchedPower
 _DISK_EDGE = 1.0
 #: default truncation order for family Taylor arrays
 DEFAULT_ORDER = 64
-#: default offset for radius -> 1 boundary limits
-BOUNDARY_EPS = 1e-6
+#: exponents closer to zero than this integrate to a logarithm
+_LOG_EPS = 1e-9
 
 
 def _check_disk(z) -> None:
@@ -60,16 +62,10 @@ class AnalyticFunction:
 
     value: object
     deriv: object
-    deriv2: object | None = None
+    deriv2: object
 
     def __call__(self, z):
         return self.value(z)
-
-    def second(self, z, step: float = 1e-6):
-        """Second derivative; falls back to a centred difference of ``deriv``."""
-        if self.deriv2 is not None:
-            return self.deriv2(z)
-        return (self.deriv(z + step) - self.deriv(z - step)) / (2.0 * step)
 
 
 def jacobian_of(hp, gp):
@@ -77,35 +73,129 @@ def jacobian_of(hp, gp):
     return (hp * np.conjugate(hp)).real - (gp * np.conjugate(gp)).real
 
 
-class HarmonicMapping:
-    """``f = h + conj(g)`` with evaluators and optional Taylor data.
+class PowerKernel:
+    """``h' = (1 - delta z)**q`` with ``|delta| = 1`` (branch point on the circle)."""
 
-    ``kernel``, when a family supplies one, is its fused evaluator
-    ``kernel(z, value, derivs) -> (f, h', g')`` (``None`` in the entries not
-    asked for); it computes the work the three quantities share, such as
-    ``log(1 - delta z)``, once.  Without a kernel the ``h`` and ``g``
-    evaluators are composed.
+    def __init__(self, q: float, delta=1.0):
+        self.q = float(q)
+        self.delta = delta
+
+    def series(self, order: int) -> PowerSeries:
+        return BranchedPower(self.q, self.delta).series(order)
+
+    def evaluator(self, f: "HarmonicMapping"):
+        """``(z, value, derivs) -> (h, g, h')`` for the shear of ``f``.
+
+        With ``u = 1 - delta t`` the primitive ``int_0^z t^n u^q dt`` is a
+        binomial sum over ``m <= n`` of ``(1 - u^(q+1+m))/(q+1+m)`` (``-log u``
+        where the exponent vanishes).  Every power comes from the one
+        ``E = exp((q+1) log u)`` by multiplying with ``u``; ``h`` is the
+        ``m = 0`` term.  ``h'`` takes the same ``log u``.
+        """
+        q, delta, n = self.q, self.delta, f.n
+        expo = q + 1.0 + np.arange(n + 1)
+        is_log = np.abs(expo) < _LOG_EPS
+        denom = np.where(is_log, 1.0, expo)
+        pref = f.zeta * delta ** -(n + 1)
+        g_weight = [pref * math.comb(n, m) * (-1.0) ** m / denom[m] for m in range(n + 1)]
+        h_weight = 1.0 / (delta * denom[0])
+
+        def evaluate(z, value, derivs):
+            u = 1.0 - z if delta == 1 else 1.0 - delta * z
+            L = np.log(u)
+            h = g = hp = None
+            if value:
+                E = np.exp(expo[0] * L)
+                D = -L if is_log[0] else 1.0 - E
+                h, g = D * h_weight, D * g_weight[0]
+                for m in range(1, n + 1):
+                    E = E * u
+                    g = g + (-L if is_log[m] else 1.0 - E) * g_weight[m]
+            if derivs:
+                hp = np.exp(q * L)
+            return h, g, hp
+
+        return evaluate
+
+    def deriv2(self, z):
+        """``h''(z) = -q delta (1 - delta z)**(q - 1)``."""
+        q, delta = self.q, self.delta
+        return -q * delta * np.exp((q - 1.0) * np.log(1.0 - delta * z))
+
+
+class PolyKernel:
+    """``h'`` given exactly by a polynomial :class:`PowerSeries`."""
+
+    def __init__(self, hp: PowerSeries):
+        self.hp = hp
+        self.hpp = hp.derive() if hp.order else PowerSeries([0.0])
+
+    def series(self, order: int) -> PowerSeries:
+        """The exact polynomial, whatever ``order`` asks for."""
+        return self.hp
+
+    def evaluator(self, f: "HarmonicMapping"):
+        """``(z, value, derivs) -> (h, g, h')`` by Horner on ``f``'s Taylor arrays."""
+        th, tg, hp = f.taylor_h, f.taylor_g, self.hp
+
+        def evaluate(z, value, derivs):
+            return (th(z) if value else None, tg(z) if value else None,
+                    hp(z) if derivs else None)
+
+        return evaluate
+
+    def deriv2(self, z):
+        return self.hpp(z)
+
+
+class HarmonicMapping:
+    """``f = h + conj(g)`` with ``g' = zeta z^n h'`` and ``h'`` from ``kernel``.
+
+    ``h`` and ``g`` are :class:`AnalyticFunction` views (value and two
+    derivatives); ``taylor_h`` and ``taylor_g`` hold the Taylor coefficients
+    through ``order`` (the exact polynomials for a :class:`PolyKernel`).
     """
 
-    def __init__(self, h: AnalyticFunction, g: AnalyticFunction,
-                 taylor_h: PowerSeries | None = None,
-                 taylor_g: PowerSeries | None = None,
-                 label: str = "mapping", kernel=None):
-        self.h = h
-        self.g = g
-        self.taylor_h = taylor_h
-        self.taylor_g = taylor_g
-        self.label = label
+    def __init__(self, kernel, zeta=0.0, n: int = 1, label: str = "mapping",
+                 order: int = DEFAULT_ORDER):
         self.kernel = kernel
+        self.zeta = complex(zeta)
+        self.n = int(n)
+        self.label = label
+        hp = kernel.series(order - 1)
+        self.taylor_h = hp.integrate()
+        self.taylor_g = hp.shift(self.n).scale(self.zeta).integrate()
+        self._evaluate = kernel.evaluator(self)
+        self.h = AnalyticFunction(lambda z: self._parts(z)[0],
+                                  lambda z: self._eval(z, False, True)[1],
+                                  kernel.deriv2)
+        self.g = AnalyticFunction(lambda z: self._parts(z)[1],
+                                  lambda z: self._eval(z, False, True)[2],
+                                  self._g_deriv2)
+
+    def _parts(self, z):
+        """``(h(z), g(z), None)``."""
+        _check_disk(z)
+        return self._evaluate(z, True, False)
+
+    def _omega(self, z):
+        """The dilatation ``zeta z^n``."""
+        w = z if self.n == 1 else z**self.n
+        return w if self.zeta == 1 else self.zeta * w
 
     def _eval(self, z, value: bool, derivs: bool):
         _check_disk(z)
-        if self.kernel is not None:
-            return self.kernel(z, value, derivs)
-        fz = self.h.value(z) + np.conjugate(self.g.value(z)) if value else None
-        if not derivs:
-            return fz, None, None
-        return fz, self.h.deriv(z), self.g.deriv(z)
+        h, g, hp = self._evaluate(z, value, derivs)
+        # numpy's complex array multiply is not commutative bit for bit; this
+        # operand order matches the reference ``zeta * z**n * h'`` of the
+        # class checks, so their dilatation residual is exactly zero
+        return (h + np.conjugate(g) if value else None, hp,
+                self._omega(z) * hp if derivs else None)
+
+    def _g_deriv2(self, z):
+        hp = self._eval(z, False, True)[1]
+        n = self.n
+        return self.zeta * (n * z ** (n - 1) * hp + z**n * self.kernel.deriv2(z))
 
     def __call__(self, z):
         return self._eval(z, True, False)[0]
@@ -133,18 +223,14 @@ class HarmonicMapping:
         return f"HarmonicMapping({self.label!r})"
 
 
-def is_conjugate_symmetric(f: HarmonicMapping, tol: float = 1e-10) -> bool:
-    """Whether ``f(conj z) == conj(f(z))`` holds (real Taylor coefficients).
+def is_conjugate_symmetric(f: HarmonicMapping) -> bool:
+    """Whether ``f(conj z) == conj(f(z))``: exactly when every Taylor
+    coefficient is real.
 
-    Checked by spot evaluation; mappings with this symmetry have images
-    mirror-symmetric about the real axis and conjugate collision pairs.
+    Mappings with this symmetry have images mirror-symmetric about the real
+    axis and conjugate collision pairs.
     """
-    for z in (0.31 + 0.42j, -0.55 + 0.2j, 0.05 - 0.71j):
-        a = complex(f(z.conjugate()))
-        b = complex(f(z)).conjugate()
-        if abs(a - b) > tol * max(1.0, abs(b)):
-            return False
-    return True
+    return not (np.any(f.taylor_h.coeffs.imag) or np.any(f.taylor_g.coeffs.imag))
 
 
 @dataclass(frozen=True)
@@ -200,22 +286,8 @@ class PBetaParams:
             raise ParameterError(f"beta must lie in (1, 3/2], got {self.beta}")
 
 
-def make_identity(order: int = DEFAULT_ORDER) -> HarmonicMapping:
-    h = AnalyticFunction(lambda z: z + 0j,
-                         lambda z: np.ones_like(np.asarray(z, dtype=np.complex128))
-                         if isinstance(z, np.ndarray) else 1.0 + 0j,
-                         lambda z: np.zeros_like(np.asarray(z, dtype=np.complex128))
-                         if isinstance(z, np.ndarray) else 0j)
-    g = AnalyticFunction(lambda z: np.zeros_like(np.asarray(z, dtype=np.complex128))
-                         if isinstance(z, np.ndarray) else 0j,
-                         lambda z: np.zeros_like(np.asarray(z, dtype=np.complex128))
-                         if isinstance(z, np.ndarray) else 0j,
-                         lambda z: np.zeros_like(np.asarray(z, dtype=np.complex128))
-                         if isinstance(z, np.ndarray) else 0j)
-    return HarmonicMapping(h, g,
-                           taylor_h=PowerSeries.monomial(1, order=order),
-                           taylor_g=PowerSeries.zero(order),
-                           label="identity")
+def make_identity() -> HarmonicMapping:
+    return HarmonicMapping(PolyKernel(PowerSeries([1.0])), 0.0, 1, "identity")
 
 
 def make_counterexample(gamma: float, order: int = DEFAULT_ORDER) -> HarmonicMapping:
@@ -227,47 +299,8 @@ def make_counterexample(gamma: float, order: int = DEFAULT_ORDER) -> HarmonicMap
     gamma = float(gamma)
     if not 1.0 < gamma <= 1.75:
         raise ParameterError(f"gamma must lie in (1, 7/4], got {gamma}")
-    gp1 = gamma + 1.0
-
-    def h_of(P):  # h from P = (1-z)**gamma
-        return (1.0 - P) / gamma
-
-    def g_of(z, P):
-        return (1.0 - (1.0 + gamma * z) * P) / (gamma * gp1)
-
-    def hp_of(L):  # h' from L = log(1-z)
-        return np.exp((gamma - 1.0) * L)
-
-    def power(z):
-        return np.exp(gamma * np.log(1.0 - z))
-
-    def fused(z, value=True, derivs=True):
-        L = np.log(1.0 - z)
-        fz = hp = gp = None
-        if value:
-            P = np.exp(gamma * L)
-            fz = h_of(P) + np.conjugate(g_of(z, P))
-        if derivs:
-            hp = hp_of(L)
-            # numpy's complex array multiply is not commutative bit for bit;
-            # scan reports depend on these bits, so keep this operand order
-            gp = hp * z
-        return fz, hp, gp
-
-    def hpp(z):
-        return -(gamma - 1.0) * np.exp((gamma - 2.0) * np.log(1.0 - z))
-
-    def gpp(z):
-        L = np.log(1.0 - z)
-        return hp_of(L) - (gamma - 1.0) * z * np.exp((gamma - 2.0) * L)
-
-    h = AnalyticFunction(lambda z: h_of(power(z)), lambda z: hp_of(np.log(1.0 - z)), hpp)
-    g = AnalyticFunction(lambda z: g_of(z, power(z)), lambda z: fused(z, False)[2], gpp)
-    hp_series = BranchedPower(gamma - 1.0, 1.0).series(order - 1)
-    taylor_h = hp_series.integrate()
-    taylor_g = hp_series.shift(1).integrate()
-    return HarmonicMapping(h, g, taylor_h, taylor_g,
-                           label=f"counterexample:gamma={gamma:g}", kernel=fused)
+    return HarmonicMapping(PowerKernel(gamma - 1.0), 1.0, 1,
+                           f"counterexample:gamma={gamma:g}", order)
 
 
 def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
@@ -278,52 +311,8 @@ def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
     lam = float(lam)
     if not 0.0 <= lam < 0.5:
         raise ParameterError(f"lam must lie in [0, 1/2), got {lam}")
-    h = AnalyticFunction(
-        lambda z: z - lam * z * z,
-        lambda z: 1.0 - 2.0 * lam * z,
-        lambda z: -2.0 * lam * np.ones_like(np.asarray(z, dtype=np.complex128))
-        if isinstance(z, np.ndarray) else -2.0 * lam + 0j,
-    )
-    g = AnalyticFunction(
-        lambda z: z * z / 2.0 - 2.0 * lam * z**3 / 3.0,
-        lambda z: z - 2.0 * lam * z * z,
-        lambda z: 1.0 - 4.0 * lam * z,
-    )
-    return HarmonicMapping(h, g,
-                           taylor_h=PowerSeries([0.0, 1.0, -lam]),
-                           taylor_g=PowerSeries([0.0, 0.0, 0.5, -2.0 * lam / 3.0]),
-                           label=f"bl:lam={lam:g}")
-
-
-def _extremal_h_factory(alpha: float, delta: complex):
-    """``h`` of the extremal family as a function of ``L = log(1 - delta z)``."""
-    q = 2.0 * alpha - 1.0
-    if abs(q) < 1e-9:
-        return lambda L: -L / delta
-    return lambda L: (1.0 - np.exp(q * L)) / (delta * q)
-
-
-def _extremal_g_factory(alpha: float, zeta: complex, n: int, delta: complex):
-    """Closed form of ``zeta * int_0^z t^n (1 - delta t)^(2 alpha - 2) dt``,
-    as a function of ``L = log(1 - delta z)``.
-
-    Substituting ``u = 1 - delta t`` turns the integral into a finite binomial
-    sum of elementary powers (with a log wherever an exponent crosses zero),
-    which evaluates exactly on arrays for every integer ``n``.
-    """
-    ms = np.arange(n + 1)
-    signs = np.array([math.comb(n, m) * (-1.0) ** m for m in ms])
-    qs = 2.0 * alpha - 1.0 + ms
-    pref = zeta * delta ** (-(n + 1))
-
-    def g_of_log(L):
-        acc = None
-        for s, q in zip(signs, qs):
-            term = s * (-L) if abs(q) < 1e-9 else s * (1.0 - np.exp(q * L)) / q
-            acc = term if acc is None else acc + term
-        return pref * acc
-
-    return g_of_log
+    return HarmonicMapping(PolyKernel(PowerSeries([1.0, -2.0 * lam])), 1.0, 1,
+                           f"bl:lam={lam:g}")
 
 
 def make_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> HarmonicMapping:
@@ -334,55 +323,20 @@ def make_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> HarmonicMap
     sharp growth envelope.
     """
     p = spec.params
-    alpha, zeta, n, delta = p.alpha, p.zeta, p.n, spec.delta
-    h_of = _extremal_h_factory(alpha, delta)
-    g_of = _extremal_g_factory(alpha, zeta, n, delta)
-
-    def log1m(z):
-        return np.log(1.0 - delta * z)
-
-    def hp_of(L):
-        return np.exp((2.0 * alpha - 2.0) * L)
-
-    def fused(z, value=True, derivs=True):
-        L = log1m(z)
-        fz = hp = gp = None
-        if value:
-            fz = h_of(L) + np.conjugate(g_of(L))
-        if derivs:
-            hp = hp_of(L)
-            gp = zeta * z**n * hp
-        return fz, hp, gp
-
-    def hp(z):
-        return hp_of(log1m(z))
-
-    def hpp(z):
-        return (2.0 - 2.0 * alpha) * delta * np.exp((2.0 * alpha - 3.0) * log1m(z))
-
-    h = AnalyticFunction(lambda z: h_of(log1m(z)), hp, hpp)
-    g = AnalyticFunction(
-        lambda z: g_of(log1m(z)),
-        lambda z: fused(z, False)[2],
-        lambda z: zeta * (n * z ** (n - 1) * hp(z) + z**n * hpp(z)),
-    )
-    hp_series = BranchedPower(2.0 * alpha - 2.0, delta).series(order - 1)
-    taylor_h = hp_series.integrate()
-    taylor_g = hp_series.shift(n).scale(zeta).integrate()
-    label = f"extremal:alpha={alpha:g},zeta={zeta:g},n={n},delta={delta:g}"
-    return HarmonicMapping(h, g, taylor_h, taylor_g, label=label, kernel=fused)
+    label = f"extremal:alpha={p.alpha:g},zeta={p.zeta:g},n={p.n},delta={spec.delta:g}"
+    return HarmonicMapping(PowerKernel(2.0 * p.alpha - 2.0, spec.delta), p.zeta, p.n,
+                           label, order)
 
 
-def make_from_h(h, zeta, n: int, order: int = DEFAULT_ORDER,
+def make_from_h(h: PowerSeries, zeta, n: int, order: int = DEFAULT_ORDER,
                 require_admissible: bool = True,
                 label: str | None = None) -> HarmonicMapping:
-    """Shear a normalized analytic part by ``g' = zeta * z^n * h'``.
+    """Shear a normalized polynomial analytic part by ``g' = zeta * z^n * h'``.
 
-    ``h`` may be a :class:`PowerSeries` (then ``g`` is obtained by exact
-    series integration) or an :class:`AnalyticFunction` (then ``g`` values
-    come from adaptive path quadrature).  Normalization ``h(0)=0, h'(0)=1``
-    is enforced; so is ``|zeta| <= 1/(2n-1)`` unless ``require_admissible``
-    is disabled (useful for shear constructions outside the class).
+    ``g`` is obtained by exact series integration.  Normalization
+    ``h(0)=0, h'(0)=1`` is enforced; so is ``|zeta| <= 1/(2n-1)`` unless
+    ``require_admissible`` is disabled (useful for shear constructions
+    outside the class).
     """
     zeta = complex(zeta)
     if not (isinstance(n, numbers.Integral) and n >= 1):
@@ -392,48 +346,12 @@ def make_from_h(h, zeta, n: int, order: int = DEFAULT_ORDER,
         raise AdmissibilityError(
             f"|zeta|={abs(zeta)} exceeds the cap 1/(2n-1)={1.0 / (2 * n - 1)}"
         )
-
-    if isinstance(h, PowerSeries):
-        if abs(h.coeff(0)) > 1e-12 or abs(h.coeff(1) - 1.0) > 1e-12:
-            raise ParameterError("analytic part must be normalized: h(0)=0, h'(0)=1")
-        hp = h.derive()
-        hpp = hp.derive() if hp.order >= 1 else None
-        h_fn = AnalyticFunction(
-            h,
-            hp,
-            hpp if hpp is not None else (
-                lambda z: np.zeros_like(np.asarray(z, dtype=np.complex128))
-                if isinstance(z, np.ndarray) else 0j),
-        )
-        g_series = hp.shift(n).scale(zeta).integrate()
-        g_fn = AnalyticFunction(
-            g_series,
-            lambda z: zeta * z**n * hp(z),
-            (lambda z: zeta * (n * z ** (n - 1) * hp(z) + z**n * hpp(z)))
-            if hpp is not None else (lambda z: zeta * n * z ** (n - 1) * hp(z)),
-        )
-        return HarmonicMapping(h_fn, g_fn, taylor_h=h, taylor_g=g_series,
-                               label=label or f"from-h:order={h.order},zeta={zeta:g},n={n}")
-
-    if isinstance(h, AnalyticFunction):
-        if abs(complex(h.value(0j))) > 1e-10 or abs(complex(h.deriv(0j)) - 1.0) > 1e-10:
-            raise ParameterError("analytic part must be normalized: h(0)=0, h'(0)=1")
-
-        def g_value(z):
-            if isinstance(z, np.ndarray):
-                flat = z.ravel()
-                out = np.array([g_value(complex(w)) for w in flat], dtype=np.complex128)
-                return out.reshape(z.shape)
-            return integrate_path(lambda t: zeta * t**n * h.deriv(t), 0j, z)
-
-        g_fn = AnalyticFunction(
-            g_value,
-            lambda z: zeta * z**n * h.deriv(z),
-            lambda z: zeta * (n * z ** (n - 1) * h.deriv(z) + z**n * h.second(z)),
-        )
-        return HarmonicMapping(h, g_fn, label=label or f"from-h:zeta={zeta:g},n={n}")
-
-    raise ParameterError(f"unsupported analytic-part type: {type(h).__name__}")
+    if not isinstance(h, PowerSeries):
+        raise ParameterError(f"unsupported analytic-part type: {type(h).__name__}")
+    if abs(h.coeff(0)) > 1e-12 or abs(h.coeff(1) - 1.0) > 1e-12:
+        raise ParameterError("analytic part must be normalized: h(0)=0, h'(0)=1")
+    return HarmonicMapping(PolyKernel(h.derive()), zeta, n,
+                           label or f"from-h:order={h.order},zeta={zeta:g},n={n}", order)
 
 
 # -- family-spec grammar ------------------------------------------------------
@@ -491,8 +409,7 @@ def _load_coeff_file(path: str):
         raise ParameterError(f"bad coefficient entry {v!r} in {path!r}")
 
     coeffs = [as_complex(v) for v in payload["coeffs"]]
-    zeta = payload.get("zeta", 1.0)
-    zeta = as_complex(zeta) if not isinstance(zeta, numbers.Number) else complex(zeta)
+    zeta = as_complex(payload.get("zeta", 1.0))
     n = payload.get("n", 1)
     return PowerSeries(coeffs), zeta, int(n)
 
@@ -528,7 +445,7 @@ def family_from_spec(spec: str, order: int = DEFAULT_ORDER) -> HarmonicMapping:
         order = int(_real_scalar(raw["order"], "order"))
 
     if name == "identity":
-        return make_identity(order=order)
+        return make_identity()
     if name == "counterexample":
         if "gamma" not in raw:
             raise ParameterError("counterexample family needs gamma=<value>")

@@ -133,14 +133,16 @@ class PowerSeries:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, z):
-        """Horner evaluation of the truncated polynomial; scalar or ndarray."""
+        """Horner evaluation of the truncated polynomial; scalar or ndarray.
+
+        Starts from the top coefficient and skips the additions of zero
+        coefficients, which leave every nonzero value unchanged.
+        """
+        *rest, top = self.coeffs.tolist()
         if isinstance(z, np.ndarray):
-            acc = np.zeros_like(z, dtype=np.complex128)
-            for c in self.coeffs[::-1]:
-                acc = acc * z + c
-            return acc
-        acc = 0j
-        zc = complex(z)
-        for c in self.coeffs[::-1]:
-            acc = acc * zc + complex(c)
+            acc = np.full(z.shape, top, dtype=np.complex128)
+        else:
+            z, acc = complex(z), top
+        for c in reversed(rest):
+            acc = acc * z + c if c else acc * z
         return acc

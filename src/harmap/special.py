@@ -41,10 +41,11 @@ def principal_pow(w, gamma: float) -> complex:
 
 
 class BranchedPower:
-    """The analytic branch of ``(1 - delta*z)**gamma`` on the unit disk.
+    """The analytic branch of ``(1 - delta*z)**gamma`` on the unit disk, as
+    its Taylor series.
 
     ``|delta| = 1`` keeps the branch point on the boundary, so the principal
-    branch is single-valued for ``|z| < 1``.  Callable on scalars and arrays.
+    branch is single-valued for ``|z| < 1``.
     """
 
     __slots__ = ("gamma", "delta")
@@ -55,22 +56,6 @@ class BranchedPower:
             raise ParameterError(f"|delta| must equal 1, got {abs(delta)}")
         self.gamma = float(gamma)
         self.delta = delta
-
-    def base(self, z):
-        return 1.0 - self.delta * z
-
-    def __call__(self, z):
-        w = 1.0 - self.delta * z
-        return np.exp(self.gamma * np.log(w))
-
-    def deriv(self, z):
-        w = 1.0 - self.delta * z
-        return -self.gamma * self.delta * np.exp((self.gamma - 1.0) * np.log(w))
-
-    def deriv2(self, z):
-        w = 1.0 - self.delta * z
-        g = self.gamma
-        return g * (g - 1.0) * self.delta**2 * np.exp((g - 2.0) * np.log(w))
 
     def series(self, order: int) -> PowerSeries:
         """Binomial expansion ``sum_k C(gamma,k) (-delta)^k z^k`` to ``order``."""

@@ -122,74 +122,6 @@ def find_symmetric_collision(p: CollisionSearchParams) -> SymmetricCollision:
 # -- grid scan ----------------------------------------------------------------
 
 
-def _pair_jacobian(f: HarmonicMapping, za: complex, zb: complex) -> np.ndarray:
-    """Real 2x4 Jacobian of ``f(za) - f(zb)`` w.r.t. (xa, ya, xb, yb)."""
-    out = np.empty((2, 4))
-    for col, (z, sign) in enumerate(((za, 1.0), (za, 1.0), (zb, -1.0), (zb, -1.0))):
-        hp = complex(f.h.deriv(z))
-        gp = complex(f.g.deriv(z))
-        if col % 2 == 0:  # d/dx: dz = 1
-            d = hp + gp.conjugate()
-        else:  # d/dy: dz = i
-            d = 1j * hp - 1j * gp.conjugate()
-        out[0, col] = sign * d.real
-        out[1, col] = sign * d.imag
-    return out
-
-
-def _clamp_disk(z: complex, r: float) -> complex:
-    a = abs(z)
-    return z if a <= r else z * (r / a)
-
-
-def _refine_pair(f: HarmonicMapping, z1: complex, z2: complex, r: float,
-                 floor: float, tol: float, max_steps: int = 100):
-    """Damped least-norm Gauss-Newton on ``f(z1) - f(z2) = 0``.
-
-    Iterates are clamped to ``|z| <= r``; candidates whose points merge below
-    the separation floor are abandoned (``None``).  Otherwise returns
-    ``(z1, z2, gap, ok)`` where ``ok`` marks a confirmed collision.
-    """
-    x = np.array([z1.real, z1.imag, z2.real, z2.imag])
-
-    def split(vec):
-        return complex(vec[0], vec[1]), complex(vec[2], vec[3])
-
-    def resid(vec):
-        za, zb = split(vec)
-        d = complex(f(za)) - complex(f(zb))
-        return np.array([d.real, d.imag])
-
-    best = float(np.hypot(*resid(x)))
-    for _ in range(max_steps):
-        if best <= 0.1 * tol:
-            break
-        za, zb = split(x)
-        step = -np.linalg.pinv(_pair_jacobian(f, za, zb)) @ resid(x)
-        t = 1.0
-        improved = False
-        for _ in range(60):
-            trial = x + t * step
-            ta = _clamp_disk(complex(trial[0], trial[1]), r)
-            tb = _clamp_disk(complex(trial[2], trial[3]), r)
-            trial = np.array([ta.real, ta.imag, tb.real, tb.imag])
-            val = float(np.hypot(*resid(trial)))
-            if val < best:
-                x = trial
-                best = val
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        za, zb = split(x)
-        if abs(za - zb) < 0.5 * floor:
-            return None
-    za, zb = split(x)
-    ok = best <= tol and abs(za - zb) >= floor
-    return za, zb, best, ok
-
-
 def _batch_refine(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray, r: float,
                   floor: float, tol: float, iters: int = 14,
                   block: int = 1_500_000):
@@ -200,14 +132,9 @@ def _batch_refine(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray, r: float,
     False for pairs that merged below half the separation floor (trivial
     near-diagonal minima).
     """
-    if len(z1) > block:
-        parts = [
-            _batch_refine_block(f, z1[i : i + block], z2[i : i + block], r,
-                                floor, tol, iters)
-            for i in range(0, len(z1), block)
-        ]
-        return tuple(np.concatenate(cols) for cols in zip(*parts))
-    return _batch_refine_block(f, z1, z2, r, floor, tol, iters)
+    parts = [_batch_refine_block(f, z1[i : i + block], z2[i : i + block], r, floor, tol, iters)
+             for i in range(0, len(z1), block)]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 def _batch_refine_block(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray,
@@ -298,13 +225,10 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
 
     def imf_and_derivs(rho: float, th: float):
         z = rho * cmath.exp(1j * th)
-        hp = complex(f.h.deriv(z))
-        gp = complex(f.g.deriv(z))
-        hpp = complex(f.h.second(z))
-        gpp = complex(f.g.second(z))
-        phi = hp - gp
-        dphi = hpp - gpp
-        imf = complex(f(z)).imag
+        w, hp, gp = f.eval_all(z)
+        phi = complex(hp - gp)
+        dphi = complex(f.h.deriv2(z) - f.g.deriv2(z))
+        imf = complex(w).imag
         d_th = (1j * z * phi).imag
         d_rho = ((z / rho) * phi).imag
         d_thth = (-(z * phi + z * z * dphi)).imag
@@ -524,11 +448,6 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
             refinement_residual = float(rgap[best])
             za, zb = complex(rz1[best]), complex(rz2[best])
             if rgap[best] <= collision_tol:
-                # scalar polish to squeeze out the last few digits
-                got = _refine_pair(f, za, zb, r, separation_floor, collision_tol)
-                if got is not None and got[3]:
-                    za, zb = got[0], got[1]
-                    refinement_residual = float(got[2])
                 collision = (za, zb)
             else:
                 unconfirmed = (za, zb)

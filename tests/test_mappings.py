@@ -1,5 +1,6 @@
 """Harmonic-mapping families: construction, normalization, the family-string grammar."""
 
+import cmath
 import json
 import math
 
@@ -196,6 +197,18 @@ def test_extremal_taylor_matches_values():
         assert abs(f.taylor_g(z) - f.g.value(z)) < 1e-12
 
 
+@pytest.mark.parametrize("delta", [1.0, cmath.exp(1.1j)], ids=["delta=1", "delta=e^1.1i"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_extremal_log_branches_match_taylor(alpha, n, delta):
+    # at these alpha an exponent of the binomial sum for g vanishes (for
+    # alpha = -1/2 only when n >= 2) and its term becomes -log(1 - delta z)
+    zeta = 0.9 / (2 * n - 1) * cmath.exp(0.3j)
+    f = make_extremal(ExtremalSpec(ClassParams(alpha, zeta, n), delta))
+    for z in (0.5, -0.45j, 0.3 + 0.35j, -0.2 - 0.1j):
+        assert abs(f.g.value(z) - f.taylor_g(z)) < 1e-12
+
+
 # -- shear construction from a supplied analytic part -------------------------
 
 
@@ -297,10 +310,3 @@ def test_rotated_map_is_not_conjugate_symmetric():
     f = make_from_h(h, 0.0, 1)
     assert not is_conjugate_symmetric(f)
 
-
-def test_second_derivative_fallback():
-    from harmap.mappings import AnalyticFunction
-
-    fn = AnalyticFunction(lambda z: z**3, lambda z: 3 * z**2)
-    got = fn.second(0.4 + 0.1j)
-    assert abs(got - 6 * (0.4 + 0.1j)) < 1e-5

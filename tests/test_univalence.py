@@ -9,7 +9,14 @@ import pytest
 
 from harmap import cli, univalence
 from harmap.errors import InfeasibilityError, OnCurveError, ParameterError
-from harmap.mappings import make_bshouty_lyzzaik, make_counterexample, make_identity
+from harmap.mappings import (
+    is_conjugate_symmetric,
+    make_bshouty_lyzzaik,
+    make_counterexample,
+    make_from_h,
+    make_identity,
+)
+from harmap.series import PowerSeries
 from harmap.univalence import (
     CollisionSearchParams,
     feasibility_threshold,
@@ -169,6 +176,20 @@ def test_scan_report_shape():
     assert d["resolution"] == 64
     assert "grid" in report.details and "scan_radius" in report.details
     assert "certified-at-resolution" in report.summary()
+
+
+def test_scan_finds_collision_of_rotated_map():
+    # a rotated, non-univalent bl map: without conjugate symmetry there is no
+    # mirror seeding and no tangency anchor, so the witness comes straight
+    # from the batch Gauss-Newton refiner
+    h = PowerSeries([0.0, 1.0, -0.4 * cmath.exp(0.7j)])
+    f = make_from_h(h, cmath.exp(2.1j), 1)
+    assert not is_conjugate_symmetric(f)
+    report = univalence_scan(f, r=0.999, cells=64, separation_floor=0.2)
+    assert report.verdict == "collision"
+    assert report.details["anchor"] == "none"
+    assert abs(complex(f(report.z1)) - complex(f(report.z2))) <= 1e-8
+    assert report.separation >= 0.2
 
 
 def test_truncated_scan_is_inconclusive(monkeypatch, tmp_path, schema_check):
