@@ -55,12 +55,11 @@ class DiskGrid:
         high = 1.0 - np.geomspace(0.1, 1.0 - r_max, 16)
         return cls(tuple(np.concatenate((low, high))), angles)
 
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.angles_per_circle) / self.angles_per_circle
-
     def points(self) -> np.ndarray:
         """All grid points, flattened in (radius, angle-index) order."""
-        return (np.array(self.radii)[:, None] * np.exp(1j * self.angles())).ravel()
+        m = self.angles_per_circle
+        angles = 2.0 * np.pi * np.arange(m) / m
+        return (np.array(self.radii)[:, None] * np.exp(1j * angles)).ravel()
 
     def to_dict(self) -> dict:
         return {

@@ -88,32 +88,33 @@ class PowerKernel:
 
         With ``u = 1 - delta t`` the primitive ``int_0^z t^n u^q dt`` is a
         binomial sum over ``m <= n`` of ``(1 - u^(q+1+m))/(q+1+m)`` (``-log u``
-        where the exponent vanishes).  Every power comes from the one
-        ``E = exp((q+1) log u)`` by multiplying with ``u``; ``h`` is the
-        ``m = 0`` term.  ``h'`` takes the same ``log u``.
+        where the exponent vanishes); ``h`` is the ``m = 0`` term.  With
+        ``E = u^(q+1)`` the power terms add up to ``K - E p(z)`` for a constant
+        ``K`` and a polynomial ``p`` of degree ``n``, so ``h``, ``g`` and ``h'``
+        take one ``log u`` and two ``exp``.
         """
         q, delta, n = self.q, self.delta, f.n
         expo = q + 1.0 + np.arange(n + 1)
         is_log = np.abs(expo) < _LOG_EPS
-        denom = np.where(is_log, 1.0, expo)
-        pref = f.zeta * delta ** -(n + 1)
-        g_weight = [pref * math.comb(n, m) * (-1.0) ** m / denom[m] for m in range(n + 1)]
-        h_weight = 1.0 / (delta * denom[0])
+        weight = [f.zeta * delta ** -(n + 1) * math.comb(n, m) * (-1.0) ** m
+                  / (1.0 if is_log[m] else expo[m]) for m in range(n + 1)]
+        K = sum(w for w, lg in zip(weight, is_log) if not lg)
+        log_weight = sum(w for w, lg in zip(weight, is_log) if lg)
+        p = sum((BranchedPower(m, delta).series(n).scale(w)
+                 for m, (w, lg) in enumerate(zip(weight, is_log)) if not lg),
+                PowerSeries.zero(n))
+        h_weight = 1.0 / (delta * (1.0 if is_log[0] else expo[0]))
+
+        def primitives(z, L):
+            E = np.exp(expo[0] * L)
+            h = (-L if is_log[0] else 1.0 - E) * h_weight
+            g = K - E * p(z)
+            return h, g - log_weight * L if log_weight else g
 
         def evaluate(z, value, derivs):
-            u = 1.0 - z if delta == 1 else 1.0 - delta * z
-            L = np.log(u)
-            h = g = hp = None
-            if value:
-                E = np.exp(expo[0] * L)
-                D = -L if is_log[0] else 1.0 - E
-                h, g = D * h_weight, D * g_weight[0]
-                for m in range(1, n + 1):
-                    E = E * u
-                    g = g + (-L if is_log[m] else 1.0 - E) * g_weight[m]
-            if derivs:
-                hp = np.exp(q * L)
-            return h, g, hp
+            L = np.log(1.0 - z if delta == 1 else 1.0 - delta * z)
+            h, g = primitives(z, L) if value else (None, None)
+            return h, g, np.exp(q * L) if derivs else None
 
         return evaluate
 

@@ -139,10 +139,11 @@ class PowerSeries:
         coefficients, which leave every nonzero value unchanged.
         """
         *rest, top = self.coeffs.tolist()
-        if isinstance(z, np.ndarray):
-            acc = np.full(z.shape, top, dtype=np.complex128)
-        else:
-            z, acc = complex(z), top
+        if not isinstance(z, np.ndarray):
+            z = complex(z)
+        elif not rest:
+            return np.full(z.shape, top, dtype=np.complex128)
+        acc = top
         for c in reversed(rest):
             acc = acc * z + c if c else acc * z
         return acc
