@@ -220,7 +220,9 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
     For mappings with real coefficients the symmetric collisions form the
     curve ``Im f(rho e^(i theta)) = 0``; its smallest-radius point satisfies
     additionally ``d/dtheta Im f = 0``.  Solving that 2x2 system by damped
-    Newton gives a collision witness independent of the scan resolution.
+    Newton, with up to three more steps past the tolerance while they still
+    reduce the residual, pins the witness to rounding level, independent of
+    the scan resolution.
     """
 
     def imf_and_derivs(rho: float, th: float):
@@ -240,13 +242,15 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
     if not 0.0 < th < math.pi:
         return None
     scale0 = None
+    extra = 3
     for _ in range(80):
         imf, d_th, d_rho, d_thth, d_rhoth = imf_and_derivs(rho, th)
         G = np.array([imf, d_th])
         size = float(np.hypot(*G))
         if scale0 is None:
             scale0 = max(size, 1.0)
-        if size <= 1e-14 * scale0 or size <= 1e-15:
+        converged = size <= 1e-14 * scale0 or size <= 1e-15
+        if converged and (extra := extra - 1) < 0:
             break
         J = np.array([[d_rho, d_th], [d_rhoth, d_thth]])
         try:
@@ -255,7 +259,7 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
             return None
         t = 1.0
         moved = False
-        for _ in range(50):
+        for _ in range(1 if converged else 50):
             nr = min(max(rho + t * step[0], 1e-6), r)
             nt = min(max(th + t * step[1], 1e-9), math.pi - 1e-9)
             n_imf, n_dth, *_ = imf_and_derivs(nr, nt)
@@ -265,6 +269,8 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
                 break
             t *= 0.5
         if not moved:
+            if converged:
+                break
             return None
     z = rho * cmath.exp(1j * th)
     gap = abs(complex(f(z)) - complex(f(z.conjugate())))
@@ -274,17 +280,84 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
     return None
 
 
+def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
+                     box: np.ndarray, sep_pre: float):
+    """Index pairs ``(I, J, levels, truncated)`` of grid points to refine.
+
+    A multi-level spatial hash (Teschner et al., VMV 2003): point ``p`` lives
+    at the smallest level whose cell ``s0 * 2**L`` is at least ``2 rad[p]``;
+    all levels share one origin, so their cells nest.  One representative per
+    (level cell, preimage box) reaches ``max(rad + |w - w_rep|)`` over its
+    group and queries the 3x3 cell neighbourhood at its own and every coarser
+    level; a pair is kept when the images lie within the two reaches and the
+    groups' preimages can lie ``sep_pre`` apart.  So every point pair in two
+    boxes with ``|w_p - w_q| <= rad_p + rad_q`` and ``|z_p - z_q| >= sep_pre``
+    meets as a kept pair of the same boxes.  ``truncated``: collection stopped
+    after more than ``MAX_CANDIDATES`` pairs.
+    """
+    top = max(float(rad.max()), 5e-13)
+    u = w - complex(w.real.min(), w.imag.min())
+    ext = max(float(u.real.max()), float(u.imag.max()), top)
+    # halvings of the coarsest cell 2*top that still hold 2*rad, capped so
+    # that the finest level spans fewer than 2**20 cells per axis
+    cap = 19 + math.floor(math.log2(2.0 * top / ext))
+    with np.errstate(divide="ignore"):
+        k = np.minimum(np.floor(np.log2(top / rad)), cap).astype(np.int64)
+    k -= top * np.exp2(-k) < rad  # log2 rounding must not shrink a cell
+    levels = int(k.max()) + 1
+    lev = levels - 1 - k
+    # finest-level cell indices; a right shift by L gives the level-L cell
+    s0 = math.ldexp(2.0 * top, 1 - levels)
+    bx, by = np.floor(u.real / s0).astype(np.int64), np.floor(u.imag / s0).astype(np.int64)
+    _, cell = np.unique((lev << 40) + ((bx >> lev) << 20) + (by >> lev), return_inverse=True)
+    _, rep, grp = np.unique(cell * (int(box.max()) + 1) + box, return_index=True,
+                            return_inverse=True)
+    reach, spread = np.zeros(len(rep)), np.zeros(len(rep))
+    np.maximum.at(reach, grp, rad + np.abs(w - w[rep][grp]))
+    np.maximum.at(spread, grp, np.abs(z - z[rep][grp]))
+    rlev = lev[rep]
+
+    pairs = [np.zeros((2, 0), dtype=np.int64)]
+    chunk = 2_000_000  # cap transient allocation per expansion block
+    for level in range(levels):
+        qs = np.nonzero(rlev <= level)[0]
+        qx, qy = bx[rep[qs]] >> level, by[rep[qs]] >> level
+        span = int(qy.max()) + 3
+        qkey = qx * span + qy + 1
+        t = np.nonzero(rlev[qs] == level)[0]
+        t = t[np.argsort(qkey[t], kind="stable")]
+        want = (qkey[:, None] + [dx * span + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]).ravel()
+        lo = np.searchsorted(qkey[t], want)
+        cnt = np.searchsorted(qkey[t], want, "right") - lo
+        src, ends = np.repeat(qs, 9), np.cumsum(cnt)
+        b0 = 0
+        while b0 < len(cnt):
+            b1 = max(b0 + 1, int(np.searchsorted(ends, ends[b0] - cnt[b0] + chunk, "right")))
+            c = cnt[b0:b1]
+            a = np.repeat(src[b0:b1], c)
+            b = qs[t[np.arange(len(a)) - np.repeat(np.cumsum(c) - c - lo[b0:b1], c)]]
+            pa, pb = rep[a], rep[b]
+            m = ((np.abs(w[pa] - w[pb]) <= reach[a] + reach[b])
+                 & (np.abs(z[pa] - z[pb]) + spread[a] + spread[b] >= sep_pre)
+                 & ((rlev[a] < level) | (a < b)))
+            pairs.append(np.stack([pa[m], pb[m]]))
+            if sum(p.shape[1] for p in pairs) > MAX_CANDIDATES:
+                return *np.concatenate(pairs, axis=1), levels, True
+            b0 = b1
+    return *np.concatenate(pairs, axis=1), levels, False
+
+
 def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
                     cells: int = 256,
                     collision_tol: float = DEFAULT_COLLISION_TOL,
                     separation_floor: float = DEFAULT_SEPARATION_FLOOR) -> UnivalenceReport:
     """Scan ``|z| <= r`` for injectivity failures at a given resolution.
 
-    Samples a ``cells x 2*cells`` polar grid, buckets images in a uniform
-    spatial hash whose cell size is twice the largest neighbour gap (a
-    conservative local-distortion estimate), prunes buckets that cannot
-    contain well-separated preimages, and refines surviving candidate pairs
-    by damped Gauss-Newton.  Verdicts:
+    Samples a ``cells x 2*cells`` polar grid, gives each point a local radius
+    (its largest image gap to a grid neighbour), pairs points whose images
+    lie within the sum of their radii and whose preimages lie apart through a
+    multi-level spatial hash (so the work follows the local distortion, not
+    its worst spot), and refines the pairs by damped Gauss-Newton.  Verdicts:
 
     * ``collision`` -- a refined pair with image gap <= ``collision_tol`` and
       preimage separation >= ``separation_floor`` (re-verified by direct
@@ -312,53 +385,16 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
         i, j = bad[0]
         degenerate_point = complex(Z[i, j])
 
-    gap_r = np.abs(np.diff(W, axis=0))
+    gap_r = np.abs(np.diff(W, axis=0, prepend=W[:1], append=W[-1:]))
     gap_a = np.abs(W - np.roll(W, 1, axis=1))
-    cell_size = 2.0 * float(max(gap_r.max(), gap_a.max()))
-    if cell_size == 0.0:
-        cell_size = 1e-12
+    rad = np.maximum.reduce([gap_r[:-1], gap_r[1:], gap_a, np.roll(gap_a, -1, axis=1)])
+    cell_size = 2.0 * float(rad.max()) or 1e-12
 
-    w = W.ravel()
-    z = Z.ravel()
+    w, z = W.ravel(), Z.ravel()
 
-    ix = np.floor(w.real / cell_size).astype(np.int64)
-    iy = np.floor(w.imag / cell_size).astype(np.int64)
-    span = int(iy.max() - iy.min()) + 3
-    key = (ix - ix.min()) * span + (iy - iy.min())
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    uniq, starts = np.unique(skey, return_index=True)
-    counts = np.diff(np.append(starts, len(skey)))
-
-    zs = z[order]
-    cent_z = np.add.reduceat(zs, starts) / counts
-    rad_z = np.maximum.reduceat(np.abs(zs - np.repeat(cent_z, counts)), starts)
-
-    # candidate cell pairs whose preimages could be separation_floor apart,
-    # widest preimage spread first (those are the cells that can hide folds)
-    pair_cells: list[tuple[float, int, int]] = []
-    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
-        shifted = uniq + dx * span + dy
-        pos = np.searchsorted(uniq, shifted)
-        pos_ok = pos < len(uniq)
-        match = np.nonzero(pos_ok & (uniq[np.minimum(pos, len(uniq) - 1)] == shifted))[0]
-        if dx == 0 and dy == 0:
-            a_idx = match
-            b_idx = match
-        else:
-            a_idx = match
-            b_idx = pos[match]
-        reach = np.abs(cent_z[a_idx] - cent_z[b_idx]) + rad_z[a_idx] + rad_z[b_idx]
-        keep = reach >= separation_floor
-        pair_cells.extend(
-            (-float(rc), int(a), int(b))
-            for rc, a, b in zip(reach[keep], a_idx[keep], b_idx[keep]))
-    pair_cells.sort()
-
-    # stratify each image cell by preimage boxes finer than the separation
-    # floor and keep one representative point per (cell, box): every pair of
-    # branches >= floor apart then shows up as a distinct-box representative
-    # pair, while same-cell clusters collapse to a handful of points
+    # preimage boxes finer than the separation floor: every pair of branches
+    # >= floor apart shows up as a distinct-box representative pair, while
+    # same-cell clusters collapse to a handful of points
     n_ring = min(128, max(8, int(math.ceil(r / (0.3 * separation_floor)))))
     n_sect = min(1024, max(16, int(math.ceil(2.0 * math.pi * r / (0.3 * separation_floor)))))
     n_boxes = n_ring * n_sect
@@ -367,71 +403,27 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
     ring = np.minimum((np.abs(z) / r * n_ring).astype(np.int64), n_ring - 1)
     sect = ((np.angle(z) + np.pi) / (2.0 * np.pi) * n_sect).astype(np.int64) % n_sect
     box = ring * n_sect + sect
-    cell_of_point = np.searchsorted(uniq, key)
-    combo = cell_of_point * np.int64(n_boxes) + box
-    combo_order = np.argsort(combo, kind="stable")
-    sc = combo[combo_order]
-    first = np.ones(len(sc), dtype=bool)
-    first[1:] = sc[1:] != sc[:-1]
-    rep_idx = combo_order[first]
-    rep_cell = sc[first] // n_boxes
-    cell_starts = np.searchsorted(rep_cell, np.arange(len(uniq) + 1))
-
-    cand_i: list[np.ndarray] = []
-    cand_j: list[np.ndarray] = []
-    total = 0
-    truncated = False
-    chunk = 2_000_000  # cap transient allocation per expansion block
-    for _, a, b in pair_cells:
-        ra = rep_idx[cell_starts[a] : cell_starts[a + 1]]
-        rb = rep_idx[cell_starts[b] : cell_starts[b + 1]]
-        if len(ra) == 0 or len(rb) == 0:
-            continue
-        rows_per = max(1, chunk // len(rb))
-        for row0 in range(0, len(ra), rows_per):
-            sub = ra[row0 : row0 + rows_per]
-            pi = np.repeat(sub, len(rb))
-            pj = np.tile(rb, len(sub))
-            if a == b:
-                tri = pi < pj
-                pi, pj = pi[tri], pj[tri]
-            sep = np.abs(z[pi] - z[pj])
-            m = sep >= sep_pre
-            if np.any(m):
-                cand_i.append(pi[m])
-                cand_j.append(pj[m])
-                total += int(m.sum())
-            if total > MAX_CANDIDATES:
-                truncated = True
-                break
-        if truncated:
-            break
+    I, Jc, levels, truncated = _candidate_pairs(w, z, rad.ravel(), box, sep_pre)
 
     if is_conjugate_symmetric(f):
         # the grid is mirror-symmetric, so conjugate collision pairs appear
         # as (point, mirrored grid point); seed the best of those directly
-        jj = np.arange(n_a)
-        mirror_col = (n_a - jj) % n_a
+        mirror_col = (n_a - np.arange(n_a)) % n_a
         flat = np.arange(n_r * n_a).reshape(n_r, n_a)
         upper = np.nonzero((Z.imag >= 0.5 * separation_floor).ravel())[0]
         mirrored = flat[:, mirror_col].ravel()[upper]
-        mgap = np.abs(w[upper] - w[mirrored])
-        best = np.argsort(mgap, kind="stable")[:512]
-        cand_i.append(upper[best])
-        cand_j.append(mirrored[best])
+        best = np.argsort(np.abs(w[upper] - w[mirrored]), kind="stable")[:512]
+        I = np.concatenate([I, upper[best]])
+        Jc = np.concatenate([Jc, mirrored[best]])
 
     refinement_residual = None
     collision = None
     unconfirmed = None
     tested = 0
-    if cand_i:
-        I = np.concatenate(cand_i)
-        Jc = np.concatenate(cand_j)
+    if len(I):
         gaps = np.abs(w[I] - w[Jc])
         # one candidate per unordered preimage-box pair (smallest image gap)
-        lo = np.minimum(box[I], box[Jc])
-        hi = np.maximum(box[I], box[Jc])
-        pair_key = lo * np.int64(n_boxes) + hi
+        pair_key = np.minimum(box[I], box[Jc]) * np.int64(n_boxes) + np.maximum(box[I], box[Jc])
         by_key = np.lexsort((gaps, pair_key))
         dedup = np.ones(len(by_key), dtype=bool)
         dedup[1:] = pair_key[by_key][1:] != pair_key[by_key][:-1]
@@ -444,10 +436,17 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
         valid = alive & (rsep >= separation_floor)
         if np.any(valid):
             vi = np.nonzero(valid)[0]
-            best = vi[np.lexsort((rz1[vi].imag, rz1[vi].real, rgap[vi]))[0]]
-            refinement_residual = float(rgap[best])
-            za, zb = complex(rz1[best]), complex(rz2[best])
-            if rgap[best] <= collision_tol:
+            # orient each pair so z1 comes first in (|z|, arg z); converged
+            # gaps are rounding noise, so those pairs are ranked by z1 alone
+            a, b, g = rz1[vi], rz2[vi], rgap[vi]
+            ma, mb = np.abs(a), np.abs(b)
+            swap = (mb < ma) | ((mb == ma) & (np.angle(b) < np.angle(a)))
+            a, b = np.where(swap, b, a), np.where(swap, a, b)
+            rank = np.where(g <= 0.1 * collision_tol, 0.0, g)
+            best = np.lexsort((np.angle(a), np.abs(a), rank))[0]
+            refinement_residual = float(g[best])
+            za, zb = complex(a[best]), complex(b[best])
+            if g[best] <= collision_tol:
                 collision = (za, zb)
             else:
                 unconfirmed = (za, zb)
@@ -457,6 +456,8 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
         "scan_radius": r,
         "grid": [n_r, n_a],
         "hash_cell_size": cell_size,
+        "hash_levels": levels,
+        "candidate_pairs": len(I),
         "candidates_refined": tested,
         "truncated": truncated,
         "anchor": "none",
@@ -467,8 +468,7 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
     if collision is not None:
         za, zb = collision
         if is_conjugate_symmetric(f):
-            polished = _polish_symmetric(f, za if za.imag > 0 else zb, r,
-                                         separation_floor, collision_tol)
+            polished = _polish_symmetric(f, za, r, separation_floor, collision_tol)
             if polished is not None:
                 za, zb, _ = polished
                 details["anchor"] = "symmetric-tangency"

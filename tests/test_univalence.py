@@ -10,6 +10,7 @@ import pytest
 from harmap import cli, univalence
 from harmap.errors import InfeasibilityError, OnCurveError, ParameterError
 from harmap.mappings import (
+    family_from_spec,
     is_conjugate_symmetric,
     make_bshouty_lyzzaik,
     make_counterexample,
@@ -178,12 +179,15 @@ def test_scan_report_shape():
     assert "certified-at-resolution" in report.summary()
 
 
+def _rotated_bl(c2=-0.4 * cmath.exp(0.7j)):
+    return make_from_h(PowerSeries([0.0, 1.0, c2]), cmath.exp(2.1j), 1)
+
+
 def test_scan_finds_collision_of_rotated_map():
     # a rotated, non-univalent bl map: without conjugate symmetry there is no
     # mirror seeding and no tangency anchor, so the witness comes straight
     # from the batch Gauss-Newton refiner
-    h = PowerSeries([0.0, 1.0, -0.4 * cmath.exp(0.7j)])
-    f = make_from_h(h, cmath.exp(2.1j), 1)
+    f = _rotated_bl()
     assert not is_conjugate_symmetric(f)
     report = univalence_scan(f, r=0.999, cells=64, separation_floor=0.2)
     assert report.verdict == "collision"
@@ -210,3 +214,76 @@ def test_truncated_scan_is_inconclusive(monkeypatch, tmp_path, schema_check):
                            "univalence_report.json")
     assert payload["report"]["verdict"] == "inconclusive"
     assert payload["report"]["details"]["truncated"] is True
+
+
+def test_rotated_map_witness_survives_last_bit_changes():
+    # converged gaps are rounding noise; the witness must not follow them
+    c2 = -0.4 * cmath.exp(0.7j)
+    pairs = []
+    for re in (np.nextafter(c2.real, -1.0), c2.real, np.nextafter(c2.real, 1.0)):
+        report = univalence_scan(_rotated_bl(complex(re, c2.imag)), r=0.999, cells=64,
+                                 separation_floor=0.2)
+        assert report.verdict == "collision"
+        pairs.append((report.z1, report.z2))
+    for z1, z2 in pairs[1:]:
+        assert abs(z1 - pairs[0][0]) <= 1e-9 and abs(z2 - pairs[0][1]) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.3727, 0.40])
+def test_symmetric_witness_independent_of_resolution(lam):
+    f = make_bshouty_lyzzaik(lam)
+    z1s = []
+    for cells in (64, 80, 96):
+        report = univalence_scan(f, r=0.999, cells=cells, separation_floor=0.2)
+        assert report.details["anchor"] == "symmetric-tangency"
+        z1s.append(report.z1)
+    assert max(abs(z - z1s[0]) for z in z1s) <= 1e-14
+
+
+def test_scan_certifies_univalent_extremal_map():
+    # h is convex and Re(1 + eps*zeta*z) > 0 for |eps| = 1, so f is univalent
+    # (Clunie--Sheil-Small); its image gaps vary by a factor of ~2**7 over the
+    # grid, which a single cell size cannot follow
+    f = family_from_spec("extremal:alpha=0.5,zeta=0.5,n=1")
+    report = univalence_scan(f, r=0.99, cells=64)
+    d = report.details
+    assert report.verdict == "certified-at-resolution"
+    assert not d["truncated"]
+    assert d["hash_levels"] > 1
+    assert d["candidate_pairs"] >= d["candidates_refined"] > 0
+
+
+@pytest.mark.parametrize("f, r", [
+    (make_bshouty_lyzzaik(0.40), 0.999),
+    (make_counterexample(1.2), 0.995),
+    (_rotated_bl(), 0.999),
+    (make_identity(), 0.9),
+], ids=["bl-0.40", "counterexample-1.2", "rotated-bl", "identity"])
+def test_candidate_pairs_cover_every_close_pair(f, r):
+    n_r, n_a, sep_pre = 64, 128, 0.05
+    Z = (r * np.arange(1, n_r + 1) / n_r)[:, None] * np.exp(2j * np.pi * np.arange(n_a) / n_a)
+    W = f(Z)
+    rad = np.zeros(W.shape)
+    for i in range(n_r):
+        for j in range(n_a):
+            for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, (j + 1) % n_a)):
+                if 0 <= ii < n_r:
+                    rad[i, j] = max(rad[i, j], abs(W[i, j] - W[ii, jj]))
+    w, z, rad = W.ravel(), Z.ravel(), rad.ravel()
+    n_ring, n_sect = 17, 105
+    box = (np.minimum((np.abs(z) / r * n_ring).astype(int), n_ring - 1) * n_sect
+           + ((np.angle(z) + np.pi) / (2 * np.pi) * n_sect).astype(int) % n_sect)
+
+    I, J, _, truncated = univalence._candidate_pairs(w, z, rad, box, sep_pre)
+    assert not truncated
+    found = set(zip(np.minimum(box[I], box[J]).tolist(), np.maximum(box[I], box[J]).tolist()))
+    # brute force over all point pairs; pairs inside one box are left out, as
+    # a box is narrower than any separation floor the scan accepts
+    for a in range(0, len(w), 1024):
+        near = ((np.abs(w[a:a + 1024, None] - w) <= rad[a:a + 1024, None] + rad)
+                & (np.abs(z[a:a + 1024, None] - z) >= sep_pre)
+                & (box[a:a + 1024, None] != box))
+        p, q = np.nonzero(near)
+        p += a
+        want = set(zip(np.minimum(box[p], box[q]).tolist(), np.maximum(box[p], box[q]).tolist()))
+        assert want <= found, sorted(want - found)[:5]
