@@ -242,8 +242,8 @@ def test_symmetric_witness_independent_of_resolution(lam):
 
 def test_scan_certifies_univalent_extremal_map():
     # h is convex and Re(1 + eps*zeta*z) > 0 for |eps| = 1, so f is univalent
-    # (Clunie--Sheil-Small); its image gaps vary by a factor of ~2**7 over the
-    # grid, which a single cell size cannot follow
+    # (Clunie--Sheil-Small); its image gaps vary by more than a factor of 2**7
+    # over the grid, which a single cell size cannot follow
     f = family_from_spec("extremal:alpha=0.5,zeta=0.5,n=1")
     report = univalence_scan(f, r=0.99, cells=64)
     d = report.details
@@ -278,7 +278,7 @@ def test_candidate_pairs_cover_every_close_pair(f, r):
     assert not truncated
     found = set(zip(np.minimum(box[I], box[J]).tolist(), np.maximum(box[I], box[J]).tolist()))
     # brute force over all point pairs; pairs inside one box are left out, as
-    # a box is narrower than any separation floor the scan accepts
+    # the scan's boxes are narrower than its separation floor
     for a in range(0, len(w), 1024):
         near = ((np.abs(w[a:a + 1024, None] - w) <= rad[a:a + 1024, None] + rad)
                 & (np.abs(z[a:a + 1024, None] - z) >= sep_pre)
