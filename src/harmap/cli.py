@@ -267,7 +267,7 @@ def cmd_render(args) -> int:
         viewport = None
         if center is not None and args.half_width is not None:
             viewport = (center, args.half_width)
-        samples = args.samples or 1024
+        samples = 1024 if args.samples is None else args.samples
         svg = render_boundary_curve(f, r=args.r, M=samples, viewport=viewport)
         scene_meta = {"family": f.label, "preset": "boundary", "radius": args.r,
                       "samples": samples}
@@ -275,9 +275,8 @@ def cmd_render(args) -> int:
         if args.preset == "zoom":
             if center is None:
                 center = _zoom_center(f)
-            spec = zoom_scene(f.label, center,
-                              half_width=args.half_width if args.half_width else 0.05,
-                              radius=args.r)
+            spec = zoom_scene(f.label, center, radius=args.r,
+                              half_width=0.05 if args.half_width is None else args.half_width)
         elif args.preset == "overview":
             spec = overview_scene(f.label, radius=args.r)
             if center is not None or args.half_width is not None:
@@ -288,11 +287,14 @@ def cmd_render(args) -> int:
         else:  # custom
             spec = SceneSpec(family=f.label, radius=args.r, center=center,
                              half_width=args.half_width)
-        spec = SceneSpec(family=spec.family, radius=spec.radius,
-                         circles=args.circles or spec.circles,
-                         rays=args.rays or spec.rays,
-                         samples_per_curve=args.samples or spec.samples_per_curve,
-                         center=spec.center, half_width=spec.half_width)
+        # an explicit 0 is passed on for SceneSpec to validate
+        spec = SceneSpec(
+            family=spec.family, radius=spec.radius,
+            circles=spec.circles if args.circles is None else args.circles,
+            rays=spec.rays if args.rays is None else args.rays,
+            samples_per_curve=(spec.samples_per_curve if args.samples is None
+                               else args.samples),
+            center=spec.center, half_width=spec.half_width)
         svg = render_image_domain(spec, f)
         scene_meta = {"family": spec.family, "preset": args.preset,
                       "radius": spec.radius, "circles": spec.circles,

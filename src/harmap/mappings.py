@@ -47,8 +47,8 @@ from .special import BranchedPower
 _DISK_EDGE = 1.0
 #: default truncation order for family Taylor arrays
 DEFAULT_ORDER = 64
-#: exponents closer to zero than this integrate to a logarithm
-_LOG_EPS = 1e-9
+#: power-kernel primitive exponents closer to zero than this are summed by expm1
+_NEAR_ZERO = 0.5
 
 
 def _check_disk(z) -> None:
@@ -88,28 +88,46 @@ class PowerKernel:
 
         With ``u = 1 - delta t`` the primitive ``int_0^z t^n u^q dt`` is a
         binomial sum over ``m <= n`` of ``(1 - u^(q+1+m))/(q+1+m)`` (``-log u``
-        where the exponent vanishes); ``h`` is the ``m = 0`` term.  With
+        where the exponent is zero); ``h`` is the ``m = 0`` term.  With
         ``E = u^(q+1)`` the power terms add up to ``K - E p(z)`` for a constant
         ``K`` and a polynomial ``p`` of degree ``n``, so ``h``, ``g`` and ``h'``
-        take one ``log u`` and two ``exp``.
+        take one ``log u`` and two ``exp``.  The exponents are spaced by one, so
+        at most one lies within ``_NEAR_ZERO`` of zero; its weight ``1/expo`` is
+        large and ``1 - u^expo`` cancels, so that term is summed on its own as
+        ``-expm1(expo log u)/expo``.
         """
         q, delta, n = self.q, self.delta, f.n
         expo = q + 1.0 + np.arange(n + 1)
-        is_log = np.abs(expo) < _LOG_EPS
+        near = next((m for m in range(n + 1) if abs(expo[m]) < _NEAR_ZERO), None)
         weight = [f.zeta * delta ** -(n + 1) * math.comb(n, m) * (-1.0) ** m
-                  / (1.0 if is_log[m] else expo[m]) for m in range(n + 1)]
-        K = sum(w for w, lg in zip(weight, is_log) if not lg)
-        log_weight = sum(w for w, lg in zip(weight, is_log) if lg)
-        p = sum((BranchedPower(m, delta).series(n).scale(w)
-                 for m, (w, lg) in enumerate(zip(weight, is_log)) if not lg),
+                  / (1.0 if m == near else expo[m]) for m in range(n + 1)]
+        far = [m for m in range(n + 1) if m != near]
+        K = sum(weight[m] for m in far)
+        p = sum((BranchedPower(m, delta).series(n).scale(weight[m]) for m in far),
                 PowerSeries.zero(n))
-        h_weight = 1.0 / (delta * (1.0 if is_log[0] else expo[0]))
+        h_weight = None if near == 0 else 1.0 / (delta * expo[0])
+
+        def near_primitive(L, em=None):
+            """``(1 - u^a)/a`` for the near exponent ``a`` (``em = expm1(a L)``
+            when already known); ``-log u`` where ``a`` vanishes."""
+            a = expo[near]
+            if a == 0.0:
+                return -L
+            return -(np.expm1(a * L) if em is None else em) / a
 
         def primitives(z, L):
-            E = np.exp(expo[0] * L)
-            h = (-L if is_log[0] else 1.0 - E) * h_weight
+            if near == 0:
+                em = np.expm1(expo[0] * L)
+                E = 1.0 + em
+                D = near_primitive(L, em)
+                h = D / delta
+            else:
+                E = np.exp(expo[0] * L)
+                h = (1.0 - E) * h_weight
+                if near is not None:
+                    D = near_primitive(L)
             g = K - E * p(z)
-            return h, g - log_weight * L if log_weight else g
+            return h, g if near is None else g + weight[near] * D
 
         def evaluate(z, value, derivs):
             L = np.log(1.0 - z if delta == 1 else 1.0 - delta * z)

@@ -5,6 +5,10 @@ mapping as one ``<polyline>`` per curve, with adaptive sampling near high
 distortion (cusps), rectangle clipping to the viewport, and stable 9
 significant-digit coordinate formatting so identical scene specifications
 yield identical bytes.
+
+The pipeline works on whole arrays: refinement evaluates only the midpoints
+each pass inserts, and the Liang-Barsky clip tests every segment of a curve
+at once with the same arithmetic and comparison order as a per-segment loop.
 """
 
 from __future__ import annotations
@@ -104,18 +108,22 @@ def _eval_curve(f: HarmonicMapping, z: np.ndarray, tag: str) -> np.ndarray:
 
 
 def _refine_params(f: HarmonicMapping, z_of_t, t: np.ndarray, tag: str,
-                   max_gap: float | None) -> np.ndarray:
-    """Insert parameter midpoints until image gaps fall below ``max_gap``."""
+                   max_gap: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Insert parameter midpoints until image gaps fall below ``max_gap``.
+
+    Returns ``(t, f(z_of_t(t)))``; each pass evaluates only its new midpoints.
+    """
+    w = _eval_curve(f, z_of_t(t), tag)
     if max_gap is None:
-        return t
+        return t, w
     for _ in range(MAX_REFINE_PASSES):
-        w = _eval_curve(f, z_of_t(t), tag)
-        gaps = np.abs(np.diff(w))
-        wide = np.nonzero(gaps > max_gap)[0]
+        wide = np.nonzero(np.abs(np.diff(w)) > max_gap)[0]
         if wide.size == 0 or t.size + wide.size > MAX_CURVE_POINTS:
             break
-        t = np.insert(t, wide + 1, 0.5 * (t[wide] + t[wide + 1]))
-    return t
+        mid = 0.5 * (t[wide] + t[wide + 1])
+        t = np.insert(t, wide + 1, mid)
+        w = np.insert(w, wide + 1, _eval_curve(f, z_of_t(mid), tag))
+    return t, w
 
 
 @dataclass(frozen=True)
@@ -128,27 +136,27 @@ class _Curve:
 
 def _circle_points(f: HarmonicMapping, rho: float, n0: int, tag: str,
                    max_gap: float | None, mirror: bool) -> np.ndarray:
+    def z_of_t(t):
+        return rho * np.exp(1j * t)
+
     if mirror:
         # sample the upper half-circle and reflect: the emitted point set is
         # then exactly invariant under y -> -y for symmetric mappings
         theta = np.linspace(0.0, math.pi, max(n0 // 2 + 1, 65))
-        theta = _refine_params(f, lambda t: rho * np.exp(1j * t), theta, tag, max_gap)
-        upper = rho * np.exp(1j * theta)
-        z = np.concatenate([upper, np.conjugate(upper[-2:0:-1]), upper[:1]])
-    else:
-        theta = np.linspace(0.0, 2.0 * math.pi, max(n0, 129) + 1)
-        theta = _refine_params(f, lambda t: rho * np.exp(1j * t), theta, tag, max_gap)
-        z = rho * np.exp(1j * theta)
-        z[-1] = z[0]
-    return _eval_curve(f, z, tag)
+        theta, upper = _refine_params(f, z_of_t, theta, tag, max_gap)
+        lower = np.conjugate(z_of_t(theta)[-2:0:-1])
+        return np.concatenate([upper, _eval_curve(f, lower, tag), upper[:1]])
+    theta = np.linspace(0.0, 2.0 * math.pi, max(n0, 129) + 1)
+    _, w = _refine_params(f, z_of_t, theta, tag, max_gap)
+    w[-1] = w[0]  # close the curve on the image of theta = 0 itself
+    return w
 
 
 def _ray_points(f: HarmonicMapping, angle: float, r: float, n0: int, tag: str,
                 max_gap: float | None) -> np.ndarray:
     t = np.linspace(0.0, r, max(n0, 129))
     direction = complex(math.cos(angle), math.sin(angle))
-    t = _refine_params(f, lambda s: s * direction, t, tag, max_gap)
-    return _eval_curve(f, t * direction, tag)
+    return _refine_params(f, lambda s: s * direction, t, tag, max_gap)[1]
 
 
 def _scene_curves(f: HarmonicMapping, spec: SceneSpec,
@@ -180,10 +188,11 @@ def _scene_curves(f: HarmonicMapping, spec: SceneSpec,
 # -- viewport and clipping ----------------------------------------------------
 
 
-def _resolve_viewport(spec: SceneSpec, curves: list[_Curve]) -> tuple[complex, float]:
+def _resolve_viewport(spec: SceneSpec, sample) -> tuple[complex, float]:
+    """The spec's viewport, fitted to the curves ``sample()`` returns where unset."""
     if spec.center is not None and spec.half_width is not None:
         return complex(spec.center), float(spec.half_width)
-    allpts = np.concatenate([c.points for c in curves])
+    allpts = np.concatenate([c.points for c in sample()])
     xs, ys = allpts.real, allpts.imag
     cx = 0.5 * (xs.min() + xs.max())
     cy = 0.5 * (ys.min() + ys.max())
@@ -194,74 +203,63 @@ def _resolve_viewport(spec: SceneSpec, curves: list[_Curve]) -> tuple[complex, f
     return center, half
 
 
-def _clip_segment(x0, y0, x1, y1, lox, hix, loy, hiy):
-    """Liang-Barsky: parametric span of the segment inside the box, or None."""
-    dx, dy = x1 - x0, y1 - y0
-    t0, t1 = 0.0, 1.0
-    for p, q in ((-dx, x0 - lox), (dx, hix - x0), (-dy, y0 - loy), (dy, hiy - y0)):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-            continue
-        t = q / p
-        if p < 0.0:
-            if t > t1:
-                return None
-            if t > t0:
-                t0 = t
-        else:
-            if t < t0:
-                return None
-            if t < t1:
-                t1 = t
-    return t0, t1
+def _clip_polyline(points: np.ndarray, center: complex,
+                   hw: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a polyline into maximal runs ``(xs, ys)`` inside the square viewport.
 
-
-def _clip_polyline(points: np.ndarray, center: complex, hw: float) -> list[list[tuple[float, float]]]:
-    """Split a polyline into maximal runs inside the square viewport."""
-    lox, hix = center.real - hw, center.real + hw
-    loy, hiy = center.imag - hw, center.imag + hw
-    runs: list[list[tuple[float, float]]] = []
-    run: list[tuple[float, float]] = []
+    Liang-Barsky clipping of every segment at once: the four ``(p, q)`` steps
+    run in order with strict updates of the parametric span ``[t0, t1]``, and
+    endpoint floats are reused verbatim at ``t0 == 0``/``t1 == 1`` so that
+    adjacent segments chain into one run.
+    """
     xs, ys = points.real, points.imag
-    for i in range(len(points) - 1):
-        got = _clip_segment(xs[i], ys[i], xs[i + 1], ys[i + 1], lox, hix, loy, hiy)
-        if got is None:
-            if len(run) >= 2:
-                runs.append(run)
-            run = []
-            continue
-        t0, t1 = got
-        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
-        # reuse endpoint floats verbatim at t=0/1 so adjacent segments chain
-        a = (xs[i], ys[i]) if t0 == 0.0 else (xs[i] + t0 * dx, ys[i] + t0 * dy)
-        b = (xs[i + 1], ys[i + 1]) if t1 == 1.0 else (xs[i] + t1 * dx, ys[i] + t1 * dy)
-        if not run or run[-1] != a:
-            if len(run) >= 2:
-                runs.append(run)
-            run = [a]
-        run.append(b)
-        if t1 < 1.0:
-            if len(run) >= 2:
-                runs.append(run)
-            run = []
-    if len(run) >= 2:
-        runs.append(run)
-    return runs
+    x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
+    dx, dy = x1 - x0, y1 - y0
+    t0, t1 = np.zeros_like(dx), np.ones_like(dx)
+    out = np.zeros(dx.shape, dtype=bool)
+    steps = ((-dx, x0 - (center.real - hw)), (dx, (center.real + hw) - x0),
+             (-dy, y0 - (center.imag - hw)), (dy, (center.imag + hw) - y0))
+    # where q / p divides by zero or overflows, the step is skipped or the
+    # segment rejected, so nothing computed from it is emitted
+    with np.errstate(all="ignore"):
+        for p, q in steps:
+            flat, enter = p == 0.0, p < 0.0
+            leave = ~flat & ~enter
+            t = q / p
+            out |= (flat & (q < 0.0)) | (enter & (t > t1)) | (leave & (t < t0))
+            t0 = np.where(enter & (t > t0), t, t0)
+            t1 = np.where(leave & (t < t1), t, t1)
+        ax = np.where(t0 == 0.0, x0, x0 + t0 * dx)
+        ay = np.where(t0 == 0.0, y0, y0 + t0 * dy)
+        bx = np.where(t1 == 1.0, x1, x0 + t1 * dx)
+        by = np.where(t1 == 1.0, y1, y0 + t1 * dy)
+    # a kept segment continues the previous run when that one was kept, ran
+    # to its end point, and ended exactly where this one starts
+    joins = np.zeros_like(out)
+    joins[1:] = (~out[:-1] & (t1[:-1] == 1.0) & (bx[:-1] == ax[1:])
+                 & (by[:-1] == ay[1:]))
+    kept = np.nonzero(~out)[0]
+    starts = ~joins[kept]
+    # each run is the start point of its first segment, then every end point
+    slot = np.arange(kept.size) + np.cumsum(starts)
+    first = slot[starts] - 1
+    rx, ry = np.empty((2, kept.size + first.size))
+    rx[slot], ry[slot] = bx[kept], by[kept]
+    rx[first], ry[first] = ax[kept[starts]], ay[kept[starts]]
+    bounds = first.tolist() + [rx.size]
+    return [(rx[a:b], ry[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 # -- document assembly --------------------------------------------------------
 
 
+# both formatters add 0.0, which turns -0.0 into 0.0 so that it prints as "0"
 def _fmt(x: float) -> str:
-    s = format(float(x), ".9g")
-    if s == "-0" or s == "-0.0":
-        return "0"
-    return s
+    return format(float(x) + 0.0, ".9g")
 
 
-def _points_attr(run: list[tuple[float, float]]) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in run)
+def _points_attr(xs: np.ndarray, ys: np.ndarray) -> str:
+    return " ".join(map("{:.9g},{:.9g}".format, (xs + 0.0).tolist(), (ys + 0.0).tolist()))
 
 
 def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex,
@@ -283,11 +281,11 @@ def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex,
         'stroke-linejoin="round">',
     ]
     for c in curves:
-        for run in _clip_polyline(c.points, center, hw):
+        for xs, ys in _clip_polyline(c.points, center, hw):
             lines.append(
                 f'<polyline class="{c.tag}" stroke="{c.color}" '
                 f'stroke-width="{_fmt(stroke * c.width_scale)}" '
-                f'points="{_points_attr(run)}"/>')
+                f'points="{_points_attr(xs, ys)}"/>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -299,10 +297,11 @@ def render_image_domain(spec: SceneSpec, f: HarmonicMapping) -> str:
     Draws the images of ``circles`` concentric circles (the outermost stroked
     distinctly as the near-boundary curve) and ``rays`` radial segments,
     adaptively refined until consecutive points are closer than 1/200 of the
-    viewport width, clipped to the viewport.
+    viewport width, clipped to the viewport.  An automatic viewport is fitted
+    to one unrefined sampling pass first; a spec with both ``center`` and
+    ``half_width`` skips that pass.
     """
-    base = _scene_curves(f, spec, max_gap=None)
-    center, hw = _resolve_viewport(spec, base)
+    center, hw = _resolve_viewport(spec, lambda: _scene_curves(f, spec, max_gap=None))
     curves = _scene_curves(f, spec, max_gap=2.0 * hw / GAP_DENOM)
     return _assemble(spec, curves, center, hw)
 
@@ -327,5 +326,5 @@ def render_boundary_curve(f: HarmonicMapping, r: float, M: int = 1024,
                      samples_per_curve=max(int(M), 128),
                      center=None if viewport is None else complex(viewport[0]),
                      half_width=None if viewport is None else float(viewport[1]))
-    center, hw = _resolve_viewport(spec, [curve])
+    center, hw = _resolve_viewport(spec, lambda: [curve])
     return _assemble(spec, [curve], center, hw)

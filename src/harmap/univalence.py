@@ -347,6 +347,26 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
     return *np.concatenate(pairs, axis=1), levels, False
 
 
+def _first_smallest_per_key(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per distinct key, in key order, the first index with the smallest value.
+
+    Equals ``np.lexsort((values, keys))`` reduced to the first entry of each
+    key, from one stable sort of the integer keys instead of a two-key sort.
+    """
+    order = np.argsort(keys, kind="stable")
+    k, v = keys[order], values[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    lo = np.fmin.reduceat(v, starts)[group]
+    # a group of only NaN values keeps its first entry, as lexsort does
+    hit = np.flatnonzero((v == lo) | np.isnan(lo))
+    first = np.ones(len(hit), dtype=bool)
+    first[1:] = group[hit[1:]] != group[hit[:-1]]
+    return order[hit[first]]
+
+
 def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
                     cells: int = 256,
                     collision_tol: float = DEFAULT_COLLISION_TOL,
@@ -424,10 +444,7 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
         gaps = np.abs(w[I] - w[Jc])
         # one candidate per unordered preimage-box pair (smallest image gap)
         pair_key = np.minimum(box[I], box[Jc]) * np.int64(n_boxes) + np.maximum(box[I], box[Jc])
-        by_key = np.lexsort((gaps, pair_key))
-        dedup = np.ones(len(by_key), dtype=bool)
-        dedup[1:] = pair_key[by_key][1:] != pair_key[by_key][:-1]
-        reps = by_key[dedup]
+        reps = _first_smallest_per_key(pair_key, gaps)
         tested = len(reps)
 
         rz1, rz2, rgap, alive = _batch_refine(

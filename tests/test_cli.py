@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -274,6 +275,29 @@ def test_render_custom_overrides(tmp_path):
     assert scene["rays"] == 4
     assert scene["samples_per_curve"] == 128
     assert scene["radius"] == pytest.approx(0.8)
+
+
+def test_render_zero_circles_draws_rays_only(tmp_path):
+    out = tmp_path / "rays.svg"
+    res = run_cli("render", "--family", "identity", "--circles", "0", "--rays", "4",
+                  "--r", "0.9", "--out", out, "--json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["scene"]["circles"] == 0
+    classes = set(re.findall(r'class="([^"]+)"', out.read_text(encoding="utf-8")))
+    assert classes == {"ray-0", "ray-1", "ray-2", "ray-3"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--circles", "0", "--rays", "0"),
+    ("--preset", "zoom", "--center", "0.5,0", "--half-width", "0"),
+    ("--preset", "boundary", "--samples", "0"),
+    ("--preset", "custom", "--samples", "0"),
+])
+def test_render_explicit_zero_is_rejected(argv):
+    # an explicit 0 must reach validation, not fall back to the default
+    res = run_cli("render", "--family", "identity", *argv)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:"), res.stderr
 
 
 # -- global behavior ----------------------------------------------------------

@@ -188,6 +188,16 @@ def test_extremal_half_alpha_is_log():
         assert abs(f.h.value(z) + np.log(1.0 - z)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [1e-5, 0.5 + 1e-10, 0.5 - 1e-6, 0.3], ids=str)
+@pytest.mark.parametrize("n", [1, 2])
+def test_extremal_near_zero_exponent_matches_taylor(alpha, n):
+    # an exponent q + 1 + m near zero weighs its cancelling 1 - u^e by 1/e
+    f = make_extremal(ExtremalSpec(ClassParams(alpha, 1.0 / (2 * n - 1), n), 1.0))
+    for z in (0.5, -0.45, 0.3 - 0.35j):
+        assert abs(f.taylor_h(z) - f.h.value(z)) < 1e-13
+        assert abs(f.taylor_g(z) - f.g.value(z)) < 1e-13
+
+
 def test_extremal_taylor_matches_values():
     f = make_extremal(ExtremalSpec(ClassParams(0.0, 0.3, 2), 1.0), order=48)
     rng = np.random.default_rng(53)

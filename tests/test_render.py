@@ -7,10 +7,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import harmap.render as render
 from harmap.errors import ParameterError
 from harmap.mappings import make_bshouty_lyzzaik, make_counterexample, make_identity
 from harmap.render import (
+    MAX_CURVE_POINTS,
     SceneSpec,
     overview_scene,
     render_boundary_curve,
@@ -178,3 +182,164 @@ def test_adaptive_refinement_limits_gaps():
         if len(pts) > 1:
             worst = max(worst, float(np.max(np.abs(np.diff(pts)))))
     assert worst <= 2.0 * (2 * hw) / 200.0 + 1e-12
+
+
+# -- clipping against the per-segment reference --------------------------------
+
+
+def _clip_segment(x0, y0, x1, y1, lox, hix, loy, hiy):
+    """Liang-Barsky: parametric span of the segment inside the box, or None."""
+    dx, dy = x1 - x0, y1 - y0
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-dx, x0 - lox), (dx, hix - x0), (-dy, y0 - loy), (dy, hiy - y0)):
+        if p == 0.0:
+            if q < 0.0:
+                return None
+            continue
+        t = q / p
+        if p < 0.0:
+            if t > t1:
+                return None
+            if t > t0:
+                t0 = t
+        else:
+            if t < t0:
+                return None
+            if t < t1:
+                t1 = t
+    return t0, t1
+
+
+def _clip_polyline_reference(points, center, hw):
+    """One segment at a time: the clipping the vectorised version must match."""
+    lox, hix = center.real - hw, center.real + hw
+    loy, hiy = center.imag - hw, center.imag + hw
+    runs, run = [], []
+    xs, ys = points.real, points.imag
+    for i in range(len(points) - 1):
+        got = _clip_segment(xs[i], ys[i], xs[i + 1], ys[i + 1], lox, hix, loy, hiy)
+        if got is None:
+            if len(run) >= 2:
+                runs.append(run)
+            run = []
+            continue
+        t0, t1 = got
+        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+        a = (xs[i], ys[i]) if t0 == 0.0 else (xs[i] + t0 * dx, ys[i] + t0 * dy)
+        b = (xs[i + 1], ys[i + 1]) if t1 == 1.0 else (xs[i] + t1 * dx, ys[i] + t1 * dy)
+        if not run or run[-1] != a:
+            if len(run) >= 2:
+                runs.append(run)
+            run = [a]
+        run.append(b)
+        if t1 < 1.0:
+            if len(run) >= 2:
+                runs.append(run)
+            run = []
+    if len(run) >= 2:
+        runs.append(run)
+    return runs
+
+
+@st.composite
+def clip_cases(draw):
+    """A box and a polyline whose coordinates mix random floats and box edges.
+
+    Drawing each coordinate from a small pool makes axis-parallel segments,
+    repeated points, corner hits and segments wholly outside the box common.
+    """
+    coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    center = complex(draw(coord), draw(coord))
+    hw = draw(st.floats(1e-3, 3.0))
+    edges = [center.real - hw, center.real + hw, center.imag - hw, center.imag + hw]
+    pool = draw(st.lists(coord, min_size=1, max_size=4)) + edges
+    pick = st.sampled_from(pool)
+    n = draw(st.integers(0, 24))
+    pts = np.array([complex(draw(pick), draw(pick)) for _ in range(n)], dtype=np.complex128)
+    return pts, center, hw
+
+
+def _hex_runs(runs):
+    return [[(float(x).hex(), float(y).hex()) for x, y in run] for run in runs]
+
+
+@given(case=clip_cases())
+@settings(max_examples=400, deadline=None)
+@example(case=(np.array([-2 + 0j, 0j, 2 + 0j, 2 + 2j, 0.5 + 1j, 1 + 1j, 1 + 1j, 3 + 3j]),
+               0j, 1.0))
+@example(case=(np.array([-1 - 1j, -2 - 2j, -1 + 1j, -1 + 3j, 5 + 5j]), 0j, 1.0))
+# the first segment keeps an end point 1 ulp below the box (its exit t rounds
+# to 1); the second re-enters at a different float, so a new run starts
+@example(case=(np.array([3j, complex(0.0, np.nextafter(-1.0, -2.0)), 0j]), 0j, 1.0))
+def test_vectorised_clip_matches_per_segment_reference(case):
+    pts, center, hw = case
+    with np.errstate(over="ignore"):  # q / p on numpy scalars may overflow
+        want = _clip_polyline_reference(pts, center, hw)
+    got = [list(zip(xs.tolist(), ys.tolist()))
+           for xs, ys in render._clip_polyline(pts, center, hw)]
+    assert _hex_runs(got) == _hex_runs(want)
+
+
+def test_points_attr_formats_like_fmt():
+    xs = np.array([-0.0, 0.0, 1.0 / 3.0, -2.5e-12, 123456789.123])
+    ys = np.array([1e300, -0.0, -1.0, 7.0, -1e-320])
+    assert render._fmt(-0.0) == "0"
+    want = " ".join(f"{render._fmt(x)},{render._fmt(y)}" for x, y in zip(xs, ys))
+    assert render._points_attr(xs, ys) == want
+
+
+# -- refinement contract -------------------------------------------------------
+
+
+def _boundary_refinement(max_gap):
+    f = make_counterexample(1.25)
+    rho = 0.999
+
+    def z_of_t(t):
+        return rho * np.exp(1j * t)
+
+    theta = np.linspace(0.0, math.pi, 129)
+    t, w = render._refine_params(f, z_of_t, theta, "boundary", max_gap)
+    return f, z_of_t, t, w
+
+
+def test_refined_points_match_fresh_evaluation():
+    # midpoints are evaluated pass by pass; the result must agree with one
+    # evaluation of the final parameters up to the last bit: past about 16 k
+    # points numpy's complex kernels round some values 1 ulp differently
+    f, z_of_t, t, w = _boundary_refinement(max_gap=2e-4)
+    assert t.size > 20_000
+    assert np.all(np.diff(t) > 0.0)
+    fresh = np.asarray(f(z_of_t(t)))
+    assert np.max(np.abs(w - fresh) / np.abs(fresh)) <= 4e-16
+
+
+def test_refinement_bounds_gaps_or_stops_at_point_cap(monkeypatch):
+    max_gap = 0.005
+    _, _, t, w = _boundary_refinement(max_gap)
+    assert t.size <= MAX_CURVE_POINTS
+    assert np.max(np.abs(np.diff(w))) <= max_gap
+
+    cap = 400
+    monkeypatch.setattr(render, "MAX_CURVE_POINTS", cap)
+    _, _, t, w = _boundary_refinement(max_gap)
+    wide = np.count_nonzero(np.abs(np.diff(w)) > max_gap)
+    assert t.size <= cap < t.size + wide
+
+
+def test_fixed_viewport_samples_the_scene_once(monkeypatch):
+    calls = []
+    scene_curves = render._scene_curves
+
+    def counting(*args, **kw):
+        calls.append(kw.get("max_gap"))
+        return scene_curves(*args, **kw)
+
+    monkeypatch.setattr(render, "_scene_curves", counting)
+    f = make_identity()
+    render_image_domain(zoom_scene("identity", center=0.25 + 0.1j, half_width=0.2), f)
+    assert len(calls) == 1 and calls[0] is not None
+    calls.clear()
+    render_image_domain(overview_scene("identity", radius=0.9), f)
+    # an auto-fit viewport needs the unrefined pass first
+    assert len(calls) == 2 and calls[0] is None

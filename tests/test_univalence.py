@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmap import cli, univalence
 from harmap.errors import InfeasibilityError, OnCurveError, ParameterError
@@ -287,3 +289,20 @@ def test_candidate_pairs_cover_every_close_pair(f, r):
         p += a
         want = set(zip(np.minimum(box[p], box[q]).tolist(), np.maximum(box[p], box[q]).tolist()))
         assert want <= found, sorted(want - found)[:5]
+
+
+# -- box-pair dedup -------------------------------------------------------------
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, 12),
+                                st.sampled_from([0.0, 0.5, 1.0, 2.0, math.nan])
+                                | st.floats(0.0, 3.0)),
+                      min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_box_pair_dedup_matches_two_key_sort(pairs):
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    gaps = np.array([g for _, g in pairs])
+    by_key = np.lexsort((gaps, keys))
+    first = np.ones(len(by_key), dtype=bool)
+    first[1:] = keys[by_key][1:] != keys[by_key][:-1]
+    assert univalence._first_smallest_per_key(keys, gaps).tolist() == by_key[first].tolist()
