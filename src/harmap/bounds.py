@@ -4,6 +4,11 @@ Every bound has two computation routes wherever the underlying statement
 does: closed forms built on the hypergeometric function on one side, direct
 quadrature of the defining integrals on the other.  The dual routes are kept
 deliberately separate so they can certify each other.
+
+The image area of a mapping is summed from the Taylor coefficients of its
+``h'`` kernel (Parseval on each circle), to an order fixed by an explicit tail
+bound; polar disk quadrature serves only radii too close to 1 for that order.
+The area envelope stays a 1-d quadrature, independent of both.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MissingSeriesError, ParameterError
-from .mappings import ClassParams, ExtremalSpec, HarmonicMapping, make_extremal
+from .mappings import ClassParams, ExtremalSpec, HarmonicMapping, PolyKernel, make_extremal
 from .quadrature import disk_integral, integrate_real
 from .reports import BoundReport, complex_pair
 from .special import hyp2f1
@@ -172,11 +179,78 @@ def covering_radius(params: ClassParams) -> float:
     return lead - zeta / (n + 1.0) * hyp2f1(n + 1.0, 2.0 - 2.0 * alpha, n + 2.0, -1.0).real
 
 
-def area(f: HarmonicMapping, r: float, tol: float = 1e-9) -> float:
-    """Unsigned image area ``integral of (|h'|^2 - |g'|^2)`` over ``|z| < r``."""
+#: first order tried for a power-kernel area series; doubled until the tail fits
+_SERIES_START = 64
+#: largest area series summed; closer to the boundary the disk rule takes over
+_SERIES_CAP = 1 << 22
+#: tail of the area series allowed, relative to the sum of the terms' moduli
+_SERIES_REL_TAIL = 1e-16
+
+
+def _parseval_terms(c, r: float, zeta2: float, n: int):
+    """Terms ``pi |c_j|^2 r^(2j+2) (1/(j+1) - |zeta|^2 r^(2n)/(j+n+1))`` of the
+    area of the shear with ``h' = sum c_j z^j`` and ``g' = zeta z^n h'``."""
+    j = np.arange(len(c), dtype=float)
+    rr = r * r
+    return math.pi * (c * c) * rr ** (j + 1.0) * (1.0 / (j + 1.0) - zeta2 * rr**n / (j + n + 1.0))
+
+
+def _binomial_moduli(q: float, N: int):
+    """``|c_j| = prod_{i<=j} |q - i + 1|/i`` for ``j < N``: the coefficient
+    moduli of ``(1 - delta z)**q`` with ``|delta| = 1``."""
+    i = np.arange(1, N, dtype=float)
+    return np.concatenate(([1.0], np.cumprod(np.abs(q - i + 1.0) / i)))
+
+
+def _power_tail(c_last: float, q: float, N: int, r: float, zeta2: float, n: int) -> float:
+    """Bound on ``sum_{j>=N} |term_j|`` of the power-kernel area series.
+
+    With ``t_j = |c_j|^2 r^(2j+2)/(j+1)`` and ``M = N - 1 >= max(q, 0)``,
+    ``t_(j+1)/t_j <= rho = r^2 max(1, ((M-q)/(M+1))^2)`` for ``j >= M``, so the
+    tail is at most ``t_M rho/(1 - rho)``; ``|term_j| <= pi t_j max(1,
+    |zeta|^2 r^(2n))``.  Infinite while ``rho >= 1``.
+    """
+    M = N - 1
+    rho = r * r * max(1.0, ((M - q) / (M + 1.0)) ** 2)
+    if rho >= 1.0:
+        return math.inf
+    t_last = c_last * c_last * r ** (2 * M + 2) / (M + 1.0)
+    return math.pi * max(1.0, zeta2 * r ** (2 * n)) * t_last * rho / (1.0 - rho)
+
+
+def area_route(f: HarmonicMapping, r: float, tol: float = 1e-9) -> tuple[float, str, int | None]:
+    """``(area, route, terms)`` for :func:`area`.
+
+    ``route`` is ``"series"`` with ``terms`` Parseval terms summed (exact for a
+    polynomial ``h'``), or ``"quadrature"`` with ``terms`` ``None`` when a
+    power kernel would need more than ``_SERIES_CAP`` terms; ``tol`` only
+    reaches the quadrature.
+    """
     if not 0.0 < r < 1.0:
         raise ParameterError(f"radius must lie in (0, 1), got {r}")
-    return disk_integral(f.jacobian, r, tol=tol)
+    zeta2 = abs(f.zeta) ** 2
+    if isinstance(f.kernel, PolyKernel):
+        c = np.abs(f.kernel.hp.coeffs)
+        return float(np.sum(_parseval_terms(c, r, zeta2, f.n))), "series", len(c)
+    q = f.kernel.q
+    N = max(_SERIES_START, math.ceil(q) + 1)
+    while N <= _SERIES_CAP:
+        c = _binomial_moduli(q, N)
+        terms = _parseval_terms(c, r, zeta2, f.n)
+        if _power_tail(c[-1], q, N, r, zeta2, f.n) <= _SERIES_REL_TAIL * np.sum(np.abs(terms)):
+            return float(np.sum(terms)), "series", N
+        N *= 2
+    return disk_integral(f.jacobian, r, tol=tol), "quadrature", None
+
+
+def area(f: HarmonicMapping, r: float, tol: float = 1e-9) -> float:
+    """Image area ``integral of (|h'|^2 - |g'|^2)`` over ``|z| < r``.
+
+    Summed as the Parseval series of the ``h'`` kernel's coefficients; the
+    polar disk quadrature, to relative ``tol``, runs only past the series
+    order cap (see :func:`area_route`).
+    """
+    return area_route(f, r, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,15 @@ the fully resolved configuration, matching the documents under
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .bounds import (
-    area,
     area_bounds,
+    area_route,
     default_lattice,
     verify_area_sandwich,
     verify_coeff_relation,
@@ -34,6 +34,7 @@ from .mappings import (
     ClassParams,
     ExtremalSpec,
     PBetaParams,
+    PolyKernel,
     family_from_spec,
     make_extremal,
     parse_scalar,
@@ -212,31 +213,15 @@ def cmd_counterexample(args) -> int:
     return _emit(args, payload, lines, 0)
 
 
-def _monomial_closed_area(f, r: float) -> float | None:
-    """Closed-form area when h = z and g is a single monomial."""
-    th = getattr(f, "taylor_h", None)
-    tg = getattr(f, "taylor_g", None)
-    if th is None or tg is None or th.order < 1:
-        return None
-    hc = th.coeffs
-    if abs(hc[1] - 1.0) > 0 or any(abs(c) > 0 for i, c in enumerate(hc) if i != 1):
-        return None
-    nz = [(i, c) for i, c in enumerate(tg.coeffs) if abs(c) > 0]
-    if len(nz) > 1:
-        return None
-    if not nz:
-        return math.pi * r * r
-    m, c = nz[0]
-    return math.pi * r * r - math.pi * abs(c) ** 2 * m * r ** (2 * m)
-
-
 def cmd_area(args) -> int:
     f = family_from_spec(args.family)
     r = float(parse_scalar(args.r).real)
     quad_tol = args.tol if args.tol is not None else 1e-9
-    val = area(f, r, tol=quad_tol)
-    closed = _monomial_closed_area(f, r)
-    payload = {"family": f.label, "r": r, "area": val, "closed_form": closed}
+    val, route, terms = area_route(f, r, tol=quad_tol)
+    # a polynomial h' has a finite Parseval sum, which is then exact
+    closed = val if isinstance(f.kernel, PolyKernel) else None
+    payload = {"family": f.label, "r": r, "area": val, "closed_form": closed,
+               "route": route, "terms": terms}
     lines = [f"area(|z|<{r:g}) under {f.label} = {val:.12g}"]
     if closed is not None:
         lines.append(f"closed form             = {closed:.12g}")
@@ -263,10 +248,11 @@ def _zoom_center(f) -> complex:
 def cmd_render(args) -> int:
     f = family_from_spec(args.family)
     center = None if args.center is None else _parse_complex(args.center)
+    # the zoom preset derives whichever of the two is missing
+    if args.preset != "zoom" and (center is None) != (args.half_width is None):
+        raise ParameterError("--center and --half-width go together")
     if args.preset == "boundary":
-        viewport = None
-        if center is not None and args.half_width is not None:
-            viewport = (center, args.half_width)
+        viewport = None if center is None else (center, args.half_width)
         samples = 1024 if args.samples is None else args.samples
         svg = render_boundary_curve(f, r=args.r, M=samples, viewport=viewport)
         scene_meta = {"family": f.label, "preset": "boundary", "radius": args.r,
@@ -279,9 +265,7 @@ def cmd_render(args) -> int:
                               half_width=0.05 if args.half_width is None else args.half_width)
         elif args.preset == "overview":
             spec = overview_scene(f.label, radius=args.r)
-            if center is not None or args.half_width is not None:
-                if center is None or args.half_width is None:
-                    raise ParameterError("--center and --half-width go together")
+            if center is not None:
                 spec = SceneSpec(family=f.label, radius=args.r,
                                  center=center, half_width=args.half_width)
         else:  # custom
@@ -323,7 +307,9 @@ def cmd_render(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``harmap`` parser, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of text")
@@ -395,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("area", parents=[common],
-                       help="image area by adaptive quadrature")
+                       help="image area from the Taylor series of h' (disk "
+                            "quadrature only very near the boundary)")
     p.add_argument("--family", required=True)
     p.add_argument("--r", required=True, help="disk radius in (0, 1)")
     p.add_argument("--cls", "--class", dest="cls", default=None,

@@ -9,12 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 mpmath = pytest.importorskip("mpmath")
 
+from harmap import bounds
 from harmap.bounds import (
+    _binomial_moduli,
+    _parseval_terms,
+    _power_tail,
     area,
     area_bounds,
+    area_route,
     coeff_bound_a,
     coeff_bound_b,
     covering_radius,
@@ -31,10 +38,14 @@ from harmap.errors import ParameterError
 from harmap.mappings import (
     ClassParams,
     ExtremalSpec,
+    HarmonicMapping,
+    PowerKernel,
+    family_from_spec,
     make_extremal,
     make_from_h,
     make_identity,
 )
+from harmap.quadrature import disk_integral
 from harmap.series import PowerSeries
 
 
@@ -273,6 +284,64 @@ def test_area_bounds_small_r_vanish():
 def test_area_sandwich_spot_check():
     report = verify_area_sandwich(ClassParams(0.5, 0.5, 1), r_list=(0.3, 0.6))
     assert report.passed, report.summary()
+
+
+def _area_families():
+    """Every family with the radii its area is checked at."""
+    for params in default_lattice():
+        yield make_extremal(ExtremalSpec(params, 1.0)), (0.2, 0.5, 0.8)
+    for spec in ("identity", "bl:lam=0.3", "bl:lam=0.45",
+                 "counterexample:gamma=5/4", "counterexample:gamma=1.75"):
+        yield family_from_spec(spec), (0.2, 0.5, 0.8, 0.95)
+    yield make_from_h(PowerSeries([0.0, 1.0, 0.0, 0.0]), 0.3, 2), (0.2, 0.5, 0.8, 0.95)
+
+
+def test_area_series_matches_disk_quadrature():
+    # Parseval on the kernel coefficients against polar quadrature of the Jacobian
+    for f, radii in _area_families():
+        for r in radii:
+            value, route, terms = area_route(f, r)
+            assert route == "series" and terms >= 1, (f.label, r, route)
+            assert value == pytest.approx(disk_integral(f.jacobian, r), rel=1e-9), (f.label, r)
+
+
+def test_area_series_near_boundary_oracle():
+    # alpha = 1/2, zeta = 0: h' = 1/(1-z) has |c_j| = 1, so A(r) = -pi log(1 - r^2);
+    # the disk rule does not converge this close to the boundary
+    f = family_from_spec("extremal:alpha=0.5,zeta=0,n=1")
+    r = 0.999
+    value, route, _ = area_route(f, r)
+    assert route == "series"
+    assert value == pytest.approx(-math.pi * math.log1p(-r * r), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(-3.0, 0.75), zeta=st.floats(0.0, 2.0), n=st.integers(1, 3),
+       r=st.floats(0.01, 0.995))
+def test_area_series_tail_bound(q, zeta, n, r):
+    # the terms dropped at the returned order, summed to twice that order,
+    # stay inside the stated tail bound, itself within the relative target
+    f = HarmonicMapping(PowerKernel(q), zeta, n, order=8)
+    value, route, N = area_route(f, r)
+    assert route == "series"
+    zeta2 = zeta * zeta
+    c = _binomial_moduli(q, 2 * N)
+    terms = _parseval_terms(c, r, zeta2, n)
+    assert value == float(np.sum(terms[:N]))
+    bound = _power_tail(c[N - 1], q, N, r, zeta2, n)
+    assert np.sum(np.abs(terms[N:])) <= bound
+    assert bound <= bounds._SERIES_REL_TAIL * np.sum(np.abs(terms[:N]))
+
+
+def test_area_falls_back_to_quadrature_past_the_cap(monkeypatch):
+    f = make_extremal(ExtremalSpec(ClassParams(0.25, 0.3, 2), 1.0))
+    series, route, _ = area_route(f, 0.6)
+    assert route == "series"
+    monkeypatch.setattr(bounds, "_SERIES_CAP", 32)
+    value, route, terms = area_route(f, 0.6)
+    assert (route, terms) == ("quadrature", None)
+    assert value == pytest.approx(series, rel=1e-9)
+    assert area(f, 0.6) == value
 
 
 def test_default_lattice_is_admissible():

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from conftest import run_cli, validate_payload
+from harmap import cli
 
 
 # -- eval ---------------------------------------------------------------------
@@ -206,6 +207,23 @@ def test_area_identity_quarter_pi():
     validate_payload(payload, "area.json")
     assert payload["area"] == pytest.approx(math.pi / 4.0, rel=1e-9)
     assert payload["closed_form"] == pytest.approx(math.pi / 4.0, rel=1e-12)
+    assert (payload["route"], payload["terms"]) == ("series", 1)
+
+
+def test_area_reports_series_route():
+    # bl: h' = 1 - 2 lam z is a polynomial, so its finite sum is the closed form
+    res = run_cli("area", "--family", "bl:lam=0.3", "--r", "0.5", "--json")
+    assert res.returncode == 0, res.stderr
+    payload = validate_payload(json.loads(res.stdout), "area.json")
+    assert (payload["route"], payload["terms"]) == ("series", 2)
+    assert payload["closed_form"] == payload["area"]
+
+    res = run_cli("area", "--family", "extremal:alpha=0.5,zeta=0.5,n=1",
+                  "--r", "0.999", "--json")
+    assert res.returncode == 0, res.stderr
+    payload = validate_payload(json.loads(res.stdout), "area.json")
+    assert payload["route"] == "series" and payload["terms"] > 64
+    assert payload["closed_form"] is None
 
 
 def test_area_with_class_envelope():
@@ -300,6 +318,22 @@ def test_render_explicit_zero_is_rejected(argv):
     assert res.stderr.startswith("error:"), res.stderr
 
 
+@pytest.mark.parametrize("preset", ["overview", "boundary", "custom"])
+@pytest.mark.parametrize("lone", [("--center", "0.5,0"), ("--half-width", "0.1")])
+def test_render_lone_viewport_option_is_rejected(preset, lone):
+    res = run_cli("render", "--family", "identity", "--preset", preset, *lone)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:"), res.stderr
+
+
+def test_render_zoom_derives_missing_center(tmp_path):
+    out = tmp_path / "zoom.svg"
+    res = run_cli("render", "--family", "counterexample:gamma=1.25", "--preset", "zoom",
+                  "--half-width", "0.08", "--out", out, "--json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["scene"]["half_width"] == 0.08
+
+
 # -- global behavior ----------------------------------------------------------
 
 
@@ -329,3 +363,30 @@ def test_json_envelope_has_version_and_config():
 def test_missing_subcommand_usage_error():
     res = run_cli()
     assert res.returncode == 2
+
+
+def test_main_in_process_reuses_parser(capsys):
+    # one process, one parser: a failed parse leaves nothing behind that
+    # changes a later command's output
+    def run(*argv):
+        code = cli.main(list(argv))
+        return code, capsys.readouterr().out
+
+    evaluate = ("eval", "--family", "bl:lam=0.3", "--z", "0.5,0.25", "--json")
+    code, first = run(*evaluate)
+    assert code == 0
+    validate_payload(json.loads(first), "eval.json")
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--family", "identity", "--cls"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    code, checked = run("check", "--family", "identity", "--cls", "0.5,0,1", "--json")
+    assert code == 0
+    validate_payload(json.loads(checked), "bound_report.json")
+
+    code, again = run(*evaluate)
+    assert code == 0
+    assert again == first
+    assert cli.build_parser() is cli.build_parser()
