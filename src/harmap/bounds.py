@@ -185,21 +185,55 @@ _SERIES_START = 64
 _SERIES_CAP = 1 << 22
 #: tail of the area series allowed, relative to the sum of the terms' moduli
 _SERIES_REL_TAIL = 1e-16
+#: power-kernel area terms are made and summed this many at a time
+_SERIES_CHUNK = 1 << 16
 
 
-def _parseval_terms(c, r: float, zeta2: float, n: int):
+def _parseval_terms(c, r: float, zeta2: float, n: int, j0: int = 0):
     """Terms ``pi |c_j|^2 r^(2j+2) (1/(j+1) - |zeta|^2 r^(2n)/(j+n+1))`` of the
-    area of the shear with ``h' = sum c_j z^j`` and ``g' = zeta z^n h'``."""
-    j = np.arange(len(c), dtype=float)
+    area of the shear with ``h' = sum c_j z^j`` and ``g' = zeta z^n h'``;
+    ``c`` holds ``|c_j|`` from ``j = j0`` on."""
+    j = np.arange(j0, j0 + len(c), dtype=float)
     rr = r * r
     return math.pi * (c * c) * rr ** (j + 1.0) * (1.0 / (j + 1.0) - zeta2 * rr**n / (j + n + 1.0))
 
 
-def _binomial_moduli(q: float, N: int):
-    """``|c_j| = prod_{i<=j} |q - i + 1|/i`` for ``j < N``: the coefficient
-    moduli of ``(1 - delta z)**q`` with ``|delta| = 1``."""
-    i = np.arange(1, N, dtype=float)
-    return np.concatenate(([1.0], np.cumprod(np.abs(q - i + 1.0) / i)))
+def _binomial_moduli(q: float, N: int, j0: int = 0, carry: float = 1.0):
+    """``|c_j| = prod_{i<=j} |q - i + 1|/i`` for ``j0 <= j < N``, the coefficient
+    moduli of ``(1 - delta z)**q`` with ``|delta| = 1``; ``carry`` is
+    ``|c_(j0-1)|``, so a running product continues bit for bit."""
+    i = np.arange(max(j0, 1), N, dtype=float)
+    c = np.cumprod(np.concatenate(([carry], np.abs(q - i + 1.0) / i)))
+    return c[1:] if j0 else c
+
+
+def _halving_sum(x: list) -> float:
+    """Sum of ``x``, its two halves first: numpy's pairwise order when every
+    item is the sum of an equal power-of-two slice."""
+    if len(x) == 1:
+        return x[0]
+    h = len(x) // 2
+    return _halving_sum(x[:h]) + _halving_sum(x[h:])
+
+
+def _power_series(q: float, N: int, r: float, zeta2: float, n: int):
+    """``(sum, sum of moduli, |c_(N-1)|)`` of the first ``N`` area terms of
+    ``h' = (1 - delta z)**q``, ``|delta| = 1``.
+
+    The terms are made ``_SERIES_CHUNK`` at a time, the running product of
+    :func:`_binomial_moduli` carried from chunk to chunk, so memory stays
+    bounded.  For ``N`` a power of two the results equal whole-array
+    ``cumprod`` and ``np.sum`` bit for bit; otherwise they may differ in the
+    last bits.
+    """
+    sums, moduli, carry = [], [], 1.0
+    for j0 in range(0, N, _SERIES_CHUNK):
+        c = _binomial_moduli(q, min(j0 + _SERIES_CHUNK, N), j0, carry)
+        carry = c[-1]
+        terms = _parseval_terms(c, r, zeta2, n, j0)
+        sums.append(np.sum(terms))
+        moduli.append(np.sum(np.abs(terms)))
+    return _halving_sum(sums), _halving_sum(moduli), carry
 
 
 def _power_tail(c_last: float, q: float, N: int, r: float, zeta2: float, n: int) -> float:
@@ -223,8 +257,9 @@ def area_route(f: HarmonicMapping, r: float, tol: float = 1e-9) -> tuple[float, 
 
     ``route`` is ``"series"`` with ``terms`` Parseval terms summed (exact for a
     polynomial ``h'``), or ``"quadrature"`` with ``terms`` ``None`` when a
-    power kernel would need more than ``_SERIES_CAP`` terms; ``tol`` only
-    reaches the quadrature.
+    power kernel would need more than ``_SERIES_CAP`` (2^22) terms.  ``tol``
+    reaches only that disk-quadrature fallback; below the cap the area does
+    not depend on it.
     """
     if not 0.0 < r < 1.0:
         raise ParameterError(f"radius must lie in (0, 1), got {r}")
@@ -235,10 +270,9 @@ def area_route(f: HarmonicMapping, r: float, tol: float = 1e-9) -> tuple[float, 
     q = f.kernel.q
     N = max(_SERIES_START, math.ceil(q) + 1)
     while N <= _SERIES_CAP:
-        c = _binomial_moduli(q, N)
-        terms = _parseval_terms(c, r, zeta2, f.n)
-        if _power_tail(c[-1], q, N, r, zeta2, f.n) <= _SERIES_REL_TAIL * np.sum(np.abs(terms)):
-            return float(np.sum(terms)), "series", N
+        total, moduli, c_last = _power_series(q, N, r, zeta2, f.n)
+        if _power_tail(c_last, q, N, r, zeta2, f.n) <= _SERIES_REL_TAIL * moduli:
+            return float(total), "series", N
         N *= 2
     return disk_integral(f.jacobian, r, tol=tol), "quadrature", None
 

@@ -313,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of text")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the subcommand's main tolerance")
     common.add_argument("--out", type=str, default=None,
                         help="write the output to this file instead of stdout")
 
@@ -345,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="curvature-above-beta class with dilatation z")
     p.add_argument("--theorem-b", default=None, metavar="LRE,LIM,K,N",
                    help="unimodular-weight membership variant")
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance of the check (default 1e-8)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify-bounds", parents=[common],
@@ -360,6 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="0.1,0.3,0.5,0.7,0.9")
     p.add_argument("--area-radii", dest="area_radii", default="0.2,0.5,0.8")
     p.add_argument("--kmax", type=int, default=12)
+    p.add_argument("--tol", type=float, default=None,
+                   help="one tolerance for every check but the area sandwich "
+                        "(default: each check's own)")
     p.set_defaults(func=cmd_verify_bounds)
 
     p = sub.add_parser("univalence", parents=[common],
@@ -378,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True, help="exponent in (1, 7/4]; fractions ok")
     p.add_argument("--r0", default=None,
                    help="explicit collision radius (default: feasible midpoint)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance of the collision solve (default 1e-12)")
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("area", parents=[common],
@@ -388,6 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cls", "--class", dest="cls", default=None,
                    metavar="ALPHA,ZETA,N",
                    help="also check the class area envelope")
+    p.add_argument("--tol", type=float, default=None,
+                   help="relative tolerance of the disk quadrature (default 1e-9); "
+                        "it runs only past 2^22 series terms, very near the "
+                        "boundary, so below that the area does not depend on it")
     p.set_defaults(func=cmd_area)
 
     p = sub.add_parser("render", parents=[common],

@@ -136,6 +136,15 @@ class PowerKernel:
 
         return evaluate
 
+    def hp_bound(self, rho: float) -> float:
+        """Bound on ``max |h'|`` over ``|z| <= rho``: ``|1 - delta z|`` lies
+        between ``1 -+ rho |delta|`` there and ``q`` is real; infinite for
+        ``q < 0`` once the branch point ``1/delta`` lies in the disk."""
+        d = rho * abs(self.delta)
+        if self.q >= 0.0:
+            return (1.0 + d) ** self.q
+        return (1.0 - d) ** self.q if d < 1.0 else math.inf
+
     def deriv2(self, z):
         """``h''(z) = -q delta (1 - delta z)**(q - 1)``."""
         q, delta = self.q, self.delta
@@ -162,6 +171,10 @@ class PolyKernel:
                     hp(z) if derivs else None)
 
         return evaluate
+
+    def hp_bound(self, rho: float) -> float:
+        """Bound ``sum |c_j| rho^j`` on ``max |h'|`` over ``|z| <= rho``."""
+        return float(np.polynomial.polynomial.polyval(rho, np.abs(self.hp.coeffs)))
 
     def deriv2(self, z):
         return self.hpp(z)

@@ -7,8 +7,13 @@ significant-digit coordinate formatting so identical scene specifications
 yield identical bytes.
 
 The pipeline works on whole arrays: refinement evaluates only the midpoints
-each pass inserts, and the Liang-Barsky clip tests every segment of a curve
+each pass inserts, and the Liang-Barsky clip tests every segment of the scene
 at once with the same arithmetic and comparison order as a per-segment loop.
+Refinement stops where a segment's image cannot reach the viewport: the
+kernel's ``hp_bound`` bounds the speed of ``f`` along each curve, so such a
+segment and every chord that refining it would draw lie outside the viewport,
+and the output is the same as refining everywhere.  An auto-fitted viewport
+comes from one unrefined pass, whose samples refinement then starts from.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ GAP_DENOM = 200
 MAX_REFINE_PASSES = 12
 #: hard cap on points per curve (safety valve for pathological distortion)
 MAX_CURVE_POINTS = 40_000
+#: relative slack of the viewport reach test, far above the rounding of ``f``
+_REACH_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,17 +114,43 @@ def _eval_curve(f: HarmonicMapping, z: np.ndarray, tag: str) -> np.ndarray:
         raise DomainError(f"rendering {tag}: {exc} (parameter point {worst})") from exc
 
 
+def _may_reach(wa, wb, dt, centres, hw: float, speed: float) -> np.ndarray:
+    """Whether the arcs from ``wa`` to ``wb`` may meet a square viewport.
+
+    An arc whose parameter span is ``dt`` and whose speed is at most
+    ``speed`` lies in the lens ``disk(wa, speed dt) & disk(wb, speed dt)``.
+    That lens misses the square of half-width ``hw`` about ``c`` when either
+    end image lies farther than ``hw + speed dt`` from ``c`` in Chebyshev
+    distance; it is convex, so every chord drawn inside the arc's span misses
+    it too.  The reach carries a relative slack far above rounding.
+    """
+    near = np.zeros(dt.shape, dtype=bool)
+    for c in centres:
+        reach = (1.0 + _REACH_SLACK) * (hw + speed * dt) + _REACH_SLACK * abs(c)
+        near |= ((np.abs(wa.real - c.real) <= reach) & (np.abs(wa.imag - c.imag) <= reach)
+                 & (np.abs(wb.real - c.real) <= reach) & (np.abs(wb.imag - c.imag) <= reach))
+    return near
+
+
 def _refine_params(f: HarmonicMapping, z_of_t, t: np.ndarray, tag: str,
-                   max_gap: float | None) -> tuple[np.ndarray, np.ndarray]:
+                   max_gap: float | None, reach=None,
+                   w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Insert parameter midpoints until image gaps fall below ``max_gap``.
 
-    Returns ``(t, f(z_of_t(t)))``; each pass evaluates only its new midpoints.
+    ``w`` holds the images of ``t`` where they are known already.  With
+    ``reach = (centres, hw, speed)`` a segment is split only while its arc
+    may meet the square of half-width ``hw`` about one of ``centres`` (see
+    :func:`_may_reach`); ``speed`` bounds ``|d f(z_of_t(t))/dt|``.  Returns
+    ``(t, f(z_of_t(t)))``; each pass evaluates only its new midpoints.
     """
-    w = _eval_curve(f, z_of_t(t), tag)
+    if w is None:
+        w = _eval_curve(f, z_of_t(t), tag)
     if max_gap is None:
         return t, w
     for _ in range(MAX_REFINE_PASSES):
         wide = np.nonzero(np.abs(np.diff(w)) > max_gap)[0]
+        if reach is not None:
+            wide = wide[_may_reach(w[wide], w[wide + 1], t[wide + 1] - t[wide], *reach)]
         if wide.size == 0 or t.size + wide.size > MAX_CURVE_POINTS:
             break
         mid = 0.5 * (t[wide] + t[wide + 1])
@@ -132,67 +165,81 @@ class _Curve:
     color: str
     width_scale: float  # multiplies the resolved stroke width
     points: np.ndarray  # complex image points
+    samples: tuple | None = None  # ``(t, w)`` sampled; None for a reflected copy
 
 
-def _circle_points(f: HarmonicMapping, rho: float, n0: int, tag: str,
-                   max_gap: float | None, mirror: bool) -> np.ndarray:
-    def z_of_t(t):
-        return rho * np.exp(1j * t)
+def _scene_curves(f: HarmonicMapping, spec: SceneSpec, max_gap: float | None,
+                  view: tuple[complex, float] | None = None,
+                  start: list[_Curve] | None = None) -> list[_Curve]:
+    """The images of the scene's rays and circles, in drawing order.
 
-    if mirror:
-        # sample the upper half-circle and reflect: the emitted point set is
-        # then exactly invariant under y -> -y for symmetric mappings
-        theta = np.linspace(0.0, math.pi, max(n0 // 2 + 1, 65))
-        theta, upper = _refine_params(f, z_of_t, theta, tag, max_gap)
-        lower = np.conjugate(z_of_t(theta)[-2:0:-1])
-        return np.concatenate([upper, _eval_curve(f, lower, tag), upper[:1]])
-    theta = np.linspace(0.0, 2.0 * math.pi, max(n0, 129) + 1)
-    _, w = _refine_params(f, z_of_t, theta, tag, max_gap)
-    w[-1] = w[0]  # close the curve on the image of theta = 0 itself
-    return w
-
-
-def _ray_points(f: HarmonicMapping, angle: float, r: float, n0: int, tag: str,
-                max_gap: float | None) -> np.ndarray:
-    t = np.linspace(0.0, r, max(n0, 129))
-    direction = complex(math.cos(angle), math.sin(angle))
-    return _refine_params(f, lambda s: s * direction, t, tag, max_gap)[1]
-
-
-def _scene_curves(f: HarmonicMapping, spec: SceneSpec,
-                  max_gap: float | None) -> list[_Curve]:
+    With ``max_gap`` every curve is refined, and with ``view = (center, hw)``
+    only where it may reach that viewport.  For a conjugate-symmetric ``f``
+    the lower halves of circles and rays are reflected upper halves, so a
+    segment is refined where it may reach the viewport or its reflection.
+    ``start`` is an unrefined sampling of the same spec; refinement then
+    starts from its samples instead of evaluating them again.
+    """
     mirror = is_conjugate_symmetric(f)
     n0 = spec.samples_per_curve
+    given = {c.tag: c.samples for c in start or ()}
+
+    def reach(rho: float, dz: float):
+        """``_refine_params``'s reach for a curve in ``|z| <= rho`` with ``|z'| = dz``."""
+        if view is None:
+            return None
+        c, hw = view
+        speed = dz * f.kernel.hp_bound(rho) * (1.0 + abs(f.zeta) * rho**f.n)
+        return ({c, c.conjugate()} if mirror else {c}), hw, speed
+
     curves: list[_Curve] = []
     half = spec.rays // 2
+    ray_reach = reach(spec.radius, 1.0)
     for k in range(spec.rays):
         tag = f"ray-{k}"
         if mirror and k > half:
             # mirror of an already-sampled ray: reuse its reflected points
             src = next(c for c in curves if c.tag == f"ray-{spec.rays - k}")
-            pts = np.conjugate(src.points)
-        else:
-            pts = _ray_points(f, 2.0 * math.pi * k / spec.rays, spec.radius,
-                              n0, tag, max_gap)
-        curves.append(_Curve(tag, spec.grid_color, 1.0, pts))
+            curves.append(_Curve(tag, spec.grid_color, 1.0, np.conjugate(src.points)))
+            continue
+        angle = 2.0 * math.pi * k / spec.rays
+        direction = complex(math.cos(angle), math.sin(angle))
+        t, w = given.get(tag, (np.linspace(0.0, spec.radius, max(n0, 129)), None))
+        t, w = _refine_params(f, lambda s: s * direction, t, tag, max_gap, ray_reach, w)
+        curves.append(_Curve(tag, spec.grid_color, 1.0, w, (t, w)))
     for j in range(1, spec.circles + 1):
         rho = spec.radius * j / spec.circles
         boundary = j == spec.circles
         tag = "boundary" if boundary else f"circle-{j}"
-        pts = _circle_points(f, rho, n0, tag, max_gap, mirror)
+
+        def z_of_t(t):
+            return rho * np.exp(1j * t)
+
+        # a mirrored circle samples its upper half and reflects it: the
+        # emitted point set is then exactly invariant under y -> -y
+        theta = (np.linspace(0.0, math.pi, max(n0 // 2 + 1, 65)) if mirror
+                 else np.linspace(0.0, 2.0 * math.pi, max(n0, 129) + 1))
+        theta, w = given.get(tag, (theta, None))
+        theta, w = _refine_params(f, z_of_t, theta, tag, max_gap, reach(rho, rho), w)
+        if mirror:
+            lower = np.conjugate(z_of_t(theta)[-2:0:-1])
+            pts = np.concatenate([w, _eval_curve(f, lower, tag), w[:1]])
+        else:
+            # close the curve on the image of theta = 0 itself
+            pts = np.concatenate([w[:-1], w[:1]])
         curves.append(_Curve(tag, spec.boundary_color if boundary else spec.grid_color,
-                             1.8 if boundary else 1.0, pts))
+                             1.8 if boundary else 1.0, pts, (theta, w)))
     return curves
 
 
 # -- viewport and clipping ----------------------------------------------------
 
 
-def _resolve_viewport(spec: SceneSpec, sample) -> tuple[complex, float]:
-    """The spec's viewport, fitted to the curves ``sample()`` returns where unset."""
+def _resolve_viewport(spec: SceneSpec, curves) -> tuple[complex, float]:
+    """The spec's viewport, fitted to the points of ``curves`` where unset."""
     if spec.center is not None and spec.half_width is not None:
         return complex(spec.center), float(spec.half_width)
-    allpts = np.concatenate([c.points for c in sample()])
+    allpts = np.concatenate([c.points for c in curves])
     xs, ys = allpts.real, allpts.imag
     cx = 0.5 * (xs.min() + xs.max())
     cy = 0.5 * (ys.min() + ys.max())
@@ -203,14 +250,16 @@ def _resolve_viewport(spec: SceneSpec, sample) -> tuple[complex, float]:
     return center, half
 
 
-def _clip_polyline(points: np.ndarray, center: complex,
-                   hw: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a polyline into maximal runs ``(xs, ys)`` inside the square viewport.
+def _clip_polyline(points: np.ndarray, center: complex, hw: float,
+                   cut=None) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Split a polyline into maximal runs inside the square viewport.
 
     Liang-Barsky clipping of every segment at once: the four ``(p, q)`` steps
     run in order with strict updates of the parametric span ``[t0, t1]``, and
     endpoint floats are reused verbatim at ``t0 == 0``/``t1 == 1`` so that
-    adjacent segments chain into one run.
+    adjacent segments chain into one run.  The segments indexed by ``cut``
+    are dropped wherever they lie (the joins of curves clipped together).
+    Each run is ``(first, xs, ys)``, ``first`` the index of its first segment.
     """
     xs, ys = points.real, points.imag
     x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
@@ -229,6 +278,8 @@ def _clip_polyline(points: np.ndarray, center: complex,
             out |= (flat & (q < 0.0)) | (enter & (t > t1)) | (leave & (t < t0))
             t0 = np.where(enter & (t > t0), t, t0)
             t1 = np.where(leave & (t < t1), t, t1)
+        if cut is not None:
+            out[cut] = True
         ax = np.where(t0 == 0.0, x0, x0 + t0 * dx)
         ay = np.where(t0 == 0.0, y0, y0 + t0 * dy)
         bx = np.where(t1 == 1.0, x1, x0 + t1 * dx)
@@ -247,7 +298,8 @@ def _clip_polyline(points: np.ndarray, center: complex,
     rx[slot], ry[slot] = bx[kept], by[kept]
     rx[first], ry[first] = ax[kept[starts]], ay[kept[starts]]
     bounds = first.tolist() + [rx.size]
-    return [(rx[a:b], ry[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [(s, rx[a:b], ry[a:b])
+            for s, a, b in zip(kept[starts].tolist(), bounds, bounds[1:])]
 
 
 # -- document assembly --------------------------------------------------------
@@ -280,12 +332,15 @@ def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex,
         '<g transform="scale(1,-1)" fill="none" stroke-linecap="round" '
         'stroke-linejoin="round">',
     ]
-    for c in curves:
-        for xs, ys in _clip_polyline(c.points, center, hw):
-            lines.append(
-                f'<polyline class="{c.tag}" stroke="{c.color}" '
-                f'stroke-width="{_fmt(stroke * c.width_scale)}" '
-                f'points="{_points_attr(xs, ys)}"/>')
+    # one clip for the whole scene; each run is drawn with its curve's style
+    ends = np.cumsum([c.points.size for c in curves])
+    runs = _clip_polyline(np.concatenate([c.points for c in curves]), center, hw,
+                          cut=ends[:-1] - 1)
+    owner = np.searchsorted(ends, [s for s, _, _ in runs], side="right")
+    heads = [f'<polyline class="{c.tag}" stroke="{c.color}" '
+             f'stroke-width="{_fmt(stroke * c.width_scale)}" points="' for c in curves]
+    lines += [heads[k] + _points_attr(xs, ys) + '"/>'
+              for k, (_, xs, ys) in zip(owner.tolist(), runs)]
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -297,12 +352,16 @@ def render_image_domain(spec: SceneSpec, f: HarmonicMapping) -> str:
     Draws the images of ``circles`` concentric circles (the outermost stroked
     distinctly as the near-boundary curve) and ``rays`` radial segments,
     adaptively refined until consecutive points are closer than 1/200 of the
-    viewport width, clipped to the viewport.  An automatic viewport is fitted
-    to one unrefined sampling pass first; a spec with both ``center`` and
-    ``half_width`` skips that pass.
+    viewport width wherever their image can reach the viewport, clipped to
+    the viewport.  An automatic viewport is fitted to one unrefined sampling
+    pass first, and refinement starts from its samples; a spec with both
+    ``center`` and ``half_width`` skips that pass.
     """
-    center, hw = _resolve_viewport(spec, lambda: _scene_curves(f, spec, max_gap=None))
-    curves = _scene_curves(f, spec, max_gap=2.0 * hw / GAP_DENOM)
+    fixed = spec.center is not None and spec.half_width is not None
+    start = None if fixed else _scene_curves(f, spec, max_gap=None)
+    center, hw = _resolve_viewport(spec, start)
+    curves = _scene_curves(f, spec, max_gap=2.0 * hw / GAP_DENOM, view=(center, hw),
+                           start=start)
     return _assemble(spec, curves, center, hw)
 
 
@@ -326,5 +385,5 @@ def render_boundary_curve(f: HarmonicMapping, r: float, M: int = 1024,
                      samples_per_curve=max(int(M), 128),
                      center=None if viewport is None else complex(viewport[0]),
                      half_width=None if viewport is None else float(viewport[1]))
-    center, hw = _resolve_viewport(spec, lambda: [curve])
+    center, hw = _resolve_viewport(spec, [curve])
     return _assemble(spec, [curve], center, hw)

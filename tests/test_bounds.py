@@ -6,6 +6,7 @@ and exact polar integration of monomial Jacobians.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,3 +351,32 @@ def test_default_lattice_is_admissible():
     for p in pts:
         assert 0.0 <= p.alpha < 1.0
         assert abs(p.zeta) <= p.zeta_cap + 1e-12
+
+
+def test_area_series_memory_is_bounded():
+    # 2^22 terms, made and summed in chunks: the whole-array sum held several
+    # 32 MB temporaries at once
+    f = family_from_spec("counterexample:gamma=5/4")
+    tracemalloc.start()
+    try:
+        _, route, terms = area_route(f, 1.0 - 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (route, terms) == ("series", 1 << 22)
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("family", ["extremal:alpha=0.5,zeta=0,n=1",
+                                    "extremal:alpha=0,zeta=0.3,n=2"])
+@pytest.mark.parametrize("r", [0.99, 0.999])
+def test_area_series_chunks_sum_like_whole_arrays(monkeypatch, family, r):
+    # chunked terms, the running product carried and the chunk sums added
+    # halves first, equal one whole-array cumprod and np.sum bit for bit
+    # (numpy sums blocks of up to 128 items directly, so chunks must be larger)
+    f = family_from_spec(family)
+    monkeypatch.setattr(bounds, "_SERIES_CHUNK", 256)
+    value, _, N = area_route(f, r)
+    assert N >= 1024
+    c = _binomial_moduli(f.kernel.q, N)
+    assert value == float(np.sum(_parseval_terms(c, r, abs(f.zeta) ** 2, f.n)))

@@ -1,6 +1,8 @@
 """End-to-end command-line checks: exit codes, JSON schemas, file output."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -69,6 +71,27 @@ def test_eval_unknown_family_usage_error():
 def test_eval_missing_required_flag():
     res = run_cli("eval", "--family", "identity")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "identity", "--z", "0.5,0"),
+    ("univalence", "--family", "identity", "--cells", "16"),
+    ("render", "--family", "identity", "--preset", "boundary"),
+])
+def test_tol_is_rejected_where_nothing_reads_it(argv):
+    res = run_cli(*argv, "--tol", "1e-3")
+    assert res.returncode == 2
+    assert "--tol" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--family", "identity"),
+    ("verify-bounds",),
+    ("counterexample", "--gamma", "5/4"),
+    ("area", "--family", "identity", "--r", "0.5"),
+])
+def test_tol_is_kept_where_it_is_read(argv):
+    assert cli.build_parser().parse_args([*argv, "--tol", "1e-3"]).tol == 1e-3
 
 
 # -- check --------------------------------------------------------------------
@@ -275,6 +298,22 @@ def test_render_zoom_centers_on_collision(tmp_path):
     assert manifest["scene"]["center"][0] == pytest.approx(
         1.1617533476418234, abs=1e-9)
     assert manifest["scene"]["center"][1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_render_json_stdout_is_the_document_alone():
+    # a caller that reads stdout as one JSON document (the benchmark takes its
+    # last line as its result) must find nothing else there
+    argv = ("render", "--family", "counterexample:gamma=5/4", "--preset", "zoom",
+            "--half-width", "0.08", "--json")
+    res = run_cli(*argv)
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads(res.stdout)
+    assert res.stdout == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    # in process, the same bytes go to the sys.stdout of the call
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(list(argv)) == 0
+    assert buf.getvalue() == res.stdout
 
 
 def test_render_zoom_needs_collision_family():

@@ -1,7 +1,8 @@
 """Exact identities of the built-in families, checked on random inputs.
 
 Guards the fused ``eval_all`` path against the separate ``h``/``g``
-evaluators (bit for bit) and the closed forms against the Taylor arrays.
+evaluators (bit for bit), the closed forms against the Taylor arrays, and
+each kernel's ``hp_bound`` against sampled ``|h'|``.
 """
 
 import cmath
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 from harmap.mappings import (
     ClassParams,
     ExtremalSpec,
+    HarmonicMapping,
+    PolyKernel,
+    PowerKernel,
     make_bshouty_lyzzaik,
     make_counterexample,
     make_extremal,
@@ -138,3 +142,31 @@ def test_horner_matches_closed_forms(f, z):
     for got, want in ((th(z), f.h.value(z)), (tg(z), f.g.value(z)),
                       (th.derive()(z), f.h.deriv(z)), (tg.derive()(z), f.g.deriv(z))):
         assert abs(complex(got) - complex(want)) <= 1e-12 * max(1.0, abs(complex(want)))
+
+
+@st.composite
+def kernels(draw):
+    """A power kernel ``(1 - delta z)**q`` or a polynomial ``h'`` with complex coefficients."""
+    if draw(st.booleans()):
+        delta = cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        return PowerKernel(draw(st.floats(-3.0, 3.0)), delta)
+    coeffs = [complex(draw(unit), draw(unit)) for _ in range(draw(st.integers(1, 7)))]
+    return PolyKernel(PowerSeries(coeffs))
+
+
+@SETTINGS
+@given(kernel=kernels(), rho=st.floats(0.0, 0.999))
+def test_hp_bound_dominates_h_prime(kernel, rho):
+    # sampled on |z| = rho (enough, by the maximum principle), including the
+    # points where a power kernel attains the bound
+    f = HarmonicMapping(kernel, 0.0, 1, order=8)
+    z = rho * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 512))
+    if isinstance(kernel, PowerKernel):
+        z = np.append(z, [rho / kernel.delta, -rho / kernel.delta])
+    hp = np.abs(f.h.deriv(z))
+    assert np.max(hp) <= kernel.hp_bound(rho) * (1.0 + 1e-12)
+
+
+def test_hp_bound_is_infinite_once_the_branch_point_is_inside():
+    assert PowerKernel(-2.0, 1.0).hp_bound(1.0) == np.inf
+    assert PowerKernel(0.25, -1.0).hp_bound(1.0) == 2.0**0.25

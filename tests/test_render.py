@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import harmap.render as render
 from harmap.errors import ParameterError
-from harmap.mappings import make_bshouty_lyzzaik, make_counterexample, make_identity
+from harmap.mappings import (
+    family_from_spec,
+    make_bshouty_lyzzaik,
+    make_counterexample,
+    make_identity,
+)
 from harmap.render import (
     MAX_CURVE_POINTS,
     SceneSpec,
@@ -21,6 +26,7 @@ from harmap.render import (
     render_image_domain,
     zoom_scene,
 )
+from harmap.univalence import CollisionSearchParams, find_symmetric_collision
 
 SCENE_RE = re.compile(r"<!-- scene: (.*?) -->")
 POINTS_RE = re.compile(r'points="([^"]*)"')
@@ -276,8 +282,22 @@ def test_vectorised_clip_matches_per_segment_reference(case):
     with np.errstate(over="ignore"):  # q / p on numpy scalars may overflow
         want = _clip_polyline_reference(pts, center, hw)
     got = [list(zip(xs.tolist(), ys.tolist()))
-           for xs, ys in render._clip_polyline(pts, center, hw)]
+           for _, xs, ys in render._clip_polyline(pts, center, hw)]
     assert _hex_runs(got) == _hex_runs(want)
+
+
+def test_scene_clip_matches_clipping_each_curve():
+    # the scene is clipped in one pass; the joins between consecutive curves
+    # (inner circles end and start inside this viewport) must not be drawn
+    f = make_counterexample(1.25)
+    center, hw = 0.1 + 0.0j, 0.5
+    spec = zoom_scene(f.label, center=center, half_width=hw)
+    curves = render._scene_curves(f, spec, max_gap=None)
+    want = [(c.tag, render._points_attr(xs, ys)) for c in curves
+            for _, xs, ys in render._clip_polyline(c.points, center, hw)]
+    svg = render._assemble(spec, curves, center, hw)
+    assert re.findall(r'class="([^"]+)"[^>]*points="([^"]*)"', svg) == want
+    assert len({tag for tag, _ in want}) == len(curves)
 
 
 def test_points_attr_formats_like_fmt():
@@ -343,3 +363,57 @@ def test_fixed_viewport_samples_the_scene_once(monkeypatch):
     render_image_domain(overview_scene("identity", radius=0.9), f)
     # an auto-fit viewport needs the unrefined pass first
     assert len(calls) == 2 and calls[0] is None
+
+
+# -- viewport pruning ----------------------------------------------------------
+
+
+def _collision_center(gamma):
+    f = make_counterexample(gamma)
+    col = find_symmetric_collision(CollisionSearchParams(gamma))
+    return complex(complex(f(col.z1)).real, 0.0)
+
+
+#: zooms whose pruned refinement must draw what refining everywhere draws:
+#: the criterion-10 collision zoom, then off-axis ones; the lower-half zoom
+#: on a mirrored family draws only reflected points
+PRUNED_ZOOMS = [
+    ("counterexample:gamma=5/4", None, 0.05),
+    ("counterexample:gamma=5/4", -0.404 - 0.950j, 0.1),
+    ("bl:lam=0.4", 0.7 - 0.09j, 0.1),
+    ("extremal:alpha=0,zeta=0.3,n=2", -0.46 - 1.0j, 0.05),
+    ("extremal:alpha=0.25,zeta=0.2+0.2j,n=1", -0.29 - 0.9j, 0.05),
+]
+
+
+@pytest.mark.parametrize("family,center,hw", PRUNED_ZOOMS)
+def test_pruned_zoom_matches_refining_everywhere(family, center, hw):
+    f = family_from_spec(family)
+    if center is None:
+        center = _collision_center(1.25)
+    spec = zoom_scene(f.label, center=center, half_width=hw)
+    max_gap = 2.0 * hw / render.GAP_DENOM
+    pruned = render._scene_curves(f, spec, max_gap=max_gap, view=(center, hw))
+    full = render._scene_curves(f, spec, max_gap=max_gap)
+    svg = render_image_domain(spec, f)
+    assert svg == render._assemble(spec, pruned, center, hw)
+    assert svg == render._assemble(spec, full, center, hw)
+    # the zoom draws something, and pruning skipped some of the refinement
+    assert len(all_points(svg)) > 100
+    sizes = [sum(c.points.size for c in cs) for cs in (pruned, full)]
+    assert sizes[0] < sizes[1]
+
+
+@pytest.mark.parametrize("family,center,hw", PRUNED_ZOOMS)
+def test_pruned_zoom_gaps_within_max_gap(family, center, hw):
+    f = family_from_spec(family)
+    if center is None:
+        center = _collision_center(1.25)
+    svg = render_image_domain(zoom_scene(f.label, center=center, half_width=hw), f)
+    max_gap = 2.0 * hw / render.GAP_DENOM
+    worst = 0.0
+    for chunk in POINTS_RE.findall(svg):
+        pts = np.array([complex(*map(float, p.split(","))) for p in chunk.split()])
+        worst = max(worst, float(np.max(np.abs(np.diff(pts)))))
+    # the points are printed to 9 significant digits
+    assert worst <= max_gap + 1e-8
