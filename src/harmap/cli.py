@@ -37,6 +37,7 @@ from .mappings import (
     PolyKernel,
     family_from_spec,
     make_extremal,
+    parse_family_spec,
     parse_scalar,
 )
 from .render import SceneSpec, overview_scene, render_boundary_curve, render_image_domain, zoom_scene
@@ -236,10 +237,10 @@ def cmd_area(args) -> int:
     return _emit(args, payload, lines, code)
 
 
-def _zoom_center(f) -> complex:
-    if f.label.startswith("counterexample:"):
-        gamma = float(f.label.split("=", 1)[1])
-        col = find_symmetric_collision(CollisionSearchParams(gamma=gamma))
+def _zoom_center(spec: str, f) -> complex:
+    name, kv, _ = parse_family_spec(spec)
+    if name == "counterexample":
+        col = find_symmetric_collision(CollisionSearchParams(gamma=parse_scalar(kv["gamma"]).real))
         return complex(complex(f(col.z1)).real, 0.0)
     raise ParameterError(
         "the zoom preset needs --center unless the family is a counterexample")
@@ -260,7 +261,7 @@ def cmd_render(args) -> int:
     else:
         if args.preset == "zoom":
             if center is None:
-                center = _zoom_center(f)
+                center = _zoom_center(args.family, f)
             spec = zoom_scene(f.label, center, radius=args.r,
                               half_width=0.05 if args.half_width is None else args.half_width)
         elif args.preset == "overview":
@@ -419,10 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HarmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (HarmapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,9 @@ Built-in families:
 * ``from-h`` -- a normalized polynomial analytic part sheared by
   ``g' = zeta * z^n * h'``.
 
-All evaluators accept complex scalars or numpy arrays.
+All evaluators accept complex scalars or numpy arrays.  Right-hand operands
+of complex multiplies are named arrays: numpy may swap ``a * <temporary>`` on
+long arrays, and a value must not depend on the array length.
 """
 
 from __future__ import annotations
@@ -126,11 +128,13 @@ class PowerKernel:
                 h = (1.0 - E) * h_weight
                 if near is not None:
                     D = near_primitive(L)
-            g = K - E * p(z)
+            Ep = p(z)
+            Ep = E * Ep  # rebinding frees p(z) at once
+            g = K - Ep
             return h, g if near is None else g + weight[near] * D
 
         def evaluate(z, value, derivs):
-            L = np.log(1.0 - z if delta == 1 else 1.0 - delta * z)
+            L = self._log_u(z)
             h, g = primitives(z, L) if value else (None, None)
             return h, g, np.exp(q * L) if derivs else None
 
@@ -145,10 +149,15 @@ class PowerKernel:
             return (1.0 + d) ** self.q
         return (1.0 - d) ** self.q if d < 1.0 else math.inf
 
-    def deriv2(self, z):
-        """``h''(z) = -q delta (1 - delta z)**(q - 1)``."""
-        q, delta = self.q, self.delta
-        return -q * delta * np.exp((q - 1.0) * np.log(1.0 - delta * z))
+    def _log_u(self, z):
+        """``L = log(1 - delta z)``, the one logarithm every value shares."""
+        return np.log(1.0 - z if self.delta == 1 else 1.0 - self.delta * z)
+
+    def derivs(self, z):
+        """``(h', h'')`` from one ``L``: ``exp(q L)`` and ``-q delta exp((q-1) L)``."""
+        q, L = self.q, self._log_u(z)
+        e = np.exp((q - 1.0) * L)
+        return np.exp(q * L), -q * self.delta * e
 
 
 class PolyKernel:
@@ -176,8 +185,8 @@ class PolyKernel:
         """Bound ``sum |c_j| rho^j`` on ``max |h'|`` over ``|z| <= rho``."""
         return float(np.polynomial.polynomial.polyval(rho, np.abs(self.hp.coeffs)))
 
-    def deriv2(self, z):
-        return self.hpp(z)
+    def derivs(self, z):
+        return self.hp(z), self.hpp(z)
 
 
 class HarmonicMapping:
@@ -200,7 +209,7 @@ class HarmonicMapping:
         self._evaluate = kernel.evaluator(self)
         self.h = AnalyticFunction(lambda z: self._parts(z)[0],
                                   lambda z: self._eval(z, False, True)[1],
-                                  kernel.deriv2)
+                                  lambda z: self.derivs(z)[1])
         self.g = AnalyticFunction(lambda z: self._parts(z)[1],
                                   lambda z: self._eval(z, False, True)[2],
                                   self._g_deriv2)
@@ -218,16 +227,19 @@ class HarmonicMapping:
     def _eval(self, z, value: bool, derivs: bool):
         _check_disk(z)
         h, g, hp = self._evaluate(z, value, derivs)
-        # numpy's complex array multiply is not commutative bit for bit; this
-        # operand order matches the reference ``zeta * z**n * h'`` of the
-        # class checks, so their dilatation residual is exactly zero
+        # ``(zeta z^n) h'`` in the class checks' operand order: their residual is 0
         return (h + np.conjugate(g) if value else None, hp,
                 self._omega(z) * hp if derivs else None)
 
+    def derivs(self, z):
+        """``(h'(z), h''(z))`` from one kernel evaluation, disk bound checked."""
+        _check_disk(z)
+        return self.kernel.derivs(z)
+
     def _g_deriv2(self, z):
-        hp = self._eval(z, False, True)[1]
-        n = self.n
-        return self.zeta * (n * z ** (n - 1) * hp + z**n * self.kernel.deriv2(z))
+        hp, hpp = self.derivs(z)
+        s = self.n * z ** (self.n - 1) * hp + z**self.n * hpp
+        return self.zeta * s
 
     def __call__(self, z):
         return self._eval(z, True, False)[0]
@@ -446,6 +458,28 @@ def _load_coeff_file(path: str):
     return PowerSeries(coeffs), zeta, int(n)
 
 
+def parse_family_spec(spec: str) -> tuple[str, dict, list]:
+    """``(name, {key: text}, positional)``, keys under their spelled-out names."""
+    if not isinstance(spec, str) or not spec.strip():
+        raise ParameterError("empty family specification")
+    name, _, rest = spec.strip().partition(":")
+    name = name.strip().lower()
+    raw, positional = {}, []
+    for token in rest.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if "=" in token:
+            key, _, value = token.partition("=")
+            key = key.strip()
+            if key not in _KEY_ALIASES:
+                raise ParameterError(f"unknown family parameter {key!r} in {spec!r}")
+            raw[_KEY_ALIASES[key]] = value.strip()
+        else:
+            positional.append(token)
+    return name, raw, positional
+
+
 def family_from_spec(spec: str, order: int = DEFAULT_ORDER) -> HarmonicMapping:
     """Build a mapping from a ``name:key=value,...`` family description.
 
@@ -453,26 +487,7 @@ def family_from_spec(spec: str, order: int = DEFAULT_ORDER) -> HarmonicMapping:
     accept decimals, fractions (``5/4``) and complex literals (``0.5+0.5j``).
     The ``from-h`` family takes a JSON coefficient file as its first argument.
     """
-    if not isinstance(spec, str) or not spec.strip():
-        raise ParameterError("empty family specification")
-    name, _, rest = spec.strip().partition(":")
-    name = name.strip().lower()
-    raw: dict[str, str] = {}
-    positional: list[str] = []
-    if rest:
-        for token in rest.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" in token:
-                key, _, value = token.partition("=")
-                key = key.strip()
-                if key not in _KEY_ALIASES:
-                    raise ParameterError(f"unknown family parameter {key!r} in {spec!r}")
-                raw[_KEY_ALIASES[key]] = value.strip()
-            else:
-                positional.append(token)
-
+    name, raw, positional = parse_family_spec(spec)
     if "order" in raw:
         order = int(_real_scalar(raw["order"], "order"))
 

@@ -6,6 +6,7 @@ Both endpoints are used below as analytic oracles: the infimum diverges to
 -infinity as r -> 1, the supremum tends to (1+gamma)/2.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -27,12 +28,16 @@ from harmap.errors import AdmissibilityError, ParameterError
 from harmap.mappings import (
     ClassParams,
     ExtremalSpec,
+    HarmonicMapping,
     PBetaParams,
+    PowerKernel,
     make_bshouty_lyzzaik,
     make_counterexample,
     make_extremal,
+    make_from_h,
     make_identity,
 )
+from harmap.series import PowerSeries
 
 
 # -- curvature and its extrema ------------------------------------------------
@@ -88,6 +93,63 @@ def test_conjugate_grid_symmetry_of_argmin():
     rep = curvature_extrema(f)
     z = rep.argmin_z
     assert abs(curvature(f, z).real - curvature(f, np.conj(z)).real) < 1e-12
+
+
+def _same(a, b) -> bool:
+    return repr(float(a)) == repr(float(b))
+
+
+def _assert_band_matches_views(report, f, bound, upper, zeta, n, tol=1e-8):
+    """``report`` against a reference built from the per-view evaluators."""
+    z = DiskGrid.default().points()
+    hp, hpp, gp = f.h.deriv(z), f.h.deriv2(z), f.g.deriv(z)
+    curv = np.real(1.0 + z * hpp / hp)
+    res = np.abs(gp - zeta * z**n * hp)
+    i = int(np.argmax(curv) if upper else np.argmin(curv))
+    k = int(np.argmax(res))
+    margin_curv = bound - curv[i] if upper else curv[i] - bound
+    margin_resid = tol - res[k]
+    d = report.details
+    assert _same(d["curvature_sup" if upper else "curvature_inf"], curv[i])
+    assert _same(d["curvature_margin"], margin_curv)
+    assert _same(d["dilatation_residual"], res[k])
+    assert _same(d["residual_margin"], margin_resid)
+    wz, wv, margin = ((z[i], curv[i], margin_curv) if margin_curv <= margin_resid
+                      else (z[k], res[k], margin_resid))
+    assert _same(report.margin, margin)
+    assert _same(report.witness["value"], wv)
+    assert all(map(_same, report.witness["z"], (wz.real, wz.imag)))
+    rep = curvature_extrema(f)
+    got = (rep.sup_est, rep.argmax_z) if upper else (rep.inf_est, rep.argmin_z)
+    assert _same(got[0], curv[i]) and got[1] == z[i]
+
+
+_BAND_CASES = [
+    (make_counterexample(1.25), -0.5, 1.0, 1),
+    (make_extremal(ExtremalSpec(ClassParams(0.5, 0.5, 1))), 0.5, 0.5, 1),
+    (make_extremal(ExtremalSpec(ClassParams(0.2, 0.3 - 0.1j, 2))), 0.2, 0.3 - 0.1j, 2),
+    (make_extremal(ExtremalSpec(ClassParams(-0.25, 0.15j, 3), -1.0)), -0.25, 0.15j, 3),
+    (make_extremal(ExtremalSpec(ClassParams(0.3, 0.25 + 0.2j, 1), cmath.exp(0.7j))),
+     0.3, 0.25 + 0.2j, 1),
+    (HarmonicMapping(PowerKernel(-0.6, cmath.exp(2.1j)), 0.2 - 0.15j, 2, "power"),
+     -0.5, 0.2 - 0.15j, 2),
+    (make_bshouty_lyzzaik(0.3), -0.5, 1.0, 1),
+    (make_from_h(PowerSeries([0.0, 1.0, 0.2 - 0.1j, 0.05j]), 0.2 + 0.2j, 2),
+     -0.5, 0.2 + 0.2j, 2),
+    (make_identity(), 0.5, 0.0, 1),
+]
+
+
+@pytest.mark.parametrize("f, alpha, zeta, n", _BAND_CASES,
+                         ids=[c[0].label for c in _BAND_CASES])
+def test_band_check_is_bit_identical_to_the_per_view_reference(f, alpha, zeta, n):
+    # the family's own dilatation (residual 0) and a mismatched one, whose
+    # residual is the tighter condition
+    for z_ in (zeta, 0.9 * zeta + 0.03):
+        report = check_membership(f, ClassParams(alpha, z_, n))
+        _assert_band_matches_views(report, f, alpha, False, z_, n)
+    report = check_pbeta(f, PBetaParams(1.4))
+    _assert_band_matches_views(report, f, 1.4, True, 1.0, 1)
 
 
 def test_disk_grid_validation():

@@ -11,6 +11,8 @@ import pytest
 
 from conftest import run_cli, validate_payload
 from harmap import cli
+from harmap.mappings import make_counterexample
+from harmap.univalence import CollisionSearchParams, find_symmetric_collision
 
 
 # -- eval ---------------------------------------------------------------------
@@ -298,6 +300,22 @@ def test_render_zoom_centers_on_collision(tmp_path):
     assert manifest["scene"]["center"][0] == pytest.approx(
         1.1617533476418234, abs=1e-9)
     assert manifest["scene"]["center"][1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_render_zoom_centres_on_the_collision_of_the_given_gamma(tmp_path):
+    # the label prints gamma to 6 digits (1.23457); the centre must use the
+    # gamma the family was built from, whose collision image is 9e-9 away
+    gamma = 1.23456789
+    col = find_symmetric_collision(CollisionSearchParams(gamma=gamma))
+    want = complex(make_counterexample(gamma)(col.z1)).real
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["render", "--family", f"counterexample:gamma={gamma}",
+                         "--preset", "zoom", "--out", str(tmp_path / "z.svg"),
+                         "--json"]) == 0
+    center = json.loads(buf.getvalue())["scene"]["center"]
+    assert abs(center[0] - want) <= 1e-12
+    assert center[1] == 0.0
 
 
 def test_render_json_stdout_is_the_document_alone():

@@ -1,7 +1,8 @@
 """Exact identities of the built-in families, checked on random inputs.
 
-Guards the fused ``eval_all`` path against the separate ``h``/``g``
-evaluators (bit for bit), the closed forms against the Taylor arrays, and
+Guards the fused ``eval_all`` and kernel ``derivs`` paths against the
+separate ``h``/``g`` evaluators (bit for bit), values on long arrays against
+the same values in chunks, the closed forms against the Taylor arrays, and
 each kernel's ``hp_bound`` against sampled ``|h'|``.
 """
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmap.classcheck import curvature
 from harmap.mappings import (
     ClassParams,
     ExtremalSpec,
@@ -99,6 +101,38 @@ def test_eval_all_is_bit_identical_on_large_arrays(f):
     z = 0.999 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
     _assert_eval_all_matches(f, z)
     _assert_eval_all_matches(f, z[:1000])
+
+
+@SETTINGS
+@given(f=mappings(), zs=st.lists(points, min_size=1, max_size=16))
+def test_kernel_derivs_are_bit_identical_to_the_views(f, zs):
+    for z in (zs[0], np.array(zs)):
+        hp, hpp = f.kernel.derivs(z)
+        assert _bits(hp) == _bits(f.h.deriv(z))
+        assert _bits(hpp) == _bits(f.h.deriv2(z))
+
+
+@pytest.mark.parametrize("f", [
+    make_identity(),
+    make_counterexample(1.25),
+    make_bshouty_lyzzaik(0.4),
+    make_extremal(ExtremalSpec(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j))),
+    make_extremal(ExtremalSpec(ClassParams(0.5, 0.5, 1), 1.0)),  # -log u term
+    make_extremal(ExtremalSpec(ClassParams(0.0, 0.15j, 3), -1.0)),
+    make_extremal(ExtremalSpec(ClassParams(-0.5, 0.2 + 0.1j, 1), cmath.exp(2.0j))),
+    make_from_h(PowerSeries([0.0, 1.0, 0.2 - 0.1j, 0.05j]), 0.2 + 0.2j, 2),
+], ids=lambda f: f.label)
+def test_values_do_not_depend_on_array_length(f):
+    # past 16,384 complex values numpy may compute ``a * <temporary>`` as
+    # ``<temporary> * a``, which differs in the last bit
+    rng = np.random.default_rng(11)
+    n, chunk = 24_000, 1000
+    z = 0.999 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    views = {"f": f, "h'": f.h.deriv, "g'": f.g.deriv, "h''": f.h.deriv2,
+             "g''": f.g.deriv2, "curvature": lambda z: curvature(f, z)}
+    for name, fn in views.items():
+        parts = np.concatenate([fn(z[i : i + chunk]) for i in range(0, n, chunk)])
+        assert _bits(fn(z)) == _bits(parts), name
 
 
 @SETTINGS
