@@ -2,9 +2,15 @@
 
 The central quantity is the analytic curvature term ``1 + z h''/h'`` whose
 real part bounds (below by ``alpha``, above by ``beta``) define the two
-mapping classes this package verifies against.  Checks evaluate on polar
-grids that refine toward the boundary, where the extrema live, with one ``h'``
-kernel evaluation per check; no value depends on the array length.
+mapping classes this package verifies against.  Where ``h'`` has no zero that
+real part is harmonic, and the dilatation residual ``|g' - zeta z^n h'|`` is
+the modulus of an analytic function, so both extremes over ``|z| <= r`` lie on
+the circle ``|z| = r`` (the extremum principles; Duren, *Harmonic Mappings in
+the Plane*, 2004).  A check therefore asks the ``h'`` kernel whether it is
+zero-free on the disk (if not, the curvature is unbounded and the check
+fails), samples the one circle at uniform angles with one kernel evaluation,
+and refines each sampled extremum within its bracketing angle step.  No value
+depends on the array length.
 """
 
 from __future__ import annotations
@@ -24,54 +30,47 @@ from .mappings import (
 )
 from .reports import BoundReport, complex_pair
 
-#: largest radius a default grid pushes toward the boundary
+#: radius of the default sample circle, close to the boundary
 DEFAULT_RMAX = 1.0 - 1e-4
 #: derivative magnitudes below this are treated as singular
 _SINGULAR_FLOOR = 1e-300
+#: nested refinement passes; each samples its bracket at 65 points and
+#: narrows it 32-fold around the best one
+_REFINE_PASSES = 3
+_REFINE_OFFSETS = np.arange(-32, 33) / 32.0
+#: a refined extremum replaces the sampled one only when it is more extreme
+#: by more than this, relative to ``max(1, |sampled|)``
+_REFINE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Concentric-circle sample grid: strictly increasing radii in (0, 1)."""
+    """The sample circle ``|z| = radius`` at ``angles_per_circle`` uniform
+    angles; the checks cover the closed disk it bounds."""
 
-    radii: tuple
+    radius: float = DEFAULT_RMAX
     angles_per_circle: int = 512
 
     def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if not radii:
-            raise ParameterError("grid needs at least one radius")
-        if any(not 0.0 < r < 1.0 for r in radii):
-            raise ParameterError("grid radii must lie in (0, 1)")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ParameterError("grid radii must be strictly increasing")
+        radius = float(self.radius)
+        if not 0.0 < radius < 1.0:
+            raise ParameterError("grid radius must lie in (0, 1)")
         if self.angles_per_circle < 8:
             raise ParameterError("grid needs at least 8 angles per circle")
-        object.__setattr__(self, "radii", radii)
-
-    @classmethod
-    def default(cls, r_max: float = DEFAULT_RMAX, angles: int = 512) -> "DiskGrid":
-        """Coarse interior coverage plus geometric refinement toward ``r_max``."""
-        low = np.linspace(0.1, 0.85, 8)
-        high = 1.0 - np.geomspace(0.1, 1.0 - r_max, 16)
-        return cls(tuple(np.concatenate((low, high))), angles)
+        object.__setattr__(self, "radius", radius)
 
     def points(self) -> np.ndarray:
-        """All grid points, flattened in (radius, angle-index) order."""
+        """The sample points, in angle order from angle 0."""
         m = self.angles_per_circle
-        angles = 2.0 * np.pi * np.arange(m) / m
-        return (np.array(self.radii)[:, None] * np.exp(1j * angles)).ravel()
+        return self.radius * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
 
     def to_dict(self) -> dict:
-        return {
-            "radii": [float(r) for r in self.radii],
-            "angles_per_circle": int(self.angles_per_circle),
-        }
+        return {"radii": [self.radius], "angles_per_circle": int(self.angles_per_circle)}
 
 
 @dataclass
 class CurvatureReport:
-    """Grid extrema of ``Re(1 + z h''/h')`` with their witnesses."""
+    """Extrema of ``Re(1 + z h''/h')`` over the grid's disk with their witnesses."""
 
     inf_est: float
     sup_est: float
@@ -95,17 +94,67 @@ def curvature(f, z):
     raise ParameterError(f"expected a mapping or analytic function, got {type(f).__name__}")
 
 
-def curvature_extrema(f, grid: DiskGrid | None = None) -> CurvatureReport:
-    """Extrema of the curvature real part over a concentric-circle grid.
+def _refined(values, grid: DiskGrid, points: np.ndarray, sampled: np.ndarray,
+             upper: bool):
+    """``(value, z)``: the largest (``upper``) or smallest of ``sampled``, the
+    values at the grid's ``points`` (ties to the first angle), refined by
+    nested passes over its bracketing angle steps, evaluating ``values(z)``.
 
-    Ties resolve to the first grid point in (radius, angle-index) order, so
-    refining the grid can only widen the reported range.
+    The refined value replaces the sampled one only when it is more extreme by
+    more than ``_REFINE_MARGIN``, so an extremum at a sample point keeps that
+    point's value and witness.
     """
-    grid = grid or DiskGrid.default()
+    pick = np.argmax if upper else np.argmin
+    i = int(pick(sampled))
+    m = grid.angles_per_circle
+    t0, step = 2.0 * np.pi * i / m, 2.0 * np.pi / m
+    for _ in range(_REFINE_PASSES):
+        t = t0 + step * _REFINE_OFFSETS
+        z = grid.radius * np.exp(1j * t)
+        v = values(z)
+        j = int(pick(v))
+        t0, step = t[j], step / 32.0
+    best, gain = float(sampled[i]), float(v[j] - sampled[i])
+    if (gain if upper else -gain) > _REFINE_MARGIN * max(1.0, abs(best)):
+        return float(v[j]), complex(z[j])
+    return best, complex(points[i])
+
+
+def _sample(f, grid: DiskGrid):
+    """``(z, h'(z), Re curvature)`` on the grid circle from one kernel
+    evaluation; the curvature is None when ``h'`` has a zero in the disk."""
+    if not isinstance(f, HarmonicMapping):
+        raise ParameterError(f"expected a mapping with an h' kernel, got {type(f).__name__}")
     z = grid.points()
-    vals = np.real(curvature(f, z))
-    i, j = int(np.argmin(vals)), int(np.argmax(vals))
-    return CurvatureReport(float(vals[i]), float(vals[j]), complex(z[i]), complex(z[j]), grid)
+    hp, hpp = f.derivs(z)
+    zero_free = f.kernel.zero_free(grid.radius)
+    return z, hp, np.real(_curvature(z, hp, hpp)) if zero_free else None
+
+
+def _curvature_extreme(f: HarmonicMapping, grid: DiskGrid, points, sampled,
+                       upper: bool):
+    """``(value, z)``: the extremum of the curvature real part over the disk.
+    Where ``h'`` has a zero inside it is unbounded: ``+-inf`` at the zero
+    nearest the origin."""
+    if sampled is None:
+        zero = min(f.kernel.singular_points(), key=abs)
+        return (math.inf if upper else -math.inf), complex(zero)
+    return _refined(lambda z: np.real(_curvature(z, *f.derivs(z))), grid, points,
+                    sampled, upper)
+
+
+def curvature_extrema(f: HarmonicMapping, grid: DiskGrid | None = None) -> CurvatureReport:
+    """Extrema of the curvature real part over the disk ``|z| <= grid.radius``,
+    taken on its boundary circle (see the module docstring).
+
+    Raises :class:`ParameterError` for anything but a
+    :class:`HarmonicMapping`: the zero test needs its ``h'`` kernel.
+    """
+    grid = grid or DiskGrid()
+    z, _, curv = _sample(f, grid)
+    lo, lo_z = _curvature_extreme(f, grid, z, curv, False)
+    hi, hi_z = _curvature_extreme(f, grid, z, curv, True)
+    return CurvatureReport(lo, hi, lo_z, hi_z, grid)
 
 
 def _band_check(f: HarmonicMapping, check: str, bound: float, upper: bool,
@@ -115,17 +164,17 @@ def _band_check(f: HarmonicMapping, check: str, bound: float, upper: bool,
     it when ``upper``) *and* ``g' = zeta z^n h'`` holds, both to ``tol``.
 
     The report carries both margins; the headline margin and witness come
-    from whichever condition is tighter (each witness the first in grid
-    order).  ``head`` leads the details.
+    from whichever condition is tighter.  ``head`` leads the details.
     """
-    grid = grid or DiskGrid.default()
-    z = grid.points()
-    hp, hpp = f.derivs(z)
-    vals = np.real(_curvature(z, hp, hpp))
-    zn = z**n
-    res = np.abs(f._omega(z) * hp - zeta * zn * hp)
-    i, k = int(np.argmax(vals) if upper else np.argmin(vals)), int(np.argmax(res))
-    curv, curv_arg, resid, resid_arg = float(vals[i]), complex(z[i]), float(res[k]), complex(z[k])
+    grid = grid or DiskGrid()
+    z, hp, sampled = _sample(f, grid)
+
+    def residual(z, hp):
+        return np.abs(f._omega(z) * hp - zeta * z**n * hp)
+
+    resid, resid_arg = _refined(lambda w: residual(w, f.h.deriv(w)), grid, z,
+                                residual(z, hp), True)
+    curv, curv_arg = _curvature_extreme(f, grid, z, sampled, upper)
     if upper:
         side, margin_curv, curv_ok = "sup", bound - curv, curv <= bound + tol
     else:
@@ -133,28 +182,32 @@ def _band_check(f: HarmonicMapping, check: str, bound: float, upper: bool,
     margin_resid = tol - resid
     wz, wv, margin = ((curv_arg, curv, margin_curv) if margin_curv <= margin_resid
                       else (resid_arg, resid, margin_resid))
+    details = {
+        **head,
+        "tol": tol,
+        f"curvature_{side}": curv,
+        "curvature_margin": margin_curv,
+        "dilatation_residual": resid,
+        "residual_margin": margin_resid,
+        "family": f.label,
+    }
+    if sampled is None:
+        details["reason"] = (f"h' vanishes at {curv_arg:.6g} inside |z| <= {grid.radius:g}, "
+                             "so the curvature is unbounded")
     return BoundReport(
         check=check,
         passed=curv_ok and resid <= tol,
         margin=float(margin),
         grid=grid.to_dict(),
         witness={"z": complex_pair(wz), "value": wv},
-        details={
-            **head,
-            "tol": tol,
-            f"curvature_{side}": curv,
-            "curvature_margin": margin_curv,
-            "dilatation_residual": resid,
-            "residual_margin": margin_resid,
-            "family": f.label,
-        },
+        details=details,
     )
 
 
 def check_membership(f: HarmonicMapping, params: ClassParams,
                      grid: DiskGrid | None = None, tol: float = 1e-8) -> BoundReport:
-    """Test the two class conditions on a grid: the grid infimum of the
-    curvature real part stays above ``alpha - tol`` and ``g' = zeta z^n h'``
+    """Test the two class conditions on the disk of the grid: the infimum of
+    the curvature real part stays above ``alpha - tol`` and ``g' = zeta z^n h'``
     holds to ``tol``."""
     return _band_check(f, "membership", params.alpha, False, params.zeta, params.n,
                        grid, tol, {"alpha": params.alpha,

@@ -51,6 +51,8 @@ _DISK_EDGE = 1.0
 DEFAULT_ORDER = 64
 #: power-kernel primitive exponents closer to zero than this are summed by expm1
 _NEAR_ZERO = 0.5
+#: a polynomial root this far outside a disk still counts as inside it
+_ROOT_MARGIN = 1e-6
 
 
 def _check_disk(z) -> None:
@@ -79,6 +81,8 @@ class PowerKernel:
     """``h' = (1 - delta z)**q`` with ``|delta| = 1`` (branch point on the circle)."""
 
     def __init__(self, q: float, delta=1.0):
+        if abs(abs(delta) - 1.0) > 1e-14:
+            raise ParameterError(f"|delta| must equal 1, got {abs(delta)}")
         self.q = float(q)
         self.delta = delta
 
@@ -149,6 +153,16 @@ class PowerKernel:
             return (1.0 + d) ** self.q
         return (1.0 - d) ** self.q if d < 1.0 else math.inf
 
+    def zero_free(self, rho: float) -> bool:
+        """Whether ``h'`` and ``1/h'`` are analytic on ``|z| <= rho``: the
+        branch point ``1/delta`` lies outside."""
+        return rho * abs(self.delta) < 1.0
+
+    def singular_points(self) -> np.ndarray:
+        """The branch point ``1/delta``, where ``h'`` vanishes (``q > 0``) or
+        blows up (``q < 0``)."""
+        return np.array([1.0 / self.delta])
+
     def _log_u(self, z):
         """``L = log(1 - delta z)``, the one logarithm every value shares."""
         return np.log(1.0 - z if self.delta == 1 else 1.0 - self.delta * z)
@@ -184,6 +198,16 @@ class PolyKernel:
     def hp_bound(self, rho: float) -> float:
         """Bound ``sum |c_j| rho^j`` on ``max |h'|`` over ``|z| <= rho``."""
         return float(np.polynomial.polynomial.polyval(rho, np.abs(self.hp.coeffs)))
+
+    def zero_free(self, rho: float) -> bool:
+        """Whether ``h'`` has no zero on ``|z| <= rho``.  A numerical root
+        within ``_ROOT_MARGIN`` outside the disk counts as inside, which covers
+        the rounding error of a double root (about ``sqrt(eps)``)."""
+        return bool(np.all(np.abs(self.singular_points()) > rho + _ROOT_MARGIN))
+
+    def singular_points(self) -> np.ndarray:
+        """The zeros of ``h'`` (companion-matrix roots; none for a constant)."""
+        return np.polynomial.polynomial.polyroots(self.hp.coeffs)
 
     def derivs(self, z):
         return self.hp(z), self.hpp(z)

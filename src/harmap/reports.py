@@ -61,7 +61,8 @@ class BoundReport:
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        return f"[{status}] {self.check}: margin={self.margin:.6g}"
+        reason = f" ({self.details['reason']})" if "reason" in self.details else ""
+        return f"[{status}] {self.check}: margin={self.margin:.6g}{reason}"
 
 
 @dataclass

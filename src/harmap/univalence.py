@@ -122,25 +122,29 @@ def find_symmetric_collision(p: CollisionSearchParams) -> SymmetricCollision:
 # -- grid scan ----------------------------------------------------------------
 
 
-def _batch_refine(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray, r: float,
-                  floor: float, tol: float, iters: int = 14,
-                  block: int = 1_500_000):
+def _batch_refine(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray,
+                  J: np.ndarray, gap: np.ndarray, r: float, floor: float, tol: float,
+                  iters: int = 14, block: int = 1_500_000):
     """Vectorised damped Gauss-Newton on many candidate pairs at once.
 
+    The pairs start at the grid points ``(z[I], z[J])`` with image gaps
+    ``gap``; ``evals = (w, hp, gp)`` holds ``f.eval_all(z)``, from which the
+    first step takes its residual and Jacobian instead of evaluating again.
     Works block-wise (the solver's transient arrays are a small multiple of
     the block length) and returns ``(z1, z2, gap, alive)`` where ``alive`` is
     False for pairs that merged below half the separation floor (trivial
     near-diagonal minima).
     """
-    parts = [_batch_refine_block(f, z1[i : i + block], z2[i : i + block], r, floor, tol, iters)
-             for i in range(0, len(z1), block)]
+    parts = [_batch_refine_block(f, z, evals, I[i : i + block], J[i : i + block],
+                                 gap[i : i + block], r, floor, tol, iters)
+             for i in range(0, len(I), block)]
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def _batch_refine_block(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray,
-                        r: float, floor: float, tol: float, iters: int):
-    z1 = z1.astype(np.complex128).copy()
-    z2 = z2.astype(np.complex128).copy()
+def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray,
+                        J: np.ndarray, gap: np.ndarray, r: float, floor: float,
+                        tol: float, iters: int):
+    z1, z2, gap = z[I], z[J], gap.copy()
 
     def clamp(zz):
         a = np.abs(zz)
@@ -152,27 +156,29 @@ def _batch_refine_block(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray,
     def gap_of(za, zb):
         return np.abs(f(za) - np.asarray(f(zb)))
 
-    def side(zz, sgn, c, k):
+    def side(zz, index, sgn, c, k):
         """``f(zz)``; writes the d/dx and d/dy columns of ``sgn * f`` at
-        ``zz`` to ``c[k]``, ``c[k + 1]``.  Evaluating one side at a time
+        ``zz`` to ``c[k]``, ``c[k + 1]``.  Values come from ``evals`` at the
+        grid points ``index`` when given.  Evaluating one side at a time
         keeps only one side's derivative arrays alive."""
-        w, hp, gp = f.eval_all(zz)
+        w, hp, gp = f.eval_all(zz) if index is None else (e[index] for e in evals)
         gpc = np.conjugate(gp)
         c[k] = sgn * (hp + gpc)
         c[k + 1] = sgn * 1j * (hp - gpc)
         return w
 
-    gap = gap_of(z1, z2)
     alive = np.ones(len(z1), dtype=bool)
     progress = np.ones(len(z1), dtype=bool)
-    for _ in range(iters):
+    for it in range(iters):
         active = alive & progress & (gap > 0.1 * tol)
         if not np.any(active):
             break
         a1, a2 = z1[active], z2[active]
         # residual and the complex columns of its 2x4 real Jacobian
         c = np.empty((4, len(a1)), dtype=np.complex128)
-        R = side(a1, 1.0, c, 0) - side(a2, -1.0, c, 2)
+        first = it == 0
+        R = (side(a1, I[active] if first else None, 1.0, c, 0)
+             - side(a2, J[active] if first else None, -1.0, c, 2))
         A = np.sum(c.real * c.real, axis=0)
         B = np.sum(c.real * c.imag, axis=0)
         D = np.sum(c.imag * c.imag, axis=0)
@@ -448,7 +454,8 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
         tested = len(reps)
 
         rz1, rz2, rgap, alive = _batch_refine(
-            f, z[I[reps]], z[Jc[reps]], r, separation_floor, collision_tol)
+            f, z, (w, hp.ravel(), gp.ravel()), I[reps], Jc[reps], gaps[reps], r,
+            separation_floor, collision_tol)
         rsep = np.abs(rz1 - rz2)
         valid = alive & (rsep >= separation_floor)
         if np.any(valid):

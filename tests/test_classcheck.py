@@ -78,11 +78,10 @@ def test_branched_family_curvature_extrema():
 
 
 def test_grid_refinement_never_loosens_extrema():
+    # a larger circle with more angles bounds a disk that holds the smaller one
     f = make_bshouty_lyzzaik(0.3)
-    radii = np.linspace(0.1, 0.9, 9)
-    coarse = curvature_extrema(f, DiskGrid(radii, angles_per_circle=128))
-    finer = curvature_extrema(
-        f, DiskGrid(np.append(radii, [0.95, 0.99]), angles_per_circle=256))
+    coarse = curvature_extrema(f, DiskGrid(0.9, angles_per_circle=128))
+    finer = curvature_extrema(f, DiskGrid(0.99, angles_per_circle=256))
     assert finer.inf_est <= coarse.inf_est + 1e-15
     assert finer.sup_est >= coarse.sup_est - 1e-15
 
@@ -99,29 +98,47 @@ def _same(a, b) -> bool:
     return repr(float(a)) == repr(float(b))
 
 
+def _refines(got, sampled, upper) -> bool:
+    """``got`` is the sampled extremum, or more extreme than it by more than
+    the refinement margin ``1e-12 max(1, |sampled|)``."""
+    gain = got - sampled if upper else sampled - got
+    return _same(got, sampled) or gain > 1e-12 * max(1.0, abs(sampled))
+
+
 def _assert_band_matches_views(report, f, bound, upper, zeta, n, tol=1e-8):
-    """``report`` against a reference built from the per-view evaluators."""
-    z = DiskGrid.default().points()
-    hp, hpp, gp = f.h.deriv(z), f.h.deriv2(z), f.g.deriv(z)
-    curv = np.real(1.0 + z * hpp / hp)
-    res = np.abs(gp - zeta * z**n * hp)
+    """``report`` against a reference built from the per-view evaluators: each
+    extremum is the per-view value at its witness, bit for bit, and at least as
+    extreme as the sampled one (equal to it unless refined past the margin)."""
+
+    def views(z):
+        hp, hpp, gp = f.h.deriv(z), f.h.deriv2(z), f.g.deriv(z)
+        return np.real(1.0 + z * hpp / hp), np.abs(gp - zeta * z**n * hp)
+
+    z = DiskGrid().points()
+    curv, res = views(z)
     i = int(np.argmax(curv) if upper else np.argmin(curv))
     k = int(np.argmax(res))
-    margin_curv = bound - curv[i] if upper else curv[i] - bound
-    margin_resid = tol - res[k]
     d = report.details
-    assert _same(d["curvature_sup" if upper else "curvature_inf"], curv[i])
+    got_curv, got_res = d["curvature_sup" if upper else "curvature_inf"], d["dilatation_residual"]
+    assert _refines(got_curv, curv[i], upper)
+    assert _refines(got_res, res[k], True)
+    margin_curv = bound - got_curv if upper else got_curv - bound
+    margin_resid = tol - got_res
     assert _same(d["curvature_margin"], margin_curv)
-    assert _same(d["dilatation_residual"], res[k])
     assert _same(d["residual_margin"], margin_resid)
-    wz, wv, margin = ((z[i], curv[i], margin_curv) if margin_curv <= margin_resid
-                      else (z[k], res[k], margin_resid))
+    curv_is_tighter = margin_curv <= margin_resid
+    wv, margin = (got_curv, margin_curv) if curv_is_tighter else (got_res, margin_resid)
     assert _same(report.margin, margin)
     assert _same(report.witness["value"], wv)
-    assert all(map(_same, report.witness["z"], (wz.real, wz.imag)))
+    wz = complex(*report.witness["z"])
+    assert abs(wz) == pytest.approx(DEFAULT_RMAX, rel=1e-15)
+    assert _same(views(np.array([wz]))[0 if curv_is_tighter else 1][0], wv)
     rep = curvature_extrema(f)
     got = (rep.sup_est, rep.argmax_z) if upper else (rep.inf_est, rep.argmin_z)
-    assert _same(got[0], curv[i]) and got[1] == z[i]
+    assert _same(got[0], got_curv)
+    assert _same(views(np.array([got[1]]))[0][0], got_curv)
+    if curv_is_tighter:
+        assert got[1] == wz
 
 
 _BAND_CASES = [
@@ -154,11 +171,52 @@ def test_band_check_is_bit_identical_to_the_per_view_reference(f, alpha, zeta, n
 
 def test_disk_grid_validation():
     with pytest.raises(ParameterError):
-        DiskGrid([0.5, 0.4], angles_per_circle=64)  # not increasing
+        DiskGrid(0.0, angles_per_circle=64)  # not a circle in the disk
     with pytest.raises(ParameterError):
-        DiskGrid([0.5, 1.0], angles_per_circle=64)  # touches the boundary
-    grid = DiskGrid.default()
-    assert max(grid.radii) == pytest.approx(DEFAULT_RMAX)
+        DiskGrid(1.0, angles_per_circle=64)  # touches the boundary
+    with pytest.raises(ParameterError):
+        DiskGrid(0.5, angles_per_circle=4)
+    grid = DiskGrid()
+    assert grid.radius == pytest.approx(DEFAULT_RMAX)
+    # the document keeps the multi-circle keys: one radius
+    assert grid.to_dict() == {"radii": [DEFAULT_RMAX], "angles_per_circle": 512}
+
+
+def test_curvature_extrema_needs_a_kernel():
+    # the zero test of h' needs the kernel, which a bare analytic function lacks
+    with pytest.raises(ParameterError):
+        curvature_extrema(make_identity().h)
+
+
+def test_interior_zero_of_h_prime_fails_the_check():
+    # h = z - z^2: h' = 1 - 2z vanishes at 1/2.  On the circle |z| = r_max the
+    # curvature real part stays in [5/3, 3], but it is not harmonic across the
+    # pole at 1/2, so only the zero test can fail this map.
+    f = make_from_h(PowerSeries([0.0, 1.0, -1.0]), 0.5, 1)
+    assert not f.kernel.zero_free(DEFAULT_RMAX) and f.kernel.zero_free(0.49)
+    report = check_membership(f, ClassParams(0.5, 0.5, 1))
+    assert not report.passed
+    assert report.details["curvature_inf"] == -math.inf
+    assert report.witness["z"] == [0.5, 0.0]
+    assert "h' vanishes" in report.details["reason"] and "h' vanishes" in report.summary()
+    rep = curvature_extrema(f)
+    assert (rep.inf_est, rep.sup_est) == (-math.inf, math.inf)
+    assert rep.argmin_z == rep.argmax_z == 0.5
+    # on |z| <= 1/4, clear of the zero, the infimum (1 - 4r)/(1 - 2r) is 0
+    inner = check_membership(f, ClassParams(-0.5, 0.5, 1), grid=DiskGrid(0.25))
+    assert inner.passed, inner.summary()
+    assert inner.details["curvature_inf"] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_extremum_between_samples_is_recovered():
+    # delta rotated by half an angle step puts the singular direction, where
+    # Re(1 + z h''/h') ~ 1/(1 - r), between two sample points
+    delta = cmath.exp(1j * math.pi / 512)
+    f = make_extremal(ExtremalSpec(ClassParams(0.5, 0.5, 1), delta))
+    report = check_pbeta(f, PBetaParams(1.5))
+    assert not report.passed
+    assert report.details["curvature_sup"] >= 0.999 / (1.0 - DEFAULT_RMAX)
+    assert curvature_extrema(f).sup_est == report.details["curvature_sup"]
 
 
 # -- class membership ---------------------------------------------------------
@@ -184,7 +242,7 @@ def test_branched_family_fails_near_boundary():
 def test_branched_family_passes_on_inner_subdisk():
     # same mapping, same class, but estimated only up to r = 0.85 < 6/7
     f = make_counterexample(1.25)
-    grid = DiskGrid(np.linspace(0.05, 0.85, 17), angles_per_circle=256)
+    grid = DiskGrid(0.85, angles_per_circle=256)
     report = check_membership(f, ClassParams(-0.5, 1.0, 1), grid=grid)
     assert report.passed, report.summary()
     # analytic crossover check: infimum at r is (1 - gamma*r)/(1 - r)

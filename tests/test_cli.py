@@ -135,6 +135,22 @@ def test_check_json_report_schema_on_failure():
     assert payload["report"]["pass"] is False
 
 
+def test_check_fails_on_an_interior_zero_of_h_prime(tmp_path):
+    # h' = 1 - 2z vanishes at 1/2; on the sample circle alone the curvature
+    # infimum would be 5/3 and the class check would pass
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"coeffs": [0.0, 1.0, -1.0], "zeta": 0.5, "n": 1}))
+    res = run_cli("check", "--family", f"from-h:{path}", "--cls", "0.5,0.5,1", "--json")
+    assert res.returncode == 1, res.stdout + res.stderr
+    report = validate_payload(json.loads(res.stdout), "bound_report.json")["report"]
+    assert report["pass"] is False and report["margin"] is None
+    assert report["details"]["curvature_inf"] is None  # -inf
+    assert report["witness"] == {"z": [0.5, 0.0], "value": None}
+    assert "h' vanishes" in report["details"]["reason"]
+    text = run_cli("check", "--family", f"from-h:{path}", "--cls", "0.5,0.5,1")
+    assert text.returncode == 1 and "h' vanishes" in text.stdout
+
+
 def test_check_theorem_b_admissibility_error():
     res = run_cli("check", "--family", "counterexample:gamma=1.25",
                   "--theorem-b", "1,0,0.6,2")

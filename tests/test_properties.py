@@ -10,10 +10,11 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from harmap.classcheck import curvature
+from harmap.classcheck import DiskGrid, check_membership, curvature, curvature_extrema
+from harmap.errors import ParameterError
 from harmap.mappings import (
     ClassParams,
     ExtremalSpec,
@@ -204,3 +205,43 @@ def test_hp_bound_dominates_h_prime(kernel, rho):
 def test_hp_bound_is_infinite_once_the_branch_point_is_inside():
     assert PowerKernel(-2.0, 1.0).hp_bound(1.0) == np.inf
     assert PowerKernel(0.25, -1.0).hp_bound(1.0) == 2.0**0.25
+
+
+def test_power_kernel_requires_unimodular_delta():
+    PowerKernel(-1.0, cmath.exp(0.3j))
+    with pytest.raises(ParameterError):
+        PowerKernel(-1.0, 2.0)
+    with pytest.raises(ParameterError):
+        PowerKernel(0.5, 1.0 + 1e-12)
+
+
+@SETTINGS
+@given(kernel=kernels(), own=class_params(), tested=class_params(),
+       rho=st.floats(0.05, 0.999), seed=st.integers(0, 2**32 - 1))
+def test_disk_extrema_lie_on_the_circle(kernel, own, tested, rho, seed):
+    # extremum principles: where h' has no zero in the disk, the curvature
+    # real part and the dilatation residual at interior points lie within
+    # the check's extremes on the boundary circle; with a zero inside, the
+    # curvature is unbounded and the check fails.  (An h' of subnormal size
+    # is left out: its curvature is rejected as numerically singular.)
+    assume(not isinstance(kernel, PolyKernel) or np.max(np.abs(kernel.hp.coeffs)) > 1e-6)
+    f = HarmonicMapping(kernel, own.zeta, own.n, order=8)
+    grid = DiskGrid(rho)
+    report = check_membership(f, tested, grid=grid)
+    rep = curvature_extrema(f, grid)
+    if not kernel.zero_free(rho):
+        assert not report.passed
+        assert (rep.inf_est, rep.sup_est) == (-np.inf, np.inf)
+        return
+    rng = np.random.default_rng(seed)
+    z = rho * np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    curv = np.real(curvature(f, z))
+    res = np.abs(f.g.deriv(z) - tested.zeta * z**tested.n * f.h.deriv(z))
+
+    def eps(v):
+        return 1e-9 * max(1.0, abs(v))
+
+    assert np.all(curv >= rep.inf_est - eps(rep.inf_est))
+    assert np.all(curv <= rep.sup_est + eps(rep.sup_est))
+    resid = report.details["dilatation_residual"]
+    assert np.all(res <= resid + eps(resid))
