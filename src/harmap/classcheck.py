@@ -9,8 +9,9 @@ the circle ``|z| = r`` (the extremum principles; Duren, *Harmonic Mappings in
 the Plane*, 2004).  A check therefore asks the ``h'`` kernel whether it is
 zero-free on the disk (if not, the curvature is unbounded and the check
 fails), samples the one circle at uniform angles with one kernel evaluation,
-and refines each sampled extremum within its bracketing angle step.  No value
-depends on the array length.
+and refines each sampled extremum within its bracketing angle step and in
+the direction of each singular point of the kernel, where a narrow peak or dip
+between samples can sit.  No value depends on the array length.
 """
 
 from __future__ import annotations
@@ -95,44 +96,53 @@ def curvature(f, z):
 
 
 def _refined(values, grid: DiskGrid, points: np.ndarray, sampled: np.ndarray,
-             upper: bool):
+             upper: bool, seeds: np.ndarray):
     """``(value, z)``: the largest (``upper``) or smallest of ``sampled``, the
     values at the grid's ``points`` (ties to the first angle), refined by
     nested passes over its bracketing angle steps, evaluating ``values(z)``.
 
-    The refined value replaces the sampled one only when it is more extreme by
-    more than ``_REFINE_MARGIN``, so an extremum at a sample point keeps that
-    point's value and witness.
+    The same passes run one angle step either side of each angle in
+    ``seeds``, the directions of the kernel's singular points: a narrow peak
+    or dip between samples can only sit there (``z h''/h'`` is a sum of
+    ``z/(z - a)`` over the zeros ``a`` of a polynomial ``h'``, and a power
+    kernel has the one branch point).  All brackets share one evaluation per
+    pass.  The most extreme refined value replaces the sampled one only when
+    it is more extreme by more than ``_REFINE_MARGIN``, so an extremum at a
+    sample point keeps that point's value and witness.
     """
     pick = np.argmax if upper else np.argmin
     i = int(pick(sampled))
     m = grid.angles_per_circle
-    t0, step = 2.0 * np.pi * i / m, 2.0 * np.pi / m
+    t0 = np.concatenate(([2.0 * np.pi * i / m], seeds))
+    step = 2.0 * np.pi / m
     for _ in range(_REFINE_PASSES):
-        t = t0 + step * _REFINE_OFFSETS
+        t = t0[:, None] + step * _REFINE_OFFSETS
         z = grid.radius * np.exp(1j * t)
-        v = values(z)
-        j = int(pick(v))
-        t0, step = t[j], step / 32.0
-    best, gain = float(sampled[i]), float(v[j] - sampled[i])
+        v = values(z.ravel()).reshape(t.shape)
+        t0, step = t[np.arange(len(t0)), pick(v, axis=1)], step / 32.0
+    j = int(pick(v))
+    best, gain = float(sampled[i]), float(v.flat[j] - sampled[i])
     if (gain if upper else -gain) > _REFINE_MARGIN * max(1.0, abs(best)):
-        return float(v[j]), complex(z[j])
+        return float(v.flat[j]), complex(z.flat[j])
     return best, complex(points[i])
 
 
 def _sample(f, grid: DiskGrid):
-    """``(z, h'(z), Re curvature)`` on the grid circle from one kernel
-    evaluation; the curvature is None when ``h'`` has a zero in the disk."""
+    """``(z, h'(z), Re curvature, seeds)`` on the grid circle from one kernel
+    evaluation; the curvature is None when ``h'`` has a zero in the disk, and
+    ``seeds`` are the angles of the kernel's singular points."""
     if not isinstance(f, HarmonicMapping):
         raise ParameterError(f"expected a mapping with an h' kernel, got {type(f).__name__}")
     z = grid.points()
     hp, hpp = f.derivs(z)
-    zero_free = f.kernel.zero_free(grid.radius)
-    return z, hp, np.real(_curvature(z, hp, hpp)) if zero_free else None
+    seeds = np.angle(f.kernel.singular_points())
+    if not f.kernel.zero_free(grid.radius):
+        return z, hp, None, seeds
+    return z, hp, np.real(_curvature(z, hp, hpp)), seeds
 
 
 def _curvature_extreme(f: HarmonicMapping, grid: DiskGrid, points, sampled,
-                       upper: bool):
+                       seeds, upper: bool):
     """``(value, z)``: the extremum of the curvature real part over the disk.
     Where ``h'`` has a zero inside it is unbounded: ``+-inf`` at the zero
     nearest the origin."""
@@ -140,7 +150,7 @@ def _curvature_extreme(f: HarmonicMapping, grid: DiskGrid, points, sampled,
         zero = min(f.kernel.singular_points(), key=abs)
         return (math.inf if upper else -math.inf), complex(zero)
     return _refined(lambda z: np.real(_curvature(z, *f.derivs(z))), grid, points,
-                    sampled, upper)
+                    sampled, upper, seeds)
 
 
 def curvature_extrema(f: HarmonicMapping, grid: DiskGrid | None = None) -> CurvatureReport:
@@ -151,9 +161,9 @@ def curvature_extrema(f: HarmonicMapping, grid: DiskGrid | None = None) -> Curva
     :class:`HarmonicMapping`: the zero test needs its ``h'`` kernel.
     """
     grid = grid or DiskGrid()
-    z, _, curv = _sample(f, grid)
-    lo, lo_z = _curvature_extreme(f, grid, z, curv, False)
-    hi, hi_z = _curvature_extreme(f, grid, z, curv, True)
+    z, _, curv, seeds = _sample(f, grid)
+    lo, lo_z = _curvature_extreme(f, grid, z, curv, seeds, False)
+    hi, hi_z = _curvature_extreme(f, grid, z, curv, seeds, True)
     return CurvatureReport(lo, hi, lo_z, hi_z, grid)
 
 
@@ -167,14 +177,14 @@ def _band_check(f: HarmonicMapping, check: str, bound: float, upper: bool,
     from whichever condition is tighter.  ``head`` leads the details.
     """
     grid = grid or DiskGrid()
-    z, hp, sampled = _sample(f, grid)
+    z, hp, sampled, seeds = _sample(f, grid)
 
     def residual(z, hp):
         return np.abs(f._omega(z) * hp - zeta * z**n * hp)
 
-    resid, resid_arg = _refined(lambda w: residual(w, f.h.deriv(w)), grid, z,
-                                residual(z, hp), True)
-    curv, curv_arg = _curvature_extreme(f, grid, z, sampled, upper)
+    resid, resid_arg = _refined(lambda w: residual(w, f.derivs(w)[0]), grid, z,
+                                residual(z, hp), True, seeds)
+    curv, curv_arg = _curvature_extreme(f, grid, z, sampled, seeds, upper)
     if upper:
         side, margin_curv, curv_ok = "sup", bound - curv, curv <= bound + tol
     else:

@@ -155,12 +155,12 @@ class PowerKernel:
 
     def zero_free(self, rho: float) -> bool:
         """Whether ``h'`` and ``1/h'`` are analytic on ``|z| <= rho``: the
-        branch point ``1/delta`` lies outside."""
+        branch point ``1/delta``, on the unit circle, lies outside."""
         return rho * abs(self.delta) < 1.0
 
     def singular_points(self) -> np.ndarray:
         """The branch point ``1/delta``, where ``h'`` vanishes (``q > 0``) or
-        blows up (``q < 0``)."""
+        blows up (``q < 0``); the class checks refine in its direction."""
         return np.array([1.0 / self.delta])
 
     def _log_u(self, z):
@@ -180,6 +180,7 @@ class PolyKernel:
     def __init__(self, hp: PowerSeries):
         self.hp = hp
         self.hpp = hp.derive() if hp.order else PowerSeries([0.0])
+        self._roots = None
 
     def series(self, order: int) -> PowerSeries:
         """The exact polynomial, whatever ``order`` asks for."""
@@ -206,8 +207,11 @@ class PolyKernel:
         return bool(np.all(np.abs(self.singular_points()) > rho + _ROOT_MARGIN))
 
     def singular_points(self) -> np.ndarray:
-        """The zeros of ``h'`` (companion-matrix roots; none for a constant)."""
-        return np.polynomial.polynomial.polyroots(self.hp.coeffs)
+        """The zeros of ``h'`` (companion-matrix roots, found once; none for a
+        constant)."""
+        if self._roots is None:
+            self._roots = np.polynomial.polynomial.polyroots(self.hp.coeffs)
+        return self._roots
 
     def derivs(self, z):
         return self.hp(z), self.hpp(z)

@@ -219,6 +219,33 @@ def test_extremum_between_samples_is_recovered():
     assert curvature_extrema(f).sup_est == report.details["curvature_sup"]
 
 
+def _narrow_dip_h():
+    # h' = (1 - z/2)(1 - z/a)(1 - z/conj a) with a 2e-6 beyond the sample
+    # circle, between two sample angles.  Each root adds Re z/(z - a) to the
+    # curvature: about -0.05 at the samples, about -r_max/2e-6 at r_max a/|a|.
+    # The sampled infimum, about 1.0, sits at angle 0, far from that dip.
+    a = (DEFAULT_RMAX + 2e-6) * cmath.exp(1j * 511 * math.pi / 512)
+    hp = np.polynomial.polynomial.polyfromroots([2.0, a, a.conjugate()]).real
+    hp = hp / hp[0]
+    return a, [0.0, *(hp / np.arange(1, len(hp) + 1))]
+
+
+def test_narrow_dip_at_a_root_direction_fails_the_check():
+    a, coeffs = _narrow_dip_h()
+    f = make_from_h(PowerSeries(coeffs), 0.5, 1)
+    assert f.kernel.zero_free(DEFAULT_RMAX)
+    sampled = np.real(curvature(f, DiskGrid().points()))
+    assert np.min(sampled) > 0.9 and np.argmin(sampled) == 0
+    report = check_membership(f, ClassParams(0.5, 0.5, 1))
+    assert not report.passed
+    dip = 1.0 + sum((z / (z - b)).real for z in [DEFAULT_RMAX * a / abs(a)]
+                    for b in (2.0, a, a.conjugate()))
+    assert report.details["curvature_inf"] <= dip < -4e5
+    wz = complex(*report.witness["z"])
+    assert abs(cmath.phase(wz) - cmath.phase(a)) < 2.0 * math.pi / 512
+    assert curvature_extrema(f).inf_est == report.details["curvature_inf"]
+
+
 # -- class membership ---------------------------------------------------------
 
 

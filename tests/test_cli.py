@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, JSON schemas, file output."""
 
+import cmath
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from conftest import run_cli, validate_payload
@@ -149,6 +151,22 @@ def test_check_fails_on_an_interior_zero_of_h_prime(tmp_path):
     assert "h' vanishes" in report["details"]["reason"]
     text = run_cli("check", "--family", f"from-h:{path}", "--cls", "0.5,0.5,1")
     assert text.returncode == 1 and "h' vanishes" in text.stdout
+
+
+def test_check_fails_on_a_narrow_dip_between_samples(tmp_path):
+    # h' = (1 - z/2)(1 - z/a)(1 - z/conj a), a 2e-6 beyond the sample circle
+    # between two sample angles: the sampled curvature infimum is about 1.0,
+    # the true one about -5e5 in the direction of a
+    a = (0.9999 + 2e-6) * cmath.exp(1j * 511 * math.pi / 512)
+    hp = np.polynomial.polynomial.polyfromroots([2.0, a, a.conjugate()]).real
+    hp = hp / hp[0]
+    coeffs = [0.0, *(hp / np.arange(1, len(hp) + 1)).tolist()]
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"coeffs": coeffs, "zeta": 0.5, "n": 1}))
+    res = run_cli("check", "--family", f"from-h:{path}", "--cls", "0.5,0.5,1", "--json")
+    assert res.returncode == 1, res.stdout + res.stderr
+    report = validate_payload(json.loads(res.stdout), "bound_report.json")["report"]
+    assert report["pass"] is False and report["details"]["curvature_inf"] < -4e5
 
 
 def test_check_theorem_b_admissibility_error():
