@@ -144,14 +144,16 @@ class PowerKernel:
 
         return evaluate
 
-    def hp_bound(self, rho: float) -> float:
-        """Bound on ``max |h'|`` over ``|z| <= rho``: ``|1 - delta z|`` lies
-        between ``1 -+ rho |delta|`` there and ``q`` is real; infinite for
-        ``q < 0`` once the branch point ``1/delta`` lies in the disk."""
-        d = rho * abs(self.delta)
+    def hp_bound(self, rho):
+        """Bound on ``max |h'|`` over ``|z| <= rho`` (a radius or an array of
+        them): ``|1 - delta z|`` lies between ``1 -+ rho |delta|`` there and
+        ``q`` is real; infinite for ``q < 0`` once the branch point
+        ``1/delta`` lies in the disk."""
+        d = np.multiply(rho, abs(self.delta))
         if self.q >= 0.0:
             return (1.0 + d) ** self.q
-        return (1.0 - d) ** self.q if d < 1.0 else math.inf
+        with np.errstate(divide="ignore"):
+            return np.maximum(1.0 - d, 0.0) ** self.q
 
     def zero_free(self, rho: float) -> bool:
         """Whether ``h'`` and ``1/h'`` are analytic on ``|z| <= rho``: the
@@ -196,9 +198,10 @@ class PolyKernel:
 
         return evaluate
 
-    def hp_bound(self, rho: float) -> float:
-        """Bound ``sum |c_j| rho^j`` on ``max |h'|`` over ``|z| <= rho``."""
-        return float(np.polynomial.polynomial.polyval(rho, np.abs(self.hp.coeffs)))
+    def hp_bound(self, rho):
+        """Bound ``sum |c_j| rho^j`` on ``max |h'|`` over ``|z| <= rho`` (a
+        radius or an array of them)."""
+        return np.polynomial.polynomial.polyval(rho, np.abs(self.hp.coeffs))
 
     def zero_free(self, rho: float) -> bool:
         """Whether ``h'`` has no zero on ``|z| <= rho``.  A numerical root
@@ -372,7 +375,7 @@ def make_counterexample(gamma: float, order: int = DEFAULT_ORDER) -> HarmonicMap
     if not 1.0 < gamma <= 1.75:
         raise ParameterError(f"gamma must lie in (1, 7/4], got {gamma}")
     return HarmonicMapping(PowerKernel(gamma - 1.0), 1.0, 1,
-                           f"counterexample:gamma={gamma:g}", order)
+                           f"counterexample:gamma={_num(gamma)}", order)
 
 
 def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
@@ -384,7 +387,7 @@ def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
     if not 0.0 <= lam < 0.5:
         raise ParameterError(f"lam must lie in [0, 1/2), got {lam}")
     return HarmonicMapping(PolyKernel(PowerSeries([1.0, -2.0 * lam])), 1.0, 1,
-                           f"bl:lam={lam:g}")
+                           f"bl:lam={_num(lam)}")
 
 
 def make_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> HarmonicMapping:
@@ -395,7 +398,8 @@ def make_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> HarmonicMap
     sharp growth envelope.
     """
     p = spec.params
-    label = f"extremal:alpha={p.alpha:g},zeta={p.zeta:g},n={p.n},delta={spec.delta:g}"
+    label = (f"extremal:alpha={_num(p.alpha)},zeta={_num(p.zeta)},n={p.n},"
+             f"delta={_num(spec.delta)}")
     return HarmonicMapping(PowerKernel(2.0 * p.alpha - 2.0, spec.delta), p.zeta, p.n,
                            label, order)
 
@@ -423,7 +427,7 @@ def make_from_h(h: PowerSeries, zeta, n: int, order: int = DEFAULT_ORDER,
     if abs(h.coeff(0)) > 1e-12 or abs(h.coeff(1) - 1.0) > 1e-12:
         raise ParameterError("analytic part must be normalized: h(0)=0, h'(0)=1")
     return HarmonicMapping(PolyKernel(h.derive()), zeta, n,
-                           label or f"from-h:order={h.order},zeta={zeta:g},n={n}", order)
+                           label or f"from-h:order={h.order},zeta={_num(zeta)},n={n}", order)
 
 
 # -- family-spec grammar ------------------------------------------------------
@@ -453,6 +457,15 @@ def parse_scalar(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ParameterError(f"bad numeric literal: {text!r}") from exc
+
+
+def _num(x) -> str:
+    """``x`` for a family label: its ``:g`` form where that reads back as
+    ``x``, else the shortest exact one, so every label re-parses to its map."""
+    text = f"{x:g}"
+    if parse_scalar(text) == x:
+        return text
+    return repr(complex(x)).strip("()") if isinstance(x, complex) else repr(float(x))
 
 
 def _real_scalar(text: str, key: str) -> float:
@@ -548,5 +561,5 @@ def family_from_spec(spec: str, order: int = DEFAULT_ORDER) -> HarmonicMapping:
         if "n" in raw:
             n = int(_real_scalar(raw["n"], "n"))
         return make_from_h(series, zeta, n, order=order,
-                           label=f"from-h:{path},zeta={zeta:g},n={n}")
+                           label=f"from-h:{path},zeta={_num(zeta)},n={n}")
     raise ParameterError(f"unknown family {name!r}")

@@ -6,21 +6,22 @@ distortion (cusps), rectangle clipping to the viewport, and stable 9
 significant-digit coordinate formatting so identical scene specifications
 yield identical bytes.
 
-The pipeline works on whole arrays: refinement evaluates only the midpoints
-each pass inserts, and the Liang-Barsky clip tests every segment of the scene
-at once with the same arithmetic and comparison order as a per-segment loop.
-Refinement stops where a segment's image cannot reach the viewport: the
-kernel's ``hp_bound`` bounds the speed of ``f`` along each curve, so such a
-segment and every chord that refining it would draw lie outside the viewport,
-and the output is the same as refining everywhere.  An auto-fitted viewport
-comes from one unrefined pass, whose samples refinement then starts from.
+The pipeline works on whole arrays.  A scene's curves live in flat arrays of
+parameter, image and curve id; each refinement pass evaluates the whole scene
+once, on all its new midpoints.  The Liang-Barsky clip tests every segment at
+once in the order of a per-segment loop, and each polyline is formatted by
+one ``%`` call.  Refinement stops where a segment's image cannot reach the
+viewport: ``hp_bound`` bounds the speed of ``f`` on each segment, so such a
+segment and every chord refining it would draw lie outside the viewport, and
+the output is the same as refining everywhere.  An auto-fitted viewport comes
+from the unrefined samples, which refinement then starts from.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .mappings import HarmonicMapping, is_conjugate_symmetric
 CANVAS_PX = 720
 #: adaptive sampling splits segments longer than viewport-width / GAP_DENOM
 GAP_DENOM = 200
-#: maximum midpoint-insertion passes per curve
+#: maximum midpoint-insertion passes per scene
 MAX_REFINE_PASSES = 12
 #: hard cap on points per curve (safety valve for pathological distortion)
 MAX_CURVE_POINTS = 40_000
@@ -65,8 +66,7 @@ class SceneSpec:
         if not 0.0 < self.radius < 1.0:
             raise ParameterError(f"scene radius must lie in (0, 1), got {self.radius}")
         if self.samples_per_curve < 128:
-            raise ParameterError(
-                f"samples_per_curve must be >= 128, got {self.samples_per_curve}")
+            raise ParameterError(f"samples_per_curve must be >= 128, got {self.samples_per_curve}")
         if self.circles < 0 or self.rays < 0 or self.circles + self.rays == 0:
             raise ParameterError("scene needs at least one circle or ray")
         if self.half_width is not None and not self.half_width > 0.0:
@@ -74,21 +74,10 @@ class SceneSpec:
         if self.stroke_width is not None and not self.stroke_width > 0.0:
             raise ParameterError(f"stroke width must be > 0, got {self.stroke_width}")
 
-    def to_metadata(self, center: complex, half_width: float,
-                    stroke_width: float) -> dict:
-        return {
-            "family": self.family,
-            "radius": self.radius,
-            "circles": self.circles,
-            "rays": self.rays,
-            "samples_per_curve": self.samples_per_curve,
-            "center": [center.real, center.imag],
-            "half_width": half_width,
-            "stroke_width": stroke_width,
-            "grid_color": self.grid_color,
-            "boundary_color": self.boundary_color,
-            "background": self.background,
-        }
+    def to_metadata(self, center: complex, half_width: float, stroke_width: float) -> dict:
+        """Every field, with the viewport and stroke width resolved."""
+        return {**asdict(self), "center": [center.real, center.imag],
+                "half_width": half_width, "stroke_width": stroke_width}
 
 
 def overview_scene(family: str, radius: float = 0.999) -> SceneSpec:
@@ -106,15 +95,16 @@ def zoom_scene(family: str, center: complex, half_width: float = 0.05,
 # -- sampling -----------------------------------------------------------------
 
 
-def _eval_curve(f: HarmonicMapping, z: np.ndarray, tag: str) -> np.ndarray:
+def _eval_points(f: HarmonicMapping, z: np.ndarray, tags, cid) -> np.ndarray:
+    """``f(z)``; a DomainError names the farthest-out ``z[i]`` and its curve ``tags[cid[i]]``."""
     try:
         return np.asarray(f(z), dtype=np.complex128)
     except DomainError as exc:
-        worst = z[np.argmax(np.abs(z))]
-        raise DomainError(f"rendering {tag}: {exc} (parameter point {worst})") from exc
+        i = int(np.argmax(np.abs(z)))
+        raise DomainError(f"rendering {tags[cid[i]]}: {exc} (parameter point {z[i]})") from exc
 
 
-def _may_reach(wa, wb, dt, centres, hw: float, speed: float) -> np.ndarray:
+def _may_reach(wa, wb, dt, centres, hw: float, speed) -> np.ndarray:
     """Whether the arcs from ``wa`` to ``wb`` may meet a square viewport.
 
     An arc whose parameter span is ``dt`` and whose speed is at most
@@ -132,31 +122,83 @@ def _may_reach(wa, wb, dt, centres, hw: float, speed: float) -> np.ndarray:
     return near
 
 
-def _refine_params(f: HarmonicMapping, z_of_t, t: np.ndarray, tag: str,
-                   max_gap: float | None, reach=None,
-                   w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _Samples:
+    """A scene's sampled curves as flat arrays: point ``i`` has parameter
+    ``t[i]``, image ``w[i]`` and curve ``cid[i]``.  Curve ``k`` (named
+    ``tags[k]``) is the ray ``t -> t dirs[k]`` for ``k < dirs.size``, then the
+    circle ``t -> rhos[k - dirs.size] e^(it)``.  A ``mirror`` scene samples
+    only the upper rays and circle halves."""
+
+    tags: list
+    dirs: np.ndarray
+    rhos: np.ndarray
+    mirror: bool
+    t: np.ndarray
+    w: np.ndarray
+    cid: np.ndarray
+
+    def z(self, t: np.ndarray, cid: np.ndarray) -> np.ndarray:
+        """The parameter points of ``(t, cid)``, sorted by curve."""
+        k = np.searchsorted(cid, self.dirs.size)
+        return np.concatenate([t[:k] * self.dirs[cid[:k]],
+                               self.rhos[cid[k:] - self.dirs.size] * np.exp(1j * t[k:])])
+
+
+def _sample_scene(f: HarmonicMapping, spec: SceneSpec) -> _Samples:
+    """The scene's unrefined samples, from one call of ``f``; a mirrored
+    scene (conjugate-symmetric ``f``) leaves out the lower rays and halves."""
+    mirror = is_conjugate_symmetric(f)
+    n0, nc = spec.samples_per_curve, spec.circles
+    nr = min(spec.rays, spec.rays // 2 + 1) if mirror else spec.rays
+    angles = (2.0 * math.pi * k / spec.rays for k in range(nr))
+    dirs = np.array([complex(math.cos(a), math.sin(a)) for a in angles], dtype=np.complex128)
+    rhos = np.array([spec.radius * j / nc for j in range(1, nc + 1)])
+    tags = ([f"ray-{k}" for k in range(nr)] + [f"circle-{j}" for j in range(1, nc)]
+            + ["boundary"][:nc])
+    ray_t = np.linspace(0.0, spec.radius, max(n0, 129))
+    theta = (np.linspace(0.0, math.pi, max(n0 // 2 + 1, 65)) if mirror
+             else np.linspace(0.0, 2.0 * math.pi, max(n0, 129) + 1))
+    t = np.concatenate([ray_t] * nr + [theta] * nc)
+    cid = np.repeat(np.arange(nr + nc), [ray_t.size] * nr + [theta.size] * nc)
+    s = _Samples(tags, dirs, rhos, mirror, t, None, cid)
+    return replace(s, w=_eval_points(f, s.z(t, cid), tags, cid))
+
+
+def _refine_scene(f: HarmonicMapping, s: _Samples, max_gap: float,
+                  view: tuple[complex, float]) -> _Samples:
     """Insert parameter midpoints until image gaps fall below ``max_gap``.
 
-    ``w`` holds the images of ``t`` where they are known already.  With
-    ``reach = (centres, hw, speed)`` a segment is split only while its arc
-    may meet the square of half-width ``hw`` about one of ``centres`` (see
-    :func:`_may_reach`); ``speed`` bounds ``|d f(z_of_t(t))/dt|``.  Returns
-    ``(t, f(z_of_t(t)))``; each pass evaluates only its new midpoints.
-    """
-    if w is None:
-        w = _eval_curve(f, z_of_t(t), tag)
-    if max_gap is None:
-        return t, w
+    A wide segment is split while its arc may reach the viewport ``view =
+    (center, hw)`` or, in a mirrored scene, its reflection (:func:`_may_reach`;
+    ``hw = inf`` refines everywhere), unless its curve would pass
+    ``MAX_CURVE_POINTS``.  Each pass calls ``f`` once, on all new midpoints,
+    and tests only the new halves: a segment left whole keeps its gap, reach
+    and curve size (a curve not split gets no new segments), so stays whole."""
+    t, w, cid, nr = s.t, s.w, s.cid, s.dirs.size
+    c, hw = view
+    centres = {c, c.conjugate()} if s.mirror else {c}
+    fresh = np.nonzero(cid[1:] == cid[:-1])[0]
     for _ in range(MAX_REFINE_PASSES):
-        wide = np.nonzero(np.abs(np.diff(w)) > max_gap)[0]
-        if reach is not None:
-            wide = wide[_may_reach(w[wide], w[wide + 1], t[wide + 1] - t[wide], *reach)]
-        if wide.size == 0 or t.size + wide.size > MAX_CURVE_POINTS:
+        seg = fresh[np.abs(w[fresh + 1] - w[fresh]) > max_gap]
+        # |df/dt| <= |z'| hp_bound(r) (1 + |zeta| r^n), r the largest |z| on
+        # the segment: a ray segment's outer end, or the circle's radius
+        k = np.searchsorted(cid[seg], nr)
+        r = np.concatenate([t[seg[:k] + 1], s.rhos[cid[seg[k:]] - nr]])
+        speed = np.where(np.arange(r.size) < k, 1.0, r) * f.kernel.hp_bound(r)
+        speed *= 1.0 + abs(f.zeta) * r**f.n
+        seg = seg[_may_reach(w[seg], w[seg + 1], t[seg + 1] - t[seg], centres, hw, speed)]
+        grow = np.bincount(cid[seg], minlength=len(s.tags))
+        seg = seg[(np.bincount(cid, minlength=grow.size) + grow <= MAX_CURVE_POINTS)[cid[seg]]]
+        if seg.size == 0:
             break
-        mid = 0.5 * (t[wide] + t[wide + 1])
-        t = np.insert(t, wide + 1, mid)
-        w = np.insert(w, wide + 1, _eval_curve(f, z_of_t(mid), tag))
-    return t, w
+        mid, mcid = 0.5 * (t[seg] + t[seg + 1]), cid[seg]
+        t = np.insert(t, seg + 1, mid)
+        w = np.insert(w, seg + 1, _eval_points(f, s.z(mid, mcid), s.tags, mcid))
+        cid = np.insert(cid, seg + 1, mcid)
+        # the halves of the j-th split segment start at seg[j] + j and one after
+        fresh = ((seg + np.arange(seg.size))[:, None] + [0, 1]).ravel()
+    return replace(s, t=t, w=w, cid=cid)
 
 
 @dataclass(frozen=True)
@@ -165,70 +207,30 @@ class _Curve:
     color: str
     width_scale: float  # multiplies the resolved stroke width
     points: np.ndarray  # complex image points
-    samples: tuple | None = None  # ``(t, w)`` sampled; None for a reflected copy
 
 
-def _scene_curves(f: HarmonicMapping, spec: SceneSpec, max_gap: float | None,
-                  view: tuple[complex, float] | None = None,
-                  start: list[_Curve] | None = None) -> list[_Curve]:
-    """The images of the scene's rays and circles, in drawing order.
-
-    With ``max_gap`` every curve is refined, and with ``view = (center, hw)``
-    only where it may reach that viewport.  For a conjugate-symmetric ``f``
-    the lower halves of circles and rays are reflected upper halves, so a
-    segment is refined where it may reach the viewport or its reflection.
-    ``start`` is an unrefined sampling of the same spec; refinement then
-    starts from its samples instead of evaluating them again.
-    """
-    mirror = is_conjugate_symmetric(f)
-    n0 = spec.samples_per_curve
-    given = {c.tag: c.samples for c in start or ()}
-
-    def reach(rho: float, dz: float):
-        """``_refine_params``'s reach for a curve in ``|z| <= rho`` with ``|z'| = dz``."""
-        if view is None:
-            return None
-        c, hw = view
-        speed = dz * f.kernel.hp_bound(rho) * (1.0 + abs(f.zeta) * rho**f.n)
-        return ({c, c.conjugate()} if mirror else {c}), hw, speed
-
-    curves: list[_Curve] = []
-    half = spec.rays // 2
-    ray_reach = reach(spec.radius, 1.0)
-    for k in range(spec.rays):
-        tag = f"ray-{k}"
-        if mirror and k > half:
-            # mirror of an already-sampled ray: reuse its reflected points
-            src = next(c for c in curves if c.tag == f"ray-{spec.rays - k}")
-            curves.append(_Curve(tag, spec.grid_color, 1.0, np.conjugate(src.points)))
-            continue
-        angle = 2.0 * math.pi * k / spec.rays
-        direction = complex(math.cos(angle), math.sin(angle))
-        t, w = given.get(tag, (np.linspace(0.0, spec.radius, max(n0, 129)), None))
-        t, w = _refine_params(f, lambda s: s * direction, t, tag, max_gap, ray_reach, w)
-        curves.append(_Curve(tag, spec.grid_color, 1.0, w, (t, w)))
-    for j in range(1, spec.circles + 1):
-        rho = spec.radius * j / spec.circles
-        boundary = j == spec.circles
-        tag = "boundary" if boundary else f"circle-{j}"
-
-        def z_of_t(t):
-            return rho * np.exp(1j * t)
-
-        # a mirrored circle samples its upper half and reflects it: the
-        # emitted point set is then exactly invariant under y -> -y
-        theta = (np.linspace(0.0, math.pi, max(n0 // 2 + 1, 65)) if mirror
-                 else np.linspace(0.0, 2.0 * math.pi, max(n0, 129) + 1))
-        theta, w = given.get(tag, (theta, None))
-        theta, w = _refine_params(f, z_of_t, theta, tag, max_gap, reach(rho, rho), w)
-        if mirror:
-            lower = np.conjugate(z_of_t(theta)[-2:0:-1])
-            pts = np.concatenate([w, _eval_curve(f, lower, tag), w[:1]])
-        else:
-            # close the curve on the image of theta = 0 itself
-            pts = np.concatenate([w[:-1], w[:1]])
-        curves.append(_Curve(tag, spec.boundary_color if boundary else spec.grid_color,
-                             1.8 if boundary else 1.0, pts, (theta, w)))
+def _scene_curves(f: HarmonicMapping, spec: SceneSpec, s: _Samples) -> list[_Curve]:
+    """The images of the scene's rays and circles, in drawing order.  In a
+    mirrored scene a lower ray reflects its upper twin, and a circle goes on
+    with the images of its upper half's reflected points (one call of ``f``
+    for all circles): the point set is exactly invariant under ``y -> -y``.
+    Every circle closes on the image of ``theta = 0`` itself."""
+    nr = s.dirs.size
+    ends = np.searchsorted(s.cid, np.arange(len(s.tags)), side="right")
+    ws = np.split(s.w, ends[:-1])
+    if s.mirror and spec.circles:
+        # each upper half from its second-last point back to its second
+        back = np.concatenate([np.arange(b - 2, b - w.size, -1)
+                               for b, w in zip(ends[nr:], ws[nr:])])
+        lower = _eval_points(f, np.conjugate(s.z(s.t[back], s.cid[back])), s.tags, s.cid[back])
+        lower = np.split(lower, np.cumsum([w.size - 2 for w in ws[nr:]]))
+    rays = ws[:nr] + [np.conjugate(ws[spec.rays - k]) for k in range(nr, spec.rays)]
+    curves = [_Curve(f"ray-{k}", spec.grid_color, 1.0, w) for k, w in enumerate(rays)]
+    for j, w in enumerate(ws[nr:]):
+        w = np.concatenate([w, lower[j], w[:1]] if s.mirror else [w[:-1], w[:1]])
+        edge = j == spec.circles - 1
+        curves.append(_Curve(s.tags[nr + j], spec.boundary_color if edge else spec.grid_color,
+                             1.8 if edge else 1.0, w))
     return curves
 
 
@@ -311,11 +313,12 @@ def _fmt(x: float) -> str:
 
 
 def _points_attr(xs: np.ndarray, ys: np.ndarray) -> str:
-    return " ".join(map("{:.9g},{:.9g}".format, (xs + 0.0).tolist(), (ys + 0.0).tolist()))
+    """``"x,y x,y ..."`` from one ``%`` call over the interleaved coordinates."""
+    xy = np.column_stack([xs, ys]).ravel() + 0.0
+    return ("%.9g,%.9g " * xs.size)[:-1] % tuple(xy.tolist())
 
 
-def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex,
-              hw: float) -> str:
+def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex, hw: float) -> str:
     stroke = spec.stroke_width if spec.stroke_width is not None else hw / 240.0
     meta = json.dumps(spec.to_metadata(center, hw, stroke), sort_keys=True,
                       separators=(", ", ": "))
@@ -341,8 +344,7 @@ def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex,
              f'stroke-width="{_fmt(stroke * c.width_scale)}" points="' for c in curves]
     lines += [heads[k] + _points_attr(xs, ys) + '"/>'
               for k, (_, xs, ys) in zip(owner.tolist(), runs)]
-    lines.append("</g>")
-    lines.append("</svg>")
+    lines += ["</g>", "</svg>"]
     return "\n".join(lines) + "\n"
 
 
@@ -353,16 +355,14 @@ def render_image_domain(spec: SceneSpec, f: HarmonicMapping) -> str:
     distinctly as the near-boundary curve) and ``rays`` radial segments,
     adaptively refined until consecutive points are closer than 1/200 of the
     viewport width wherever their image can reach the viewport, clipped to
-    the viewport.  An automatic viewport is fitted to one unrefined sampling
-    pass first, and refinement starts from its samples; a spec with both
-    ``center`` and ``half_width`` skips that pass.
+    the viewport.  An automatic viewport is fitted to the unrefined samples,
+    which refinement then starts from.
     """
     fixed = spec.center is not None and spec.half_width is not None
-    start = None if fixed else _scene_curves(f, spec, max_gap=None)
-    center, hw = _resolve_viewport(spec, start)
-    curves = _scene_curves(f, spec, max_gap=2.0 * hw / GAP_DENOM, view=(center, hw),
-                           start=start)
-    return _assemble(spec, curves, center, hw)
+    s = _sample_scene(f, spec)
+    center, hw = _resolve_viewport(spec, None if fixed else _scene_curves(f, spec, s))
+    s = _refine_scene(f, s, 2.0 * hw / GAP_DENOM, (center, hw))
+    return _assemble(spec, _scene_curves(f, spec, s), center, hw)
 
 
 def render_boundary_curve(f: HarmonicMapping, r: float, M: int = 1024,
@@ -379,7 +379,7 @@ def render_boundary_curve(f: HarmonicMapping, r: float, M: int = 1024,
     theta = np.linspace(0.0, 2.0 * math.pi, int(M) + 1)
     z = r * np.exp(1j * theta)
     z[-1] = z[0]
-    pts = _eval_curve(f, z, "boundary")
+    pts = _eval_points(f, z, ["boundary"], np.zeros(z.size, dtype=int))
     curve = _Curve("boundary", "#b22222", 1.8, pts)
     spec = SceneSpec(family=f.label, radius=r, circles=1, rays=0,
                      samples_per_curve=max(int(M), 128),

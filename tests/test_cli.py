@@ -60,6 +60,14 @@ def test_eval_greek_alias_and_fraction():
     assert json.loads(res.stdout)["f"] == json.loads(ref.stdout)["f"]
 
 
+def test_eval_reports_a_family_label_that_names_the_same_map():
+    # 1.23456789 has more digits than ``:g`` prints; the label keeps them all
+    res = run_cli("eval", "--family", "counterexample:gamma=1.23456789", "--z", "0.1,0.2",
+                  "--json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["family"] == "counterexample:gamma=1.23456789"
+
+
 def test_eval_outside_disk_is_domain_error():
     res = run_cli("eval", "--family", "identity", "--z", "1.5,0")
     assert res.returncode == 2

@@ -7,6 +7,7 @@ each kernel's ``hp_bound`` against sampled ``|h'|``.
 """
 
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from harmap.mappings import (
     HarmonicMapping,
     PolyKernel,
     PowerKernel,
+    family_from_spec,
     make_bshouty_lyzzaik,
     make_counterexample,
     make_extremal,
@@ -179,6 +181,24 @@ def test_horner_matches_closed_forms(f, z):
         assert abs(complex(got) - complex(want)) <= 1e-12 * max(1.0, abs(complex(want)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(f=mappings())
+def test_family_labels_round_trip(f, tmp_path_factory):
+    if f.label.startswith("from-h"):
+        # a label names a polynomial map by its coefficient file, which
+        # family_from_spec reads only for a map in the class
+        assume(abs(f.zeta) <= 1.0 / (2 * f.n - 1))
+        path = tmp_path_factory.mktemp("labels") / "h.json"
+        coeffs = [[c.real, c.imag] for c in np.asarray(f.taylor_h.coeffs, dtype=complex)]
+        path.write_text(json.dumps({"coeffs": coeffs, "zeta": [f.zeta.real, f.zeta.imag],
+                                    "n": f.n}))
+        f = family_from_spec(f"from-h:{path}")
+    g = family_from_spec(f.label)
+    assert g.label == f.label
+    for a, b in ((g.taylor_h, f.taylor_h), (g.taylor_g, f.taylor_g)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
 @st.composite
 def kernels(draw):
     """A power kernel ``(1 - delta z)**q`` or a polynomial ``h'`` with complex coefficients."""
@@ -205,6 +225,17 @@ def test_hp_bound_dominates_h_prime(kernel, rho):
 def test_hp_bound_is_infinite_once_the_branch_point_is_inside():
     assert PowerKernel(-2.0, 1.0).hp_bound(1.0) == np.inf
     assert PowerKernel(0.25, -1.0).hp_bound(1.0) == 2.0**0.25
+    with np.errstate(all="raise"):
+        assert PowerKernel(-2.0, 1.0).hp_bound(np.array([0.5, 1.0])).tolist() == [4.0, np.inf]
+
+
+@SETTINGS
+@given(kernel=kernels(), rhos=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=8))
+def test_hp_bound_takes_an_array_of_radii(kernel, rhos):
+    # numpy's vectorised power may round 1 ulp away from the scalar one
+    got = kernel.hp_bound(np.array(rhos))
+    assert got.shape == (len(rhos),)
+    np.testing.assert_allclose(got, [kernel.hp_bound(r) for r in rhos], rtol=1e-15)
 
 
 def test_power_kernel_requires_unimodular_delta():

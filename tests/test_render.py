@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import harmap.render as render
-from harmap.errors import ParameterError
+from harmap.errors import DomainError, ParameterError
 from harmap.mappings import (
     family_from_spec,
+    is_conjugate_symmetric,
     make_bshouty_lyzzaik,
     make_counterexample,
     make_identity,
@@ -292,7 +293,7 @@ def test_scene_clip_matches_clipping_each_curve():
     f = make_counterexample(1.25)
     center, hw = 0.1 + 0.0j, 0.5
     spec = zoom_scene(f.label, center=center, half_width=hw)
-    curves = render._scene_curves(f, spec, max_gap=None)
+    curves = render._scene_curves(f, spec, render._sample_scene(f, spec))
     want = [(c.tag, render._points_attr(xs, ys)) for c in curves
             for _, xs, ys in render._clip_polyline(c.points, center, hw)]
     svg = render._assemble(spec, curves, center, hw)
@@ -312,57 +313,230 @@ def test_points_attr_formats_like_fmt():
 
 
 def _boundary_refinement(max_gap):
+    """The upper half of the circle ``|z| = 0.999`` (129 samples), the
+    scene's only curve, refined everywhere: every arc may reach an infinite
+    viewport."""
     f = make_counterexample(1.25)
-    rho = 0.999
-
-    def z_of_t(t):
-        return rho * np.exp(1j * t)
-
-    theta = np.linspace(0.0, math.pi, 129)
-    t, w = render._refine_params(f, z_of_t, theta, "boundary", max_gap)
-    return f, z_of_t, t, w
+    spec = SceneSpec(family=f.label, circles=1, rays=0)
+    s = render._refine_scene(f, render._sample_scene(f, spec), max_gap, (0j, math.inf))
+    return f, s
 
 
 def test_refined_points_match_fresh_evaluation():
-    # midpoints are evaluated pass by pass; the result must agree with one
-    # evaluation of the final parameters up to the last bit: past about 16 k
-    # points numpy's complex kernels round some values 1 ulp differently
-    f, z_of_t, t, w = _boundary_refinement(max_gap=2e-4)
-    assert t.size > 20_000
-    assert np.all(np.diff(t) > 0.0)
-    fresh = np.asarray(f(z_of_t(t)))
-    assert np.max(np.abs(w - fresh) / np.abs(fresh)) <= 4e-16
+    # midpoints are evaluated pass by pass; the values of f do not depend on
+    # the array length, so they equal one evaluation of the final parameters
+    # bit for bit
+    f, s = _boundary_refinement(max_gap=2e-4)
+    assert s.t.size > 20_000
+    assert np.all(np.diff(s.t) > 0.0)
+    fresh = np.asarray(f(0.999 * np.exp(1j * s.t)))
+    assert np.array_equal(s.w, fresh)
 
 
 def test_refinement_bounds_gaps_or_stops_at_point_cap(monkeypatch):
     max_gap = 0.005
-    _, _, t, w = _boundary_refinement(max_gap)
-    assert t.size <= MAX_CURVE_POINTS
-    assert np.max(np.abs(np.diff(w))) <= max_gap
+    _, s = _boundary_refinement(max_gap)
+    assert s.t.size <= MAX_CURVE_POINTS
+    assert np.max(np.abs(np.diff(s.w))) <= max_gap
 
     cap = 400
     monkeypatch.setattr(render, "MAX_CURVE_POINTS", cap)
-    _, _, t, w = _boundary_refinement(max_gap)
-    wide = np.count_nonzero(np.abs(np.diff(w)) > max_gap)
-    assert t.size <= cap < t.size + wide
+    _, s = _boundary_refinement(max_gap)
+    wide = np.count_nonzero(np.abs(np.diff(s.w)) > max_gap)
+    assert s.t.size <= cap < s.t.size + wide
 
 
 def test_fixed_viewport_samples_the_scene_once(monkeypatch):
     calls = []
-    scene_curves = render._scene_curves
+    for name in ("_sample_scene", "_refine_scene", "_scene_curves"):
+        def counting(*args, _name=name, _fn=getattr(render, name)):
+            calls.append(_name)
+            return _fn(*args)
 
-    def counting(*args, **kw):
-        calls.append(kw.get("max_gap"))
-        return scene_curves(*args, **kw)
-
-    monkeypatch.setattr(render, "_scene_curves", counting)
+        monkeypatch.setattr(render, name, counting)
     f = make_identity()
     render_image_domain(zoom_scene("identity", center=0.25 + 0.1j, half_width=0.2), f)
-    assert len(calls) == 1 and calls[0] is not None
+    assert calls == ["_sample_scene", "_refine_scene", "_scene_curves"]
     calls.clear()
     render_image_domain(overview_scene("identity", radius=0.9), f)
-    # an auto-fit viewport needs the unrefined pass first
-    assert len(calls) == 2 and calls[0] is None
+    # an auto-fit viewport needs the unrefined curves first; refinement then
+    # starts from the same samples
+    assert calls == ["_sample_scene", "_scene_curves", "_refine_scene", "_scene_curves"]
+
+
+def test_render_evaluates_f_at_most_once_per_pass(monkeypatch):
+    f = make_counterexample(1.25)
+    calls = []
+    call = type(f).__call__
+
+    def counting(self, z):
+        calls.append(np.size(z))
+        return call(self, z)
+
+    monkeypatch.setattr(type(f), "__call__", counting)
+    # sampling, the auto-fit curves' lower halves, the passes, the lower halves
+    render_image_domain(overview_scene(f.label), f)
+    assert 3 < len(calls) <= render.MAX_REFINE_PASSES + 3
+    calls.clear()
+    render_image_domain(zoom_scene(f.label, center=_collision_center(1.25)), f)
+    assert 2 < len(calls) <= render.MAX_REFINE_PASSES + 2
+
+
+def test_domain_error_in_a_pass_names_the_parameter_point(monkeypatch):
+    f = make_counterexample(1.25)
+    seen = []
+    call = type(f).__call__
+
+    def failing(self, z):
+        seen.append(z)
+        if len(seen) == 3:  # sampling, the auto-fit lower halves, the first pass
+            raise DomainError("refused")
+        return call(self, z)
+
+    monkeypatch.setattr(type(f), "__call__", failing)
+    with pytest.raises(DomainError) as err:
+        render_image_domain(overview_scene(f.label), f)
+    # the farthest-out midpoint lies on the outermost circle
+    z = seen[2]
+    worst = z[np.argmax(np.abs(z))]
+    assert abs(worst) == pytest.approx(0.999)
+    assert str(err.value) == f"rendering boundary: refused (parameter point {worst})"
+
+
+# -- refinement against the per-curve reference --------------------------------
+
+
+def _refine_params_reference(f, z_of_t, t, max_gap, reach=None, w=None):
+    """One curve at a time, each pass evaluating that curve's midpoints."""
+    if w is None:
+        w = np.asarray(f(z_of_t(t)))
+    if max_gap is None:
+        return t, w
+    for _ in range(render.MAX_REFINE_PASSES):
+        wide = np.nonzero(np.abs(np.diff(w)) > max_gap)[0]
+        if reach is not None:
+            wide = wide[render._may_reach(w[wide], w[wide + 1], t[wide + 1] - t[wide], *reach)]
+        if wide.size == 0 or t.size + wide.size > render.MAX_CURVE_POINTS:
+            break
+        mid = 0.5 * (t[wide] + t[wide + 1])
+        t = np.insert(t, wide + 1, mid)
+        w = np.insert(w, wide + 1, np.asarray(f(z_of_t(mid))))
+    return t, w
+
+
+def _scene_curves_reference(f, spec, max_gap, view=None, start=None):
+    """``(curves, samples)`` refined curve by curve.  A ray's speed is bounded
+    once, at the scene radius: a looser bound prunes less, and pruning only
+    skips what cannot reach the viewport, so the drawing is the same."""
+    mirror = is_conjugate_symmetric(f)
+    n0 = spec.samples_per_curve
+    given = start or {}
+    samples, curves = {}, []
+
+    def reach(rho, dz):
+        if view is None:
+            return None
+        c, hw = view
+        speed = dz * f.kernel.hp_bound(rho) * (1.0 + abs(f.zeta) * rho**f.n)
+        return ({c, c.conjugate()} if mirror else {c}), hw, speed
+
+    for k in range(spec.rays):
+        tag = f"ray-{k}"
+        if mirror and k > spec.rays // 2:
+            mirrored = np.conjugate(curves[spec.rays - k].points)
+            curves.append(render._Curve(tag, spec.grid_color, 1.0, mirrored))
+            continue
+        angle = 2.0 * math.pi * k / spec.rays
+        direction = complex(math.cos(angle), math.sin(angle))
+        t, w = given.get(tag, (np.linspace(0.0, spec.radius, max(n0, 129)), None))
+        t, w = _refine_params_reference(f, lambda s, d=direction: s * d, t, max_gap,
+                                        reach(spec.radius, 1.0), w)
+        samples[tag] = (t, w)
+        curves.append(render._Curve(tag, spec.grid_color, 1.0, w))
+    for j in range(1, spec.circles + 1):
+        rho = spec.radius * j / spec.circles
+        boundary = j == spec.circles
+        tag = "boundary" if boundary else f"circle-{j}"
+
+        def z_of_t(t, rho=rho):
+            return rho * np.exp(1j * t)
+
+        theta = (np.linspace(0.0, math.pi, max(n0 // 2 + 1, 65)) if mirror
+                 else np.linspace(0.0, 2.0 * math.pi, max(n0, 129) + 1))
+        theta, w = given.get(tag, (theta, None))
+        theta, w = _refine_params_reference(f, z_of_t, theta, max_gap, reach(rho, rho), w)
+        samples[tag] = (theta, w)
+        if mirror:
+            lower = np.conjugate(z_of_t(theta)[-2:0:-1])
+            pts = np.concatenate([w, np.asarray(f(lower)), w[:1]])
+        else:
+            pts = np.concatenate([w[:-1], w[:1]])
+        curves.append(render._Curve(tag, spec.boundary_color if boundary else spec.grid_color,
+                                    1.8 if boundary else 1.0, pts))
+    return curves, samples
+
+
+def _render_reference(spec, f):
+    fixed = spec.center is not None and spec.half_width is not None
+    curves, start = (None, None) if fixed else _scene_curves_reference(f, spec, None)
+    center, hw = render._resolve_viewport(spec, curves)
+    curves, _ = _scene_curves_reference(f, spec, 2.0 * hw / render.GAP_DENOM,
+                                        (center, hw), start)
+    return render._assemble(spec, curves, center, hw)
+
+
+#: ``(family, SceneSpec keywords)``; a ``center`` of None is the collision
+#: image of the counterexample
+REFERENCE_SCENES = {
+    "counterexample-overview": ("counterexample:gamma=5/4", {}),
+    "counterexample-collision-zoom": ("counterexample:gamma=5/4",
+                                      {"center": None, "half_width": 0.05}),
+    "bl-overview": ("bl:lam=0.4", {}),
+    "extremal-nonsymmetric-zoom": ("extremal:alpha=0.25,zeta=0.2+0.2j,n=1",
+                                   {"center": -0.29 - 0.9j, "half_width": 0.05}),
+    "rays-only": ("counterexample:gamma=5/4", {"circles": 0, "rays": 8}),
+    # about f(0.98) on the ray toward the pole of h' = (1 - z)^-2, where a
+    # ray segment's speed bound must be taken at its outer end
+    "extremal-ray-zoom": ("extremal:alpha=0,zeta=0.3,n=2",
+                          {"circles": 0, "rays": 4, "center": 61.65 + 0j, "half_width": 0.5}),
+    "odd-rays": ("counterexample:gamma=5/4", {"circles": 3, "rays": 7}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
+def test_batched_scene_matches_per_curve_reference(name):
+    family, kw = REFERENCE_SCENES[name]
+    f = family_from_spec(family)
+    if "center" in kw and kw["center"] is None:
+        kw = {**kw, "center": _collision_center(1.25)}
+    spec = SceneSpec(family=f.label, **kw)
+    svg = render_image_domain(spec, f)
+    assert svg == _render_reference(spec, f)
+    assert len(all_points(svg)) > 100
+
+
+def test_point_cap_stops_one_curve_while_the_others_refine(monkeypatch):
+    f = make_counterexample(1.25)
+    spec = overview_scene(f.label)
+    start = render._sample_scene(f, spec)
+    center, hw = render._resolve_viewport(spec, render._scene_curves(f, spec, start))
+    max_gap = 2.0 * hw / render.GAP_DENOM
+
+    def refined():
+        s = render._refine_scene(f, start, max_gap, (center, hw))
+        return {tag: s.w[s.cid == k] for k, tag in enumerate(s.tags)}
+
+    free = refined()
+    cap = 360  # the boundary needs 367 points; every other curve at most 351
+    monkeypatch.setattr(render, "MAX_CURVE_POINTS", cap)
+    capped = refined()
+    w = capped.pop("boundary")
+    assert w.size <= cap < free.pop("boundary").size
+    assert np.max(np.abs(np.diff(w))) > max_gap
+    assert capped.keys() == free.keys()
+    assert all(np.array_equal(capped[tag], free[tag]) for tag in free)
+    assert sum(w.size > 129 for w in free.values()) > 3  # other circles refined too
+    assert render_image_domain(spec, f) == _render_reference(spec, f)
 
 
 # -- viewport pruning ----------------------------------------------------------
@@ -393,8 +567,9 @@ def test_pruned_zoom_matches_refining_everywhere(family, center, hw):
         center = _collision_center(1.25)
     spec = zoom_scene(f.label, center=center, half_width=hw)
     max_gap = 2.0 * hw / render.GAP_DENOM
-    pruned = render._scene_curves(f, spec, max_gap=max_gap, view=(center, hw))
-    full = render._scene_curves(f, spec, max_gap=max_gap)
+    start = render._sample_scene(f, spec)
+    pruned, full = (render._scene_curves(f, spec, render._refine_scene(f, start, max_gap, view))
+                    for view in ((center, hw), (center, math.inf)))
     svg = render_image_domain(spec, f)
     assert svg == render._assemble(spec, pruned, center, hw)
     assert svg == render._assemble(spec, full, center, hw)
