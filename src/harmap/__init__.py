@@ -45,7 +45,6 @@ from .errors import (
     DomainError,
     HarmapError,
     InfeasibilityError,
-    MissingSeriesError,
     NumericalError,
     OnCurveError,
     ParameterError,
@@ -79,7 +78,7 @@ from .render import (
 )
 from .reports import BoundReport, UnivalenceReport, dump_json
 from .series import PowerSeries
-from .special import BranchedPower, hyp2f1, principal_pow
+from .special import hyp2f1, principal_pow
 from .univalence import (
     CollisionSearchParams,
     SymmetricCollision,
@@ -92,15 +91,15 @@ from .univalence import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticFunction", "AreaBounds", "BoundReport", "BranchedPower",
-    "ClassParams", "CollisionSearchParams", "CurvatureReport", "DiskGrid",
+    "AnalyticFunction", "AreaBounds", "BoundReport", "ClassParams",
+    "CollisionSearchParams", "CurvatureReport", "DiskGrid",
     "ExtremalSpec", "GrowthBounds", "HarmonicMapping", "PBetaParams",
     "PolyKernel", "PowerKernel", "PowerSeries", "SceneSpec", "SymmetricCollision",
     "UnivalenceReport",
     "HarmapError", "ParameterError", "AdmissibilityError", "InfeasibilityError",
     "DomainError", "BranchCutError", "PoleError", "NumericalError",
     "DivergenceError", "ConvergenceError", "SingularityError",
-    "SeriesOrderError", "MissingSeriesError", "OnCurveError",
+    "SeriesOrderError", "OnCurveError",
     "area", "area_bounds", "cc_radius", "check_membership", "check_pbeta",
     "check_theorem_b_condition", "coeff_bound_a", "coeff_bound_b",
     "covering_radius", "curvature", "curvature_extrema", "default_lattice",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingSeriesError, ParameterError
+from .errors import ParameterError
 from .mappings import ClassParams, ExtremalSpec, HarmonicMapping, PolyKernel, make_extremal
 from .quadrature import disk_integral, integrate_real
 from .reports import BoundReport, complex_pair
@@ -75,21 +75,13 @@ def _worst(cands, lowest: bool = False):
 
 def verify_coeff_relation(f: HarmonicMapping, n: int, zeta, K: int,
                           tol: float = 1e-12) -> BoundReport:
-    """Check the coefficient recursion ``(k+n) b_{k+n} = zeta k a_k``.
-
-    Needs Taylor arrays through order ``K`` (analytic part) and ``K + n``
-    (co-analytic part).
+    """Check the coefficient recursion ``(k+n) b_{k+n} = zeta k a_k`` for
+    ``1 <= k <= K``, on the Taylor arrays of ``f`` through ``K`` and ``K + n``.
     """
-    if f.taylor_h is None or f.taylor_g is None:
-        raise MissingSeriesError("mapping carries no Taylor arrays")
-    if f.taylor_h.order < K or f.taylor_g.order < K + n:
-        raise MissingSeriesError(
-            f"need Taylor orders >= ({K}, {K + n}), have "
-            f"({f.taylor_h.order}, {f.taylor_g.order})"
-        )
+    th, tg = f.taylor(max(K, K + n - f.n))
     zeta = complex(zeta)
     worst, witness, _ = _worst(
-        (abs((k + n) * f.taylor_g.coeff(k + n) - zeta * k * f.taylor_h.coeff(k)), k)
+        (abs((k + n) * tg.coeff(k + n) - zeta * k * th.coeff(k)), k)
         for k in range(1, K + 1))
     return BoundReport(
         check="coefficient-relation",
@@ -127,20 +119,22 @@ def _growth_params(params: ClassParams) -> tuple[float, float, int, tuple]:
     return alpha, abs(zeta), params.n, notes
 
 
-def _phi_closed(r: float, alpha: float, zeta: float, n: int) -> float:
-    correction = zeta * r ** (n + 1) / (n + 1.0)
-    if abs(2.0 * alpha - 1.0) < _HALF_EPS:
-        return math.log1p(r) - correction * hyp2f1(1.0, n + 1.0, n + 2.0, -r).real
-    lead = ((1.0 + r) ** (2.0 * alpha - 1.0) - 1.0) / (2.0 * alpha - 1.0)
-    return lead - correction * hyp2f1(n + 1.0, 2.0 - 2.0 * alpha, n + 2.0, -r).real
+def _envelope(r: float, s: float, alpha: float, zeta: float, n: int) -> float:
+    """``int_0^r (1 - s zeta rho^n) (1 + s rho)^(2 alpha - 2) drho``: the lower
+    growth envelope for ``s = 1``, the upper one for ``s = -1``.
 
-
-def _psi_closed(r: float, alpha: float, zeta: float, n: int) -> float:
+    Closed form ``s lead(s r) - s corr 2F1(n+1, 2-2alpha; n+2; -s r)`` with
+    ``lead(x) = int_0^x (1 + t)^(2 alpha - 2) dt`` and
+    ``corr = zeta r^(n+1)/(n+1)``.
+    """
     correction = zeta * r ** (n + 1) / (n + 1.0)
+    x = s * r
     if abs(2.0 * alpha - 1.0) < _HALF_EPS:
-        return -math.log1p(-r) + correction * hyp2f1(1.0, n + 1.0, n + 2.0, r).real
-    lead = (1.0 - (1.0 - r) ** (2.0 * alpha - 1.0)) / (2.0 * alpha - 1.0)
-    return lead + correction * hyp2f1(n + 1.0, 2.0 - 2.0 * alpha, n + 2.0, r).real
+        lead, F = math.log1p(x), hyp2f1(1.0, n + 1.0, n + 2.0, -x).real
+    else:
+        lead = ((1.0 + x) ** (2.0 * alpha - 1.0) - 1.0) / (2.0 * alpha - 1.0)
+        F = hyp2f1(n + 1.0, 2.0 - 2.0 * alpha, n + 2.0, -x).real
+    return s * lead - s * correction * F
 
 
 def growth_bounds(r: float, params: ClassParams, mode: str = "closed-form",
@@ -155,8 +149,8 @@ def growth_bounds(r: float, params: ClassParams, mode: str = "closed-form",
         raise ParameterError(f"radius must lie in (0, 1), got {r}")
     alpha, zeta, n, notes = _growth_params(params)
     if mode == "closed-form":
-        phi = _phi_closed(r, alpha, zeta, n)
-        psi = _psi_closed(r, alpha, zeta, n)
+        phi = _envelope(r, 1.0, alpha, zeta, n)
+        psi = _envelope(r, -1.0, alpha, zeta, n)
     elif mode == "quadrature":
         expo = 2.0 * (1.0 - alpha)
         phi = integrate_real(
@@ -173,10 +167,7 @@ def covering_radius(params: ClassParams) -> float:
     """Radius of the disk guaranteed inside the image: the ``r -> 1`` limit
     of the lower growth envelope."""
     alpha, zeta, n, _ = _growth_params(params)
-    if abs(2.0 * alpha - 1.0) < _HALF_EPS:
-        return math.log(2.0) - zeta / (n + 1.0) * hyp2f1(1.0, n + 1.0, n + 2.0, -1.0).real
-    lead = (2.0 ** (2.0 * alpha - 1.0) - 1.0) / (2.0 * alpha - 1.0)
-    return lead - zeta / (n + 1.0) * hyp2f1(n + 1.0, 2.0 - 2.0 * alpha, n + 2.0, -1.0).real
+    return _envelope(1.0, 1.0, alpha, zeta, n)
 
 
 #: first order tried for a power-kernel area series; doubled until the tail fits
@@ -358,13 +349,13 @@ def verify_coeff_sharpness(spec: ExtremalSpec, K: int = 12,
     deviation drives the verdict.
     """
     p = spec.params
-    f = make_extremal(spec, order=max(K + p.n + 2, 16))
+    th, tg = make_extremal(spec).taylor(K)
 
     def deviations():
         for k in range(2, K + 1):
-            yield abs(abs(complex(f.taylor_h.coeff(k))) - coeff_bound_a(k, p.alpha)), k
+            yield abs(abs(complex(th.coeff(k))) - coeff_bound_a(k, p.alpha)), k
         for k in range(1, K + 1):
-            yield (abs(abs(complex(f.taylor_g.coeff(k + p.n)))
+            yield (abs(abs(complex(tg.coeff(k + p.n)))
                        - coeff_bound_b(k, p.n, p.alpha, p.zeta)), k + p.n)
 
     worst, witness, _ = _worst(deviations())

@@ -38,6 +38,7 @@ from .mappings import (
     family_from_spec,
     make_extremal,
     parse_family_spec,
+    parse_int,
     parse_scalar,
 )
 from .render import SceneSpec, overview_scene, render_boundary_curve, render_image_domain, zoom_scene
@@ -55,8 +56,8 @@ def _parse_complex(text: str) -> complex:
     raise ParameterError(f"expected 're,im' or a single real, got {text!r}")
 
 
-def _parse_csv(text: str, cast=float) -> list:
-    return [cast(parse_scalar(tok).real) for tok in text.split(",") if tok.strip()]
+def _parse_csv(text: str, parse=lambda tok: float(parse_scalar(tok).real)) -> list:
+    return [parse(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_class(text: str) -> ClassParams:
@@ -65,7 +66,7 @@ def _parse_class(text: str) -> ClassParams:
         raise ParameterError(f"--cls expects 'alpha,zeta,n', got {text!r}")
     return ClassParams(float(parse_scalar(vals[0]).real),
                        complex(parse_scalar(vals[1])),
-                       int(float(parse_scalar(vals[2]).real)))
+                       parse_int(vals[2], "n"))
 
 
 def _cfmt(w: complex) -> str:
@@ -134,7 +135,7 @@ def cmd_check(args) -> int:
             raise ParameterError("--theorem-b expects 'lam_re,lam_im,k,n'")
         lam = complex(float(vals[0]), float(vals[1]))
         report = check_theorem_b_condition(f, lam, float(parse_scalar(vals[2]).real),
-                                           int(float(vals[3])), tol=tol)
+                                           parse_int(vals[3], "n"), tol=tol)
     else:
         raise ParameterError("check needs one of --cls, --pbeta, --theorem-b")
     return _emit(args, {"report": report.to_dict()}, [report.summary()],
@@ -147,7 +148,7 @@ def cmd_verify_bounds(args) -> int:
         alphas=tuple(_parse_csv(args.alphas)),
         zetas=tuple(_parse_csv(args.zetas)),
         zeta_rel=tuple(_parse_csv(args.zeta_rel)),
-        ns=tuple(_parse_csv(args.ns, cast=int)),
+        ns=tuple(_parse_csv(args.ns, lambda tok: parse_int(tok, "n"))),
     )
     radii = _parse_csv(args.radii)
     area_radii = _parse_csv(args.area_radii)
@@ -158,9 +159,8 @@ def cmd_verify_bounds(args) -> int:
             spec = ExtremalSpec(params, 1.0)
             reports.append(verify_coeff_sharpness(
                 spec, K=args.kmax, tol=tol if tol is not None else 1e-10))
-            fx = make_extremal(spec, order=max(args.kmax + params.n + 2, 16))
             reports.append(verify_coeff_relation(
-                fx, params.n, params.zeta, K=args.kmax,
+                make_extremal(spec), params.n, params.zeta, K=args.kmax,
                 tol=tol if tol is not None else 1e-12))
         if what in ("growth", "all"):
             reports.append(verify_growth_consistency(

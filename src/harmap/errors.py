@@ -54,9 +54,5 @@ class SeriesOrderError(HarmapError, ValueError):
     """A truncated-series operation would underflow the truncation order."""
 
 
-class MissingSeriesError(HarmapError, ValueError):
-    """An operation needs Taylor coefficients the mapping does not carry."""
-
-
 class OnCurveError(HarmapError, ValueError):
     """A winding-number target lies (numerically) on the curve itself."""

@@ -43,12 +43,9 @@ from .errors import (
     SingularityError,
 )
 from .series import PowerSeries
-from .special import BranchedPower
 
 #: evaluation points this close to (or beyond) the unit circle are rejected
 _DISK_EDGE = 1.0
-#: default truncation order for family Taylor arrays
-DEFAULT_ORDER = 64
 #: power-kernel primitive exponents closer to zero than this are summed by expm1
 _NEAR_ZERO = 0.5
 #: a polynomial root this far outside a disk still counts as inside it
@@ -87,7 +84,19 @@ class PowerKernel:
         self.delta = delta
 
     def series(self, order: int) -> PowerSeries:
-        return BranchedPower(self.q, self.delta).series(order)
+        """Binomial expansion ``sum_k C(q,k) (-delta)^k z^k`` through ``order``."""
+        c = np.empty(order + 1, dtype=np.complex128)
+        c[0] = 1.0
+        d = -complex(self.delta)
+        for k in range(1, order + 1):
+            c[k] = c[k - 1] * (self.q - k + 1) / k * d
+        return PowerSeries(c)
+
+    def real_coefficients(self, zeta: complex) -> bool:
+        """Whether ``h'`` and ``zeta h'`` have only real Taylor coefficients:
+        ``h'(0) = 1``, so ``zeta`` must be real, and ``C(q,1) delta`` is real
+        only where ``q = 0`` or ``delta`` is real, and then all are."""
+        return zeta.imag == 0.0 and (self.q == 0.0 or complex(self.delta).imag == 0.0)
 
     def evaluator(self, f: "HarmonicMapping"):
         """``(z, value, derivs) -> (h, g, h')`` for the shear of ``f``.
@@ -109,7 +118,7 @@ class PowerKernel:
                   / (1.0 if m == near else expo[m]) for m in range(n + 1)]
         far = [m for m in range(n + 1) if m != near]
         K = sum(weight[m] for m in far)
-        p = sum((BranchedPower(m, delta).series(n).scale(weight[m]) for m in far),
+        p = sum((PowerKernel(m, delta).series(n).scale(weight[m]) for m in far),
                 PowerSeries.zero(n))
         h_weight = None if near == 0 else 1.0 / (delta * expo[0])
 
@@ -185,12 +194,19 @@ class PolyKernel:
         self._roots = None
 
     def series(self, order: int) -> PowerSeries:
-        """The exact polynomial, whatever ``order`` asks for."""
-        return self.hp
+        """The exact polynomial through ``order``: truncated, or padded with zeros."""
+        return self.hp.extend(order).truncate(order)
+
+    def real_coefficients(self, zeta: complex) -> bool:
+        """Whether ``h'`` and ``zeta h'`` have only real Taylor coefficients."""
+        c = self.hp.coeffs
+        return not np.any(c.imag) and (zeta.imag == 0.0 or not np.any(c))
 
     def evaluator(self, f: "HarmonicMapping"):
-        """``(z, value, derivs) -> (h, g, h')`` by Horner on ``f``'s Taylor arrays."""
-        th, tg, hp = f.taylor_h, f.taylor_g, self.hp
+        """``(z, value, derivs) -> (h, g, h')`` by Horner on the exact Taylor
+        arrays of ``h`` and ``g``."""
+        hp = self.hp
+        th, tg = f.taylor(hp.order + 1)
 
         def evaluate(z, value, derivs):
             return (th(z) if value else None, tg(z) if value else None,
@@ -224,19 +240,14 @@ class HarmonicMapping:
     """``f = h + conj(g)`` with ``g' = zeta z^n h'`` and ``h'`` from ``kernel``.
 
     ``h`` and ``g`` are :class:`AnalyticFunction` views (value and two
-    derivatives); ``taylor_h`` and ``taylor_g`` hold the Taylor coefficients
-    through ``order`` (the exact polynomials for a :class:`PolyKernel`).
+    derivatives); :meth:`taylor` gives their Taylor coefficients.
     """
 
-    def __init__(self, kernel, zeta=0.0, n: int = 1, label: str = "mapping",
-                 order: int = DEFAULT_ORDER):
+    def __init__(self, kernel, zeta=0.0, n: int = 1, label: str = "mapping"):
         self.kernel = kernel
         self.zeta = complex(zeta)
-        self.n = int(n)
+        self.n = parse_int(n, "n")
         self.label = label
-        hp = kernel.series(order - 1)
-        self.taylor_h = hp.integrate()
-        self.taylor_g = hp.shift(self.n).scale(self.zeta).integrate()
         self._evaluate = kernel.evaluator(self)
         self.h = AnalyticFunction(lambda z: self._parts(z)[0],
                                   lambda z: self._eval(z, False, True)[1],
@@ -244,6 +255,14 @@ class HarmonicMapping:
         self.g = AnalyticFunction(lambda z: self._parts(z)[1],
                                   lambda z: self._eval(z, False, True)[2],
                                   self._g_deriv2)
+
+    def taylor(self, order: int) -> tuple[PowerSeries, PowerSeries]:
+        """Taylor coefficients ``(h, g)`` through ``order`` and ``order + n``
+        (exact, padded with zeros, for a :class:`PolyKernel`)."""
+        if order < 1:
+            raise ParameterError(f"Taylor order must be >= 1, got {order}")
+        hp = self.kernel.series(order - 1)
+        return hp.integrate(), hp.shift(self.n).scale(self.zeta).integrate()
 
     def _parts(self, z):
         """``(h(z), g(z), None)``."""
@@ -300,12 +319,12 @@ class HarmonicMapping:
 
 def is_conjugate_symmetric(f: HarmonicMapping) -> bool:
     """Whether ``f(conj z) == conj(f(z))``: exactly when every Taylor
-    coefficient is real.
+    coefficient of ``h`` and ``g`` is real, that is of ``h'`` and ``zeta h'``.
 
     Mappings with this symmetry have images mirror-symmetric about the real
     axis and conjugate collision pairs.
     """
-    return not (np.any(f.taylor_h.coeffs.imag) or np.any(f.taylor_g.coeffs.imag))
+    return f.kernel.real_coefficients(f.zeta)
 
 
 @dataclass(frozen=True)
@@ -365,7 +384,7 @@ def make_identity() -> HarmonicMapping:
     return HarmonicMapping(PolyKernel(PowerSeries([1.0])), 0.0, 1, "identity")
 
 
-def make_counterexample(gamma: float, order: int = DEFAULT_ORDER) -> HarmonicMapping:
+def make_counterexample(gamma: float) -> HarmonicMapping:
     """Shear family with ``h' = (1-z)**(gamma-1)`` and dilatation ``z``.
 
     For every ``1 < gamma <= 7/4`` the analytic part has curvature real part
@@ -375,7 +394,7 @@ def make_counterexample(gamma: float, order: int = DEFAULT_ORDER) -> HarmonicMap
     if not 1.0 < gamma <= 1.75:
         raise ParameterError(f"gamma must lie in (1, 7/4], got {gamma}")
     return HarmonicMapping(PowerKernel(gamma - 1.0), 1.0, 1,
-                           f"counterexample:gamma={_num(gamma)}", order)
+                           f"counterexample:gamma={_num(gamma)}")
 
 
 def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
@@ -390,7 +409,7 @@ def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
                            f"bl:lam={_num(lam)}")
 
 
-def make_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> HarmonicMapping:
+def make_extremal(spec: ExtremalSpec) -> HarmonicMapping:
     """Extremal mapping ``h' = (1 - delta z)**(2 alpha - 2)``, ``g' = zeta z^n h'``.
 
     Saturates the class coefficient bounds; with ``delta = 1`` its values at
@@ -400,12 +419,10 @@ def make_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> HarmonicMap
     p = spec.params
     label = (f"extremal:alpha={_num(p.alpha)},zeta={_num(p.zeta)},n={p.n},"
              f"delta={_num(spec.delta)}")
-    return HarmonicMapping(PowerKernel(2.0 * p.alpha - 2.0, spec.delta), p.zeta, p.n,
-                           label, order)
+    return HarmonicMapping(PowerKernel(2.0 * p.alpha - 2.0, spec.delta), p.zeta, p.n, label)
 
 
-def make_from_h(h: PowerSeries, zeta, n: int, order: int = DEFAULT_ORDER,
-                require_admissible: bool = True,
+def make_from_h(h: PowerSeries, zeta, n: int, require_admissible: bool = True,
                 label: str | None = None) -> HarmonicMapping:
     """Shear a normalized polynomial analytic part by ``g' = zeta * z^n * h'``.
 
@@ -427,7 +444,7 @@ def make_from_h(h: PowerSeries, zeta, n: int, order: int = DEFAULT_ORDER,
     if abs(h.coeff(0)) > 1e-12 or abs(h.coeff(1) - 1.0) > 1e-12:
         raise ParameterError("analytic part must be normalized: h(0)=0, h'(0)=1")
     return HarmonicMapping(PolyKernel(h.derive()), zeta, n,
-                           label or f"from-h:order={h.order},zeta={_num(zeta)},n={n}", order)
+                           label or f"from-h:order={h.order},zeta={_num(zeta)},n={n}")
 
 
 # -- family-spec grammar ------------------------------------------------------
@@ -440,7 +457,6 @@ _KEY_ALIASES = {
     "δ": "delta", "delta": "delta",
     "n": "n",
     "path": "path",
-    "order": "order",
 }
 
 
@@ -457,6 +473,18 @@ def parse_scalar(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ParameterError(f"bad numeric literal: {text!r}") from exc
+
+
+def parse_int(value, key: str) -> int:
+    """``value`` (CLI text or a JSON number) as an ``int``; a
+    :class:`ParameterError` unless it is an exact integer."""
+    v = parse_scalar(value) if isinstance(value, str) else value
+    if isinstance(v, numbers.Complex) and not isinstance(v, bool):
+        if isinstance(v, numbers.Integral):
+            return int(v)
+        if v.imag == 0 and float(v.real).is_integer():
+            return int(v.real)
+    raise ParameterError(f"{key} must be an integer, got {value!r}")
 
 
 def _num(x) -> str:
@@ -495,8 +523,7 @@ def _load_coeff_file(path: str):
 
     coeffs = [as_complex(v) for v in payload["coeffs"]]
     zeta = as_complex(payload.get("zeta", 1.0))
-    n = payload.get("n", 1)
-    return PowerSeries(coeffs), zeta, int(n)
+    return PowerSeries(coeffs), zeta, parse_int(payload.get("n", 1), "n")
 
 
 def parse_family_spec(spec: str) -> tuple[str, dict, list]:
@@ -521,7 +548,7 @@ def parse_family_spec(spec: str) -> tuple[str, dict, list]:
     return name, raw, positional
 
 
-def family_from_spec(spec: str, order: int = DEFAULT_ORDER) -> HarmonicMapping:
+def family_from_spec(spec: str) -> HarmonicMapping:
     """Build a mapping from a ``name:key=value,...`` family description.
 
     Keys accept both Greek and spelled-out names (``γ``/``gamma``); values
@@ -529,15 +556,13 @@ def family_from_spec(spec: str, order: int = DEFAULT_ORDER) -> HarmonicMapping:
     The ``from-h`` family takes a JSON coefficient file as its first argument.
     """
     name, raw, positional = parse_family_spec(spec)
-    if "order" in raw:
-        order = int(_real_scalar(raw["order"], "order"))
 
     if name == "identity":
         return make_identity()
     if name == "counterexample":
         if "gamma" not in raw:
             raise ParameterError("counterexample family needs gamma=<value>")
-        return make_counterexample(_real_scalar(raw["gamma"], "gamma"), order=order)
+        return make_counterexample(_real_scalar(raw["gamma"], "gamma"))
     if name == "bl":
         if "lam" not in raw:
             raise ParameterError("bl family needs lambda=<value>")
@@ -547,10 +572,9 @@ def family_from_spec(spec: str, order: int = DEFAULT_ORDER) -> HarmonicMapping:
         if missing:
             raise ParameterError(f"extremal family needs {sorted(missing)}")
         params = ClassParams(_real_scalar(raw["alpha"], "alpha"),
-                             parse_scalar(raw["zeta"]),
-                             int(_real_scalar(raw["n"], "n")))
+                             parse_scalar(raw["zeta"]), parse_int(raw["n"], "n"))
         delta = parse_scalar(raw.get("delta", "1"))
-        return make_extremal(ExtremalSpec(params, delta), order=order)
+        return make_extremal(ExtremalSpec(params, delta))
     if name == "from-h":
         path = raw.get("path") or (positional[0] if positional else None)
         if path is None:
@@ -559,7 +583,6 @@ def family_from_spec(spec: str, order: int = DEFAULT_ORDER) -> HarmonicMapping:
         if "zeta" in raw:
             zeta = parse_scalar(raw["zeta"])
         if "n" in raw:
-            n = int(_real_scalar(raw["n"], "n"))
-        return make_from_h(series, zeta, n, order=order,
-                           label=f"from-h:{path},zeta={_num(zeta)},n={n}")
+            n = parse_int(raw["n"], "n")
+        return make_from_h(series, zeta, n, label=f"from-h:{path},zeta={_num(zeta)},n={n}")
     raise ParameterError(f"unknown family {name!r}")

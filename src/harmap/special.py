@@ -17,10 +17,8 @@ from .errors import (
     ConvergenceError,
     DivergenceError,
     DomainError,
-    ParameterError,
     PoleError,
 )
-from .series import PowerSeries
 
 #: default relative tolerance for hypergeometric summation
 HYP_TOL = 1e-12
@@ -38,32 +36,6 @@ def principal_pow(w, gamma: float) -> complex:
     if wc.imag == 0.0 and wc.real <= 0.0:
         raise BranchCutError(f"principal power undefined on the cut: w={wc}")
     return cmath.exp(gamma * cmath.log(wc))
-
-
-class BranchedPower:
-    """The analytic branch of ``(1 - delta*z)**gamma`` on the unit disk, as
-    its Taylor series.
-
-    ``|delta| = 1`` keeps the branch point on the boundary, so the principal
-    branch is single-valued for ``|z| < 1``.
-    """
-
-    __slots__ = ("gamma", "delta")
-
-    def __init__(self, gamma: float, delta=1.0):
-        delta = complex(delta)
-        if abs(abs(delta) - 1.0) > 1e-14:
-            raise ParameterError(f"|delta| must equal 1, got {abs(delta)}")
-        self.gamma = float(gamma)
-        self.delta = delta
-
-    def series(self, order: int) -> PowerSeries:
-        """Binomial expansion ``sum_k C(gamma,k) (-delta)^k z^k`` to ``order``."""
-        c = np.empty(order + 1, dtype=np.complex128)
-        c[0] = 1.0
-        for k in range(1, order + 1):
-            c[k] = c[k - 1] * (self.gamma - k + 1) / k * (-self.delta)
-        return PowerSeries(c)
 
 
 def _hyp_series(a: float, b: float, c: float, z: complex, tol: float, max_terms: int) -> complex:
@@ -143,70 +115,48 @@ def _hyp_near_one(a: float, b: float, c: float, x: float, tol: float,
         return _hyp_series(a, b, c, complex(x), tol, max(max_terms, 400_000))
 
     gc = math.gamma(c)
-    if m >= 0:
-        # c = a + b + m:  finite prefix plus a log-weighted series.
+
+    def log_branch(lo, hi):
+        """``c = a + b + m``: a finite prefix of ``M = |m|`` terms in
+        ``(a, b) = lo`` plus a log-weighted series in ``(a, b) = hi``, the
+        two pairs ``M`` apart; ``u^m`` weighs the prefix when ``m < 0`` and
+        the series when ``m > 0``."""
+        M = abs(m)
         prefix = 0.0
-        if m > 0:
+        if M > 0:
             coef = 1.0
-            for k in range(m):
+            for k in range(M):
                 prefix += coef
-                if k + 1 < m:
-                    coef *= (a + k) * (b + k) / ((k + 1.0) * (k + 1.0 - m)) * u
-            prefix *= math.gamma(m) * gc * _rgamma(a + m) * _rgamma(b + m)
-        sgn = -1.0 if m % 2 else 1.0
-        scale = -sgn * gc * _rgamma(a) * _rgamma(b) * u**m
-        psi1, psi2 = digamma(1.0), digamma(m + 1.0)
-        psia, psib = digamma(a + m), digamma(b + m)
-        coef = 1.0 / math.gamma(m + 1.0)
+                if k + 1 < M:
+                    coef *= (lo[0] + k) * (lo[1] + k) / ((k + 1.0) * (k + 1.0 - M)) * u
+            prefix *= math.gamma(M) * gc * _rgamma(hi[0]) * _rgamma(hi[1]) * u**min(m, 0)
+        sgn = -1.0 if M % 2 else 1.0
+        scale = -sgn * gc * _rgamma(lo[0]) * _rgamma(lo[1]) * u**max(m, 0)
+        psi1, psi2 = digamma(1.0), digamma(M + 1.0)
+        psia, psib = digamma(hi[0]), digamma(hi[1])
+        coef = 1.0 / math.gamma(M + 1.0)
         total = 0.0
         for k in range(max(max_terms, 1000)):
             lk = log_u - psi1 - psi2 + psia + psib
             total += coef * lk
-            ratio = abs(a + m + k) * abs(b + m + k) / ((k + 1.0) * (k + m + 1.0)) * u
+            ratio = abs(hi[0] + k) * abs(hi[1] + k) / ((k + 1.0) * (k + M + 1.0)) * u
             rho = max(u, ratio)
             if rho < 1.0 and abs(coef) * (abs(lk) + 2.0) * rho / (1.0 - rho) <= tol:
                 break
-            coef *= (a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0)) * u
+            coef *= (hi[0] + k) * (hi[1] + k) / ((k + 1.0) * (k + M + 1.0)) * u
             psi1 += 1.0 / (k + 1.0)
-            psi2 += 1.0 / (k + m + 1.0)
-            psia += 1.0 / (a + m + k)
-            psib += 1.0 / (b + m + k)
+            psi2 += 1.0 / (k + M + 1.0)
+            psia += 1.0 / (hi[0] + k)
+            psib += 1.0 / (hi[1] + k)
         else:
             raise ConvergenceError(
                 f"logarithmic 2F1 series stalled near z=1 (z={x}, c-a-b={m})")
         return complex(prefix + scale * total)
 
-    # c = a + b - |m|:  a pole-order prefix in (1-z) plus a log-weighted series.
+    if m >= 0:
+        return log_branch((a, b), (a + m, b + m))
     mm = -m
-    prefix = 0.0
-    coef = 1.0
-    for k in range(mm):
-        prefix += coef
-        if k + 1 < mm:
-            coef *= (a - mm + k) * (b - mm + k) / ((k + 1.0) * (k + 1.0 - mm)) * u
-    prefix *= math.gamma(mm) * gc * _rgamma(a) * _rgamma(b) * u**m
-    sgn = -1.0 if mm % 2 else 1.0
-    scale = -sgn * gc * _rgamma(a - mm) * _rgamma(b - mm)
-    psi1, psi2 = digamma(1.0), digamma(mm + 1.0)
-    psia, psib = digamma(a), digamma(b)
-    coef = 1.0 / math.gamma(mm + 1.0)
-    total = 0.0
-    for k in range(max(max_terms, 1000)):
-        lk = log_u - psi1 - psi2 + psia + psib
-        total += coef * lk
-        ratio = abs(a + k) * abs(b + k) / ((k + 1.0) * (k + mm + 1.0)) * u
-        rho = max(u, ratio)
-        if rho < 1.0 and abs(coef) * (abs(lk) + 2.0) * rho / (1.0 - rho) <= tol:
-            break
-        coef *= (a + k) * (b + k) / ((k + 1.0) * (k + mm + 1.0)) * u
-        psi1 += 1.0 / (k + 1.0)
-        psi2 += 1.0 / (k + mm + 1.0)
-        psia += 1.0 / (a + k)
-        psib += 1.0 / (b + k)
-    else:
-        raise ConvergenceError(
-            f"logarithmic 2F1 series stalled near z=1 (z={x}, c-a-b={m})")
-    return complex(prefix + scale * total)
+    return log_branch((a - mm, b - mm), (a, b))
 
 
 def _gauss_value(a: float, b: float, c: float) -> complex:

@@ -42,6 +42,7 @@ from harmap.mappings import (
     HarmonicMapping,
     PowerKernel,
     family_from_spec,
+    make_bshouty_lyzzaik,
     make_extremal,
     make_from_h,
     make_identity,
@@ -79,22 +80,30 @@ def test_coeff_bound_b_first_index():
 def test_extremal_coefficients_attain_bounds():
     alpha, n = 0.5, 1
     zeta = 0.9
-    f = make_extremal(ExtremalSpec(ClassParams(alpha, zeta, n), 1.0), order=20)
+    th, tg = make_extremal(ExtremalSpec(ClassParams(alpha, zeta, n), 1.0)).taylor(12)
     # alpha = 1/2 extremal analytic part is -log(1-z): a_k = 1/k
     for k in range(2, 13):
-        assert abs(f.taylor_h.coeff(k)) == pytest.approx(
+        assert abs(th.coeff(k)) == pytest.approx(
             coeff_bound_a(k, alpha), abs=1e-12)
     for k in range(1, 13):
-        assert abs(f.taylor_g.coeff(k + n)) == pytest.approx(
+        assert abs(tg.coeff(k + n)) == pytest.approx(
             coeff_bound_b(k, n, alpha, zeta), abs=1e-12)
 
 
 def test_verify_coeff_relation_on_extremal():
     params = ClassParams(0.25, 0.3, 2)
-    f = make_extremal(ExtremalSpec(params, 1.0), order=24)
+    f = make_extremal(ExtremalSpec(params, 1.0))
     report = verify_coeff_relation(f, params.n, params.zeta, K=10)
     assert report.passed, report.summary()
     assert report.margin < 1e-12
+
+
+def test_verify_coeff_relation_reads_the_orders_it_needs():
+    # a polynomial map's arrays are padded to any K, and a mismatched n is
+    # read past the map's own K + n
+    report = verify_coeff_relation(make_bshouty_lyzzaik(0.3), 1, 1, K=12)
+    assert report.passed and report.details["max_residual"] == 0.0
+    assert not verify_coeff_relation(make_bshouty_lyzzaik(0.3), 3, 1, K=12).passed
 
 
 def test_verify_coeff_relation_flags_mismatch():
@@ -322,7 +331,7 @@ def test_area_series_near_boundary_oracle():
 def test_area_series_tail_bound(q, zeta, n, r):
     # the terms dropped at the returned order, summed to twice that order,
     # stay inside the stated tail bound, itself within the relative target
-    f = HarmonicMapping(PowerKernel(q), zeta, n, order=8)
+    f = HarmonicMapping(PowerKernel(q), zeta, n)
     value, route, N = area_route(f, r)
     assert route == "series"
     zeta2 = zeta * zeta

@@ -184,6 +184,34 @@ def test_check_theorem_b_admissibility_error():
     assert "error:" in res.stderr
 
 
+_EXTREMAL = "extremal:alpha=0.5,zeta=0.5,n=1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--family", "extremal:alpha=0.5,zeta=0.5,n=1.5", "--cls", "0.5,0.5,1"),
+    ("check", "--family", _EXTREMAL, "--cls", "0.5,0.5,1.7"),
+    ("eval", "--family", "extremal:alpha=0.5,zeta=0.5,n=1.9", "--z", "0.1,0"),
+    ("check", "--family", _EXTREMAL, "--theorem-b", "1,0,0.5,1.6"),
+    ("verify-bounds", "--what", "covering", "--ns", "1.5"),
+    ("eval", "--family", "from-h:{n_half}", "--z", "0.1,0"),
+    ("eval", "--family", "from-h:{n_true}", "--z", "0.1,0"),
+], ids=["spec", "cls", "eval", "theorem-b", "ns", "file-1.5", "file-true"])
+def test_non_integer_n_is_a_usage_error(argv, tmp_path, capsys):
+    files = {}
+    for name, n in (("n_half", 1.5), ("n_true", True)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({"coeffs": [0.0, 1.0], "zeta": 0.5, "n": n}))
+    assert cli.main([a.format(**files) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must be an integer" in out.err
+
+
+def test_order_is_not_a_family_key(capsys):
+    spec = "extremal:alpha=0.5,zeta=0.5,n=1,delta=0.6+0.8j,order=1"
+    assert cli.main(["render", "--family", spec, "--json"]) == 2
+    assert "unknown family parameter 'order'" in capsys.readouterr().err
+
+
 def test_check_requires_a_mode():
     res = run_cli("check", "--family", "identity")
     assert res.returncode == 2

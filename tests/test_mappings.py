@@ -15,7 +15,9 @@ from harmap.errors import (
 from harmap.mappings import (
     ClassParams,
     ExtremalSpec,
+    HarmonicMapping,
     PBetaParams,
+    PowerKernel,
     family_from_spec,
     is_conjugate_symmetric,
     make_bshouty_lyzzaik,
@@ -23,6 +25,7 @@ from harmap.mappings import (
     make_extremal,
     make_from_h,
     make_identity,
+    parse_int,
     parse_scalar,
 )
 from harmap.series import PowerSeries
@@ -118,12 +121,13 @@ def test_counterexample_normalization():
 
 
 def test_counterexample_taylor_matches_closed_form():
-    f = make_counterexample(1.25, order=48)
+    f = make_counterexample(1.25)
+    th, tg = f.taylor(48)
     rng = np.random.default_rng(33)
     for _ in range(15):
         z = 0.35 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert abs(f.taylor_h(z) - f.h.value(z)) < 1e-12
-        assert abs(f.taylor_g(z) - f.g.value(z)) < 1e-12
+        assert abs(th(z) - f.h.value(z)) < 1e-12
+        assert abs(tg(z) - f.g.value(z)) < 1e-12
 
 
 def test_counterexample_conjugate_symmetry():
@@ -193,18 +197,20 @@ def test_extremal_half_alpha_is_log():
 def test_extremal_near_zero_exponent_matches_taylor(alpha, n):
     # an exponent q + 1 + m near zero weighs its cancelling 1 - u^e by 1/e
     f = make_extremal(ExtremalSpec(ClassParams(alpha, 1.0 / (2 * n - 1), n), 1.0))
+    th, tg = f.taylor(64)
     for z in (0.5, -0.45, 0.3 - 0.35j):
-        assert abs(f.taylor_h(z) - f.h.value(z)) < 1e-13
-        assert abs(f.taylor_g(z) - f.g.value(z)) < 1e-13
+        assert abs(th(z) - f.h.value(z)) < 1e-13
+        assert abs(tg(z) - f.g.value(z)) < 1e-13
 
 
 def test_extremal_taylor_matches_values():
-    f = make_extremal(ExtremalSpec(ClassParams(0.0, 0.3, 2), 1.0), order=48)
+    f = make_extremal(ExtremalSpec(ClassParams(0.0, 0.3, 2), 1.0))
+    th, tg = f.taylor(48)
     rng = np.random.default_rng(53)
     for _ in range(10):
         z = 0.3 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert abs(f.taylor_h(z) - f.h.value(z)) < 1e-12
-        assert abs(f.taylor_g(z) - f.g.value(z)) < 1e-12
+        assert abs(th(z) - f.h.value(z)) < 1e-12
+        assert abs(tg(z) - f.g.value(z)) < 1e-12
 
 
 @pytest.mark.parametrize("delta", [1.0, cmath.exp(1.1j)], ids=["delta=1", "delta=e^1.1i"])
@@ -215,8 +221,9 @@ def test_extremal_log_branches_match_taylor(alpha, n, delta):
     # alpha = -1/2 only when n >= 2) and its term becomes -log(1 - delta z)
     zeta = 0.9 / (2 * n - 1) * cmath.exp(0.3j)
     f = make_extremal(ExtremalSpec(ClassParams(alpha, zeta, n), delta))
+    tg = f.taylor(64)[1]
     for z in (0.5, -0.45j, 0.3 + 0.35j, -0.2 - 0.1j):
-        assert abs(f.g.value(z) - f.taylor_g(z)) < 1e-12
+        assert abs(f.g.value(z) - tg(z)) < 1e-12
 
 
 # -- shear construction from a supplied analytic part -------------------------
@@ -275,9 +282,55 @@ def test_family_from_spec_names_and_aliases():
     assert abs(family_from_spec("identity")(z) - z) < 1e-15
 
 
-def test_family_from_spec_order_key():
-    f = family_from_spec("counterexample:gamma=1.25,order=32")
-    assert f.taylor_h.order == 32
+def test_family_from_spec_rejects_order_key():
+    # Taylor arrays are made on request by f.taylor(order), so the grammar
+    # has no truncation order
+    with pytest.raises(ParameterError, match="unknown family parameter 'order'"):
+        family_from_spec("counterexample:gamma=1.25,order=32")
+
+
+@pytest.mark.parametrize("value, want", [
+    ("2", 2), ("2.0", 2), ("4/2", 2), (" 3 ", 3), (3, 3), (3.0, 3), (np.int64(2), 2),
+])
+def test_parse_int_accepts_exact_integers(value, want):
+    got = parse_int(value, "n")
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("value", [
+    "1.5", "1+1j", "nan", "inf", "x", "", 1.5, 1 + 0.5j, float("inf"), True, None, [1],
+])
+def test_parse_int_rejects_the_rest(value):
+    with pytest.raises(ParameterError):
+        parse_int(value, "n")
+
+
+def test_n_must_be_an_integer():
+    with pytest.raises(ParameterError):
+        family_from_spec("extremal:alpha=0.5,zeta=0.5,n=1.5")
+    with pytest.raises(ParameterError):
+        HarmonicMapping(PowerKernel(0.5), 0.2, 1.5)
+    assert family_from_spec("extremal:alpha=0.5,zeta=0.3,n=2.0").n == 2
+
+
+def test_poly_taylor_is_exact_and_zero_padded():
+    # bl: h = z - 0.3 z^2 and g = z^2/2 - 0.2 z^3, through any order
+    f = make_bshouty_lyzzaik(0.3)
+    th, tg = f.taylor(12)
+    assert th.coeffs.tolist() == [0, 1, -0.3] + [0] * 10
+    assert tg.coeffs.tolist() == [0, 0, 0.5, -0.6 / 3] + [0] * 10
+    th, tg = f.taylor(1)
+    assert th.coeffs.tolist() == [0, 1] and tg.coeffs.tolist() == [0, 0, 0.5]
+    with pytest.raises(ParameterError):
+        f.taylor(0)
+
+
+def test_power_taylor_prefix_does_not_depend_on_the_order():
+    f = make_extremal(ExtremalSpec(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j)))
+    (h5, g5), (h40, g40) = f.taylor(5), f.taylor(40)
+    assert (h5.order, g5.order, h40.order, g40.order) == (5, 7, 40, 42)
+    assert np.array_equal(h40.coeffs[:6], h5.coeffs)
+    assert np.array_equal(g40.coeffs[:8], g5.coeffs)
 
 
 def test_family_from_spec_errors():

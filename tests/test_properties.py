@@ -23,6 +23,7 @@ from harmap.mappings import (
     PolyKernel,
     PowerKernel,
     family_from_spec,
+    is_conjugate_symmetric,
     make_bshouty_lyzzaik,
     make_counterexample,
     make_extremal,
@@ -164,7 +165,7 @@ def sheared(draw):
 @given(case=sheared())
 def test_taylor_coefficient_relation(case):
     f, zeta, n = case
-    a, b = f.taylor_h.coeffs, f.taylor_g.coeffs
+    a, b = (t.coeffs for t in f.taylor(64))
     for k in range(1, min(len(a), len(b) - n)):
         lhs = (k + n) * b[k + n]
         rhs = zeta * k * a[k]
@@ -175,7 +176,7 @@ def test_taylor_coefficient_relation(case):
 @SETTINGS
 @given(f=mappings(), z=inner_points)
 def test_horner_matches_closed_forms(f, z):
-    th, tg = f.taylor_h, f.taylor_g
+    th, tg = f.taylor(64)
     for got, want in ((th(z), f.h.value(z)), (tg(z), f.g.value(z)),
                       (th.derive()(z), f.h.deriv(z)), (tg.derive()(z), f.g.deriv(z))):
         assert abs(complex(got) - complex(want)) <= 1e-12 * max(1.0, abs(complex(want)))
@@ -189,24 +190,57 @@ def test_family_labels_round_trip(f, tmp_path_factory):
         # family_from_spec reads only for a map in the class
         assume(abs(f.zeta) <= 1.0 / (2 * f.n - 1))
         path = tmp_path_factory.mktemp("labels") / "h.json"
-        coeffs = [[c.real, c.imag] for c in np.asarray(f.taylor_h.coeffs, dtype=complex)]
+        h = f.taylor(len(f.kernel.hp))[0]  # the exact polynomial
+        coeffs = [[c.real, c.imag] for c in np.asarray(h.coeffs, dtype=complex)]
         path.write_text(json.dumps({"coeffs": coeffs, "zeta": [f.zeta.real, f.zeta.imag],
                                     "n": f.n}))
         f = family_from_spec(f"from-h:{path}")
     g = family_from_spec(f.label)
     assert g.label == f.label
-    for a, b in ((g.taylor_h, f.taylor_h), (g.taylor_g, f.taylor_g)):
+    for a, b in zip(g.taylor(64), f.taylor(64)):
         assert np.array_equal(a.coeffs, b.coeffs)
 
 
 @st.composite
-def kernels(draw):
-    """A power kernel ``(1 - delta z)**q`` or a polynomial ``h'`` with complex coefficients."""
+def kernels(draw, real=False):
+    """A power kernel ``(1 - delta z)**q`` or a polynomial ``h'`` with complex
+    coefficients; ``real`` restricts to real ``delta`` and coefficients."""
     if draw(st.booleans()):
-        delta = cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        delta = (draw(st.sampled_from((1.0, -1.0))) if real
+                 else cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi))))
         return PowerKernel(draw(st.floats(-3.0, 3.0)), delta)
-    coeffs = [complex(draw(unit), draw(unit)) for _ in range(draw(st.integers(1, 7)))]
+    coeffs = [complex(draw(unit), 0.0 if real else draw(unit))
+              for _ in range(draw(st.integers(1, 7)))]
     return PolyKernel(PowerSeries(coeffs))
+
+
+def _old_symmetry_rule(f) -> bool:
+    """The reference: every Taylor coefficient of ``h`` and ``g`` through
+    order 64 is real."""
+    return not any(np.any(t.coeffs.imag) for t in f.taylor(64))
+
+
+def _tiny(*xs) -> bool:
+    """Whether a nonzero part lies below 1e-150: products of two such parts
+    underflow, so the reference's rounded coefficients can read as real where
+    the exact ones are not."""
+    parts = np.concatenate([np.atleast_1d(np.asarray(x, dtype=complex)) for x in xs])
+    parts = np.abs(np.concatenate((parts.real, parts.imag)))
+    return bool(np.any((parts > 0.0) & (parts < 1e-150)))
+
+
+@SETTINGS
+@given(kernel=st.one_of(kernels(), kernels(real=True)),
+       zeta=st.one_of(unit, st.complex_numbers(max_magnitude=1.0)), n=st.integers(1, 4))
+def test_conjugate_symmetry_is_read_from_the_kernel(kernel, zeta, n):
+    if isinstance(kernel, PowerKernel):
+        # the reference's binomial factor (q - 1) + 1 also rounds a q below
+        # 1e-16 to zero, and with it every coefficient past the first
+        assume(not 0.0 < abs(kernel.q) < 1e-15 and not _tiny(kernel.delta, zeta))
+    else:
+        assume(not _tiny(kernel.hp.coeffs, zeta))
+    f = HarmonicMapping(kernel, zeta, n)
+    assert is_conjugate_symmetric(f) == _old_symmetry_rule(f)
 
 
 @SETTINGS
@@ -214,7 +248,7 @@ def kernels(draw):
 def test_hp_bound_dominates_h_prime(kernel, rho):
     # sampled on |z| = rho (enough, by the maximum principle), including the
     # points where a power kernel attains the bound
-    f = HarmonicMapping(kernel, 0.0, 1, order=8)
+    f = HarmonicMapping(kernel, 0.0, 1)
     z = rho * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 512))
     if isinstance(kernel, PowerKernel):
         z = np.append(z, [rho / kernel.delta, -rho / kernel.delta])
@@ -256,7 +290,7 @@ def test_disk_extrema_lie_on_the_circle(kernel, own, tested, rho, seed):
     # curvature is unbounded and the check fails.  (An h' of subnormal size
     # is left out: its curvature is rejected as numerically singular.)
     assume(not isinstance(kernel, PolyKernel) or np.max(np.abs(kernel.hp.coeffs)) > 1e-6)
-    f = HarmonicMapping(kernel, own.zeta, own.n, order=8)
+    f = HarmonicMapping(kernel, own.zeta, own.n)
     grid = DiskGrid(rho)
     report = check_membership(f, tested, grid=grid)
     rep = curvature_extrema(f, grid)

@@ -18,7 +18,8 @@ from harmap.errors import (
     ParameterError,
     PoleError,
 )
-from harmap.special import BranchedPower, digamma, hyp2f1, principal_pow
+from harmap.mappings import PowerKernel
+from harmap.special import digamma, hyp2f1, principal_pow
 
 
 # -- principal powers ---------------------------------------------------------
@@ -52,15 +53,14 @@ def test_principal_pow_matches_exp_log():
 
 
 def test_branched_power_series_binomial():
-    bp = BranchedPower(0.25, 1.0)  # (1 - z)^0.25
-    ser = bp.series(8)
+    ser = PowerKernel(0.25, 1.0).series(8)  # (1 - z)^0.25
     for k in range(9):
         want = complex(mpmath.binomial(0.25, k)) * (-1.0) ** k
         assert abs(ser.coeff(k) - want) < 1e-13
 
 
 def test_branched_power_value_agrees_with_series():
-    ser = BranchedPower(1.3, 1.0).series(40)
+    ser = PowerKernel(1.3, 1.0).series(40)
     rng = np.random.default_rng(11)
     for _ in range(20):
         z = 0.3 * complex(rng.normal(), rng.normal())
@@ -233,4 +233,4 @@ def test_hyp2f1_outside_disk_raises():
 
 def test_branched_power_rejects_bad_arguments():
     with pytest.raises(ParameterError):
-        BranchedPower(0.5, 0.0)  # zero branch-point coefficient is degenerate
+        PowerKernel(0.5, 0.0)  # zero branch-point coefficient is degenerate
