@@ -35,7 +35,6 @@ from .classcheck import (
     curvature,
     curvature_extrema,
     kaplan_min_arc_integral,
-    shear_function,
 )
 from .errors import (
     AdmissibilityError,
@@ -53,7 +52,6 @@ from .errors import (
     SingularityError,
 )
 from .mappings import (
-    AnalyticFunction,
     ClassParams,
     ExtremalSpec,
     HarmonicMapping,
@@ -68,12 +66,11 @@ from .mappings import (
     make_from_h,
     make_identity,
 )
-from .quadrature import disk_integral, integrate, integrate_path, integrate_real
+from .quadrature import disk_integral, integrate, integrate_real
 from .render import (
     SceneSpec,
     render_boundary_curve,
     render_image_domain,
-    zoom_scene,
 )
 from .reports import BoundReport, UnivalenceReport, dump_json
 from .series import PowerSeries
@@ -90,11 +87,10 @@ from .univalence import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticFunction", "AreaBounds", "BoundReport", "ClassParams",
-    "CollisionSearchParams", "CurvatureReport", "DiskGrid",
-    "ExtremalSpec", "GrowthBounds", "HarmonicMapping", "PBetaParams",
-    "PolyKernel", "PowerKernel", "PowerSeries", "SceneSpec", "SymmetricCollision",
-    "UnivalenceReport",
+    "AreaBounds", "BoundReport", "ClassParams", "CollisionSearchParams",
+    "CurvatureReport", "DiskGrid", "ExtremalSpec", "GrowthBounds", "HarmonicMapping",
+    "PBetaParams", "PolyKernel", "PowerKernel", "PowerSeries", "SceneSpec",
+    "SymmetricCollision", "UnivalenceReport",
     "HarmapError", "ParameterError", "AdmissibilityError", "InfeasibilityError",
     "DomainError", "BranchCutError", "PoleError", "NumericalError",
     "DivergenceError", "ConvergenceError", "SingularityError",
@@ -104,12 +100,10 @@ __all__ = [
     "covering_radius", "curvature", "curvature_extrema", "default_lattice",
     "disk_integral", "dump_json", "family_from_spec", "feasibility_threshold",
     "find_symmetric_collision", "growth_bounds", "hyp2f1", "integrate",
-    "integrate_path", "integrate_real", "is_conjugate_symmetric",
-    "kaplan_min_arc_integral", "make_bshouty_lyzzaik", "make_counterexample",
-    "make_extremal", "make_from_h", "make_identity", "principal_pow",
-    "render_boundary_curve", "render_image_domain",
-    "shear_function", "univalence_scan", "verify_area_sandwich",
-    "verify_coeff_relation", "verify_coeff_sharpness",
-    "verify_covering_consistency", "verify_growth_consistency",
-    "verify_sharpness", "winding_check", "zoom_scene",
+    "integrate_real", "is_conjugate_symmetric", "kaplan_min_arc_integral",
+    "make_bshouty_lyzzaik", "make_counterexample", "make_extremal", "make_from_h",
+    "make_identity", "principal_pow", "render_boundary_curve", "render_image_domain",
+    "univalence_scan", "verify_area_sandwich", "verify_coeff_relation",
+    "verify_coeff_sharpness", "verify_covering_consistency",
+    "verify_growth_consistency", "verify_sharpness", "winding_check",
 ]

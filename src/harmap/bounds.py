@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .mappings import ClassParams, ExtremalSpec, HarmonicMapping, PolyKernel, make_extremal
+from .mappings import (ClassParams, ExtremalSpec, HarmonicMapping, PolyKernel, make_extremal,
+                       within_zeta_cap, zeta_cap)
 from .quadrature import disk_integral, integrate_real
 from .reports import BoundReport, complex_pair
 from .special import hyp2f1
@@ -439,12 +440,11 @@ def verify_area_sandwich(params: ClassParams, r_list,
 def default_lattice(alphas=(0.0, 0.25, 0.5, 0.75), zetas=(0.0, 0.3),
                     zeta_rel=(0.99,), ns=(1, 2, 3)) -> list[ClassParams]:
     """Admissible (alpha, zeta, n) combinations used by the verification
-    sweeps; absolute zeta values that exceed ``1/(2n-1)`` are skipped."""
+    sweeps; zeta values whose modulus exceeds ``1/(2n-1)`` are skipped."""
     out = []
     for n in ns:
-        cap = 1.0 / (2 * n - 1)
-        vals = [z for z in zetas if z <= cap + 1e-12]
-        vals += [rel * cap for rel in zeta_rel]
+        vals = [z for z in zetas if within_zeta_cap(abs(z), n)]
+        vals += [rel * zeta_cap(n) for rel in zeta_rel]
         for alpha in alphas:
             for z in vals:
                 out.append(ClassParams(alpha, z, n))

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError, SingularityError
-from .mappings import (
-    AnalyticFunction,
-    ClassParams,
-    HarmonicMapping,
-    PBetaParams,
-)
+from .mappings import ClassParams, HarmonicMapping, PBetaParams, within_zeta_cap
 from .reports import BoundReport, complex_pair
 
 #: radius of the default sample circle, close to the boundary
@@ -86,13 +81,9 @@ def _curvature(z, hp, hpp):
     return 1.0 + z * hpp / hp
 
 
-def curvature(f, z):
+def curvature(f: HarmonicMapping, z):
     """``1 + z h''(z) / h'(z)`` for the analytic part of ``f``."""
-    if isinstance(f, HarmonicMapping):
-        return _curvature(z, *f.derivs(z))
-    if isinstance(f, AnalyticFunction):
-        return _curvature(z, f.deriv(z), f.deriv2(z))
-    raise ParameterError(f"expected a mapping or analytic function, got {type(f).__name__}")
+    return _curvature(z, *f.derivs(z))
 
 
 def _refined(values, grid: DiskGrid, points: np.ndarray, sampled: np.ndarray,
@@ -239,7 +230,7 @@ def check_theorem_b_condition(f: HarmonicMapping, lam: complex, k: float, n: int
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-12:
         raise ParameterError(f"|lam| must equal 1, got {abs(lam)}")
-    if not 0.0 < k <= 1.0 / (2 * n - 1) + 1e-12:
+    if not (0.0 < k and within_zeta_cap(k, n)):
         raise AdmissibilityError(f"k={k} outside (0, 1/(2n-1)] for n={n}")
     report = check_membership(f, ClassParams(-0.5, lam * k, n), grid=grid, tol=tol)
     report.check = "theorem-b"
@@ -248,41 +239,30 @@ def check_theorem_b_condition(f: HarmonicMapping, lam: complex, k: float, n: int
     return report
 
 
-def shear_function(h: AnalyticFunction, n: int, lam: complex) -> AnalyticFunction:
-    """Analytic test function ``F = h - lam*g`` for the shear ``g' = z^n h'``.
+def kaplan_min_arc_integral(f: HarmonicMapping, n: int, lam: complex, r: float,
+                            M: int = 512) -> float:
+    """Minimum over boundary arcs of the curvature integral at radius ``r`` of
+    ``F = h - lam g`` for the shear ``g' = z^n h'`` of the analytic part of ``f``.
 
-    Only the derivatives are populated (that is all the arc-integral test
-    needs); ``F' = h' (1 - lam z^n)``.
-    """
-    lam = complex(lam)
-
-    def Fp(z):
-        return h.deriv(z) * (1.0 - lam * z**n)
-
-    def Fpp(z):
-        return h.deriv2(z) * (1.0 - lam * z**n) - lam * n * z ** (n - 1) * h.deriv(z)
-
-    return AnalyticFunction(value=None, deriv=Fp, deriv2=Fpp)
-
-
-def kaplan_min_arc_integral(F: AnalyticFunction, r: float, M: int = 512) -> float:
-    """Minimum over boundary arcs of the curvature integral at radius ``r``.
-
-    Samples ``u = Re(1 + z F''/F')`` at ``M`` uniform angles and minimises the
-    trapezoidal integral over all arcs spanning at least one grid step and
-    less than a full turn.  Values above ``-pi`` for every shear direction
-    certify close-to-convexity at this radius.
+    ``F' = h' (1 - lam z^n)`` and ``F''`` come from one evaluation of ``h'``
+    and ``h''``.  Samples ``u = Re(1 + z F''/F')`` at ``M`` uniform angles and
+    minimises the trapezoidal integral over all arcs spanning at least one
+    grid step and less than a full turn.  Values above ``-pi`` for every shear
+    direction certify close-to-convexity at this radius.
     """
     if M < 64:
         raise ParameterError(f"need at least 64 angular samples, got {M}")
     if not 0.0 < r < 1.0:
         raise ParameterError(f"radius must lie in (0, 1), got {r}")
+    lam = complex(lam)
     theta = 2.0 * np.pi * np.arange(M) / M
     z = r * np.exp(1j * theta)
-    Fp = F.deriv(z)
+    hp, hpp = f.derivs(z)
+    Fp = hp * (1.0 - lam * z**n)
     if np.min(np.abs(Fp)) < 1e-12:
         raise SingularityError("F' vanishes (numerically) on the sample circle")
-    u = np.real(1.0 + z * F.deriv2(z) / Fp)
+    Fpp = hpp * (1.0 - lam * z**n) - lam * n * z ** (n - 1) * hp
+    u = np.real(1.0 + z * Fpp / Fp)
 
     # Trapezoid over the arc [theta_j1, theta_j2] equals dtheta*(P[j2]-P[j1])
     # with P = (prefix sum) + u/2, so the arc minimum is a windowed minimum

@@ -11,7 +11,6 @@ the fully resolved configuration, matching the documents under
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import sys
@@ -43,8 +42,8 @@ from .mappings import (
     parse_real,
     parse_scalar,
 )
-from .render import (BOUNDARY_SAMPLES, DEFAULT_RADIUS, SceneSpec, render_boundary_curve,
-                     render_image_domain, zoom_scene)
+from .render import (BOUNDARY_SAMPLES, DEFAULT_RADIUS, ZOOM_HALF_WIDTH, SceneSpec,
+                     render_boundary_curve, render_image_domain)
 from .reports import dump_json
 from .univalence import (DEFAULT_CELLS, DEFAULT_COLLISION_TOL, DEFAULT_SCAN_RADIUS,
                          DEFAULT_SEPARATION_FLOOR, CollisionSearchParams,
@@ -248,23 +247,25 @@ def cmd_render(args) -> int:
     if args.preset != "zoom" and (center is None) != (args.half_width is None):
         raise ParameterError("--center and --half-width go together")
     if args.preset == "boundary":
+        if args.circles is not None or args.rays is not None:
+            raise ParameterError("the boundary preset draws one curve: "
+                                 "--circles and --rays do not apply")
         viewport = None if center is None else (center, args.half_width)
         samples = BOUNDARY_SAMPLES if args.samples is None else args.samples
         svg = render_boundary_curve(f, r=args.r, M=samples, viewport=viewport)
         scene_meta = {"family": f.label, "preset": "boundary", "radius": args.r,
                       "samples": samples}
     else:
+        half_width = args.half_width
         if args.preset == "zoom":
             if center is None:
                 center = _zoom_center(args.family, f)
-            spec = zoom_scene(f.label, center, radius=args.r,
-                              **_given(half_width=args.half_width))
-        else:
-            spec = SceneSpec(f.label, radius=args.r, center=center,
-                             half_width=args.half_width)
+            if half_width is None:
+                half_width = ZOOM_HALF_WIDTH
         # an explicit 0 is passed on for SceneSpec to validate
-        spec = dataclasses.replace(spec, **_given(
-            circles=args.circles, rays=args.rays, samples_per_curve=args.samples))
+        spec = SceneSpec(f.label, radius=args.r, center=center, half_width=half_width,
+                         **_given(circles=args.circles, rays=args.rays,
+                                  samples_per_curve=args.samples))
         svg = render_image_domain(spec, f)
         # dump_json writes the complex center as [re, im]
         scene_meta = {"family": spec.family, "preset": args.preset, "radius": spec.radius,

@@ -74,10 +74,28 @@ def _check_unimodular(delta) -> None:
         raise ParameterError(f"|delta| must equal 1, got {abs(delta)}")
 
 
+def zeta_cap(n: int) -> float:
+    """The class cap ``1/(2n - 1)`` on ``|zeta|``."""
+    return 1.0 / (2 * n - 1)
+
+
+def within_zeta_cap(k: float, n: int) -> bool:
+    """Whether ``k``, a modulus of ``zeta``, stays within the cap, up to a
+    ``1e-12`` rounding slack."""
+    return k <= zeta_cap(n) + 1e-12
+
+
 def _check_zeta_cap(zeta: complex, n: int) -> None:
-    cap = 1.0 / (2 * n - 1)
-    if abs(zeta) > cap + 1e-12:
-        raise AdmissibilityError(f"|zeta|={abs(zeta)} exceeds the cap 1/(2n-1)={cap}")
+    if not within_zeta_cap(abs(zeta), n):
+        raise AdmissibilityError(f"|zeta|={abs(zeta)} exceeds the cap 1/(2n-1)={zeta_cap(n)}")
+
+
+def _check_class_n(n) -> int:
+    """``n`` as an ``int``; an :class:`AdmissibilityError` unless it is an
+    integer ``>= 1``."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise AdmissibilityError(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def jacobian_of(hp, gp):
@@ -264,7 +282,7 @@ class HarmonicMapping:
                                   lambda z: self.derivs(z)[1])
         self.g = AnalyticFunction(lambda z: self._parts(z)[1],
                                   lambda z: self._eval(z, False, True)[2],
-                                  self._g_deriv2)
+                                  lambda z: self.g_second(z, *self.derivs(z)))
 
     def taylor(self, order: int) -> tuple[PowerSeries, PowerSeries]:
         """Taylor coefficients ``(h, g)`` through ``order`` and ``order + n``
@@ -296,8 +314,9 @@ class HarmonicMapping:
         _check_disk(z)
         return self.kernel.derivs(z)
 
-    def _g_deriv2(self, z):
-        hp, hpp = self.derivs(z)
+    def g_second(self, z, hp, hpp):
+        """``g''(z)`` from ``h'(z)`` and ``h''(z)``: the derivative of
+        ``zeta z^n h'``."""
         s = self.n * z ** (self.n - 1) * hp + z**self.n * hpp
         return self.zeta * s
 
@@ -352,15 +371,13 @@ class ClassParams:
     def __post_init__(self):
         if not -0.5 <= self.alpha < 1.0:
             raise AdmissibilityError(f"alpha must lie in [-1/2, 1), got {self.alpha}")
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
-            raise AdmissibilityError(f"n must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _check_class_n(self.n))
         object.__setattr__(self, "zeta", complex(self.zeta))
         _check_zeta_cap(self.zeta, self.n)
 
     @property
     def zeta_cap(self) -> float:
-        return 1.0 / (2 * self.n - 1)
+        return zeta_cap(self.n)
 
 
 @dataclass(frozen=True)
@@ -438,9 +455,7 @@ def make_from_h(h: PowerSeries, zeta, n: int, require_admissible: bool = True,
     outside the class).
     """
     zeta = complex(zeta)
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _check_class_n(n)
     if require_admissible:
         _check_zeta_cap(zeta, n)
     if not isinstance(h, PowerSeries):

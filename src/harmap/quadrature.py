@@ -76,16 +76,6 @@ def integrate_real(fn, a: float, b: float, tol: float = 1e-12) -> float:
     return float(integrate(fn, a, b, tol=tol).real)
 
 
-def integrate_path(fn, z0, z1, tol: float = 1e-12) -> complex:
-    """Integral of ``fn`` along the straight segment from ``z0`` to ``z1``."""
-    z0 = complex(z0)
-    z1 = complex(z1)
-    span = z1 - z0
-    if span == 0:
-        return 0j
-    return integrate(lambda t: fn(z0 + t * span) * span, 0.0, 1.0, tol=tol)
-
-
 def disk_integral(fn, r: float, tol: float = 1e-9) -> float:
     """Integral of a real integrand over the disk ``|z| <= r`` in polar form.
 

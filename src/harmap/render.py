@@ -42,6 +42,8 @@ _REACH_SLACK = 1e-9
 DEFAULT_RADIUS = 0.999
 #: uniform samples of a boundary curve
 BOUNDARY_SAMPLES = 1024
+#: viewport half-width of a close-up scene, e.g. around a collision image point
+ZOOM_HALF_WIDTH = 0.05
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,6 @@ class SceneSpec:
         """Every field, with the viewport and stroke width resolved."""
         return {**asdict(self), "center": [center.real, center.imag],
                 "half_width": half_width, "stroke_width": stroke_width}
-
-
-def zoom_scene(family: str, center: complex, half_width: float = 0.05,
-               radius: float = DEFAULT_RADIUS) -> SceneSpec:
-    """Close-up scene around ``center`` (e.g. a collision image point)."""
-    return SceneSpec(family=family, radius=radius, center=center, half_width=half_width)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -207,25 +203,21 @@ class _Curve:
     points: np.ndarray  # complex image points
 
 
-def _scene_curves(f: HarmonicMapping, spec: SceneSpec, s: _Samples) -> list[_Curve]:
+def _scene_curves(spec: SceneSpec, s: _Samples) -> list[_Curve]:
     """The images of the scene's rays and circles, in drawing order.  In a
     mirrored scene a lower ray reflects its upper twin, and a circle goes on
-    with the images of its upper half's reflected points (one call of ``f``
-    for all circles): the point set is exactly invariant under ``y -> -y``.
-    Every circle closes on the image of ``theta = 0`` itself."""
+    with the reflected images of its upper half, from its second-last point
+    back to its second: ``f(conj z) == conj(f(z))`` bit for bit, so the point
+    set is exactly invariant under ``y -> -y``.  Every circle closes on the
+    image of ``theta = 0`` itself."""
     nr = s.dirs.size
     ends = np.searchsorted(s.cid, np.arange(len(s.tags)), side="right")
     ws = np.split(s.w, ends[:-1])
-    if s.mirror and spec.circles:
-        # each upper half from its second-last point back to its second
-        back = np.concatenate([np.arange(b - 2, b - w.size, -1)
-                               for b, w in zip(ends[nr:], ws[nr:])])
-        lower = _eval_points(f, np.conjugate(s.z(s.t[back], s.cid[back])), s.tags, s.cid[back])
-        lower = np.split(lower, np.cumsum([w.size - 2 for w in ws[nr:]]))
     rays = ws[:nr] + [np.conjugate(ws[spec.rays - k]) for k in range(nr, spec.rays)]
     curves = [_Curve(f"ray-{k}", spec.grid_color, 1.0, w) for k, w in enumerate(rays)]
     for j, w in enumerate(ws[nr:]):
-        w = np.concatenate([w, lower[j], w[:1]] if s.mirror else [w[:-1], w[:1]])
+        w = np.concatenate([w, np.conjugate(w[-2:0:-1]), w[:1]] if s.mirror
+                           else [w[:-1], w[:1]])
         edge = j == spec.circles - 1
         curves.append(_Curve(s.tags[nr + j], spec.boundary_color if edge else spec.grid_color,
                              1.8 if edge else 1.0, w))
@@ -358,9 +350,9 @@ def render_image_domain(spec: SceneSpec, f: HarmonicMapping) -> str:
     """
     fixed = spec.center is not None and spec.half_width is not None
     s = _sample_scene(f, spec)
-    center, hw = _resolve_viewport(spec, None if fixed else _scene_curves(f, spec, s))
+    center, hw = _resolve_viewport(spec, None if fixed else _scene_curves(spec, s))
     s = _refine_scene(f, s, 2.0 * hw / GAP_DENOM, (center, hw))
-    return _assemble(spec, _scene_curves(f, spec, s), center, hw)
+    return _assemble(spec, _scene_curves(spec, s), center, hw)
 
 
 def render_boundary_curve(f: HarmonicMapping, r: float, M: int = BOUNDARY_SAMPLES,

@@ -239,7 +239,8 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
         z = rho * cmath.exp(1j * th)
         w, hp, gp = f.eval_all(z)
         phi = complex(hp - gp)
-        dphi = complex(f.h.deriv2(z) - f.g.deriv2(z))
+        _, hpp = f.derivs(z)
+        dphi = complex(hpp - f.g_second(z, hp, hpp))
         imf = complex(w).imag
         d_th = (1j * z * phi).imag
         d_rho = ((z / rho) * phi).imag

@@ -1,10 +1,13 @@
 """Shared helpers for the test suite.
 
-Provides a subprocess runner for the command-line tool (so exit codes and
-stdout/stderr behave exactly as a user would see them) and a JSON-schema
-validation helper bound to the schema files shipped inside the package.
+Provides runners for the command-line tool -- in process through
+:func:`harmap.cli.main`, and in a fresh ``python -m harmap`` subprocess for the
+few tests of the module entry point itself -- and a JSON-schema validation
+helper bound to the schema files shipped inside the package.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -13,11 +16,27 @@ from pathlib import Path
 import pytest
 
 import harmap
+from harmap import cli
 
 SCHEMA_DIR = Path(harmap.__file__).resolve().parent / "schemas"
 
 
-def run_cli(*args, timeout=180):
+def run_cli(*args):
+    """Run ``harmap <args>`` in process: :func:`harmap.cli.main` with stdout
+    and stderr captured and ``SystemExit`` (argparse's exits) caught.  Returns
+    what :func:`run_module` returns, with the same ``returncode``, ``stdout``
+    and ``stderr``."""
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args, timeout=180):
     """Run ``python -m harmap <args>`` in a fresh subprocess."""
     return subprocess.run(
         [sys.executable, "-m", "harmap", *[str(a) for a in args]],
@@ -37,11 +56,6 @@ def validate_payload(payload, schema_name):
     jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validate(payload, load_schema(schema_name))
     return payload
-
-
-@pytest.fixture
-def cli():
-    return run_cli
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from harmap.bounds import (
     verify_growth_consistency,
     verify_sharpness,
 )
-from harmap.classcheck import cc_radius, curvature_extrema, kaplan_min_arc_integral, shear_function
+from harmap.classcheck import cc_radius, curvature_extrema, kaplan_min_arc_integral
 from harmap.mappings import (
     ClassParams,
     ExtremalSpec,
@@ -36,7 +36,7 @@ from harmap.mappings import (
     make_extremal,
     make_from_h,
 )
-from harmap.render import SceneSpec, render_image_domain, zoom_scene
+from harmap.render import SceneSpec, render_image_domain
 from harmap.series import PowerSeries
 from harmap.special import hyp2f1, principal_pow
 from harmap.univalence import (
@@ -177,7 +177,7 @@ def test_criterion_08_close_to_convexity_radius():
 
     # hard direction: at 0.95 * rc every sampled weight keeps the minimum
     # arc integral above -pi (here it is in fact positive, minimum ~ +0.0022)
-    vals = [kaplan_min_arc_integral(shear_function(f.h, 2, lam), 0.95 * rc, M=512)
+    vals = [kaplan_min_arc_integral(f, 2, lam, 0.95 * rc, M=512)
             for lam in lams]
     assert min(vals) > -math.pi, f"min arc integral {min(vals)} at 0.95*rc"
 
@@ -185,7 +185,7 @@ def test_criterion_08_close_to_convexity_radius():
     # above rc the criterion does fail for some sampled weight
     violated = False
     for r_hi in (0.97, 0.99):
-        vals_hi = [kaplan_min_arc_integral(shear_function(f.h, 2, lam), r_hi, M=512)
+        vals_hi = [kaplan_min_arc_integral(f, 2, lam, r_hi, M=512)
                    for lam in lams]
         if min(vals_hi) < -math.pi:
             violated = True
@@ -221,8 +221,8 @@ def test_criterion_10_deterministic_figures(tmp_path):
     w0 = complex(f(col.z1))
 
     fig1_spec = SceneSpec(f.label, radius=0.999)
-    fig2_spec = zoom_scene(f.label, center=complex(w0.real, 0.0), half_width=0.05,
-                           radius=0.999)
+    fig2_spec = SceneSpec(f.label, radius=0.999, center=complex(w0.real, 0.0),
+                          half_width=0.05)
 
     fig1_a = render_image_domain(fig1_spec, f)
     fig1_b = render_image_domain(fig1_spec, f)

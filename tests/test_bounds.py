@@ -362,6 +362,12 @@ def test_default_lattice_is_admissible():
         assert abs(p.zeta) <= p.zeta_cap + 1e-12
 
 
+def test_default_lattice_skips_zetas_past_the_cap():
+    # a zeta whose modulus passes the cap is skipped whatever its sign
+    pts = default_lattice(alphas=(0.5,), zetas=(-0.5, 0.5, -0.3), zeta_rel=(), ns=(1, 2))
+    assert [(p.n, p.zeta) for p in pts] == [(1, -0.5), (1, 0.5), (1, -0.3), (2, -0.3)]
+
+
 def test_area_series_memory_is_bounded():
     # 2^22 terms, made and summed in chunks: the whole-array sum held several
     # 32 MB temporaries at once

@@ -22,7 +22,6 @@ from harmap.classcheck import (
     curvature,
     curvature_extrema,
     kaplan_min_arc_integral,
-    shear_function,
 )
 from harmap.errors import AdmissibilityError, ParameterError
 from harmap.mappings import (
@@ -314,15 +313,30 @@ def test_theorem_b_parameter_validation():
 # -- arc-integral criterion ---------------------------------------------------
 
 
-def _arc_integrand(F, r, M):
+def _shear_derivs(f, n, lam):
+    """``(F', F'')`` of ``F = h - lam g`` for the shear ``g' = z^n h'``, from
+    the ``f.h`` views, so the reference does not share the ``f.derivs`` route
+    of :func:`kaplan_min_arc_integral`."""
+
+    def Fp(z):
+        return f.h.deriv(z) * (1.0 - lam * z**n)
+
+    def Fpp(z):
+        return f.h.deriv2(z) * (1.0 - lam * z**n) - lam * n * z ** (n - 1) * f.h.deriv(z)
+
+    return Fp, Fpp
+
+
+def _arc_integrand(f, n, lam, r, M):
+    Fp, Fpp = _shear_derivs(f, n, lam)
     theta = np.linspace(0.0, 2.0 * math.pi, M, endpoint=False)
     z = r * np.exp(1j * theta)
-    return (1.0 + z * F.deriv2(z) / F.deriv(z)).real
+    return (1.0 + z * Fpp(z) / Fp(z)).real
 
 
-def _brute_min_arc(F, r, M):
+def _brute_min_arc(f, n, lam, r, M):
     """O(M^2) reference: trapezoid integral over every proper arc."""
-    u = _arc_integrand(F, r, M)
+    u = _arc_integrand(f, n, lam, r, M)
     u2 = np.concatenate([u, u])
     dtheta = 2.0 * math.pi / M
     csum = np.concatenate([[0.0], np.cumsum(u2)])
@@ -341,9 +355,8 @@ def test_kaplan_matches_brute_force():
     for _ in range(6):
         lam = np.exp(2j * math.pi * rng.uniform())
         r = rng.uniform(0.3, 0.9)
-        F = shear_function(f.h, 2, lam)
-        fast = kaplan_min_arc_integral(F, r, M=128)
-        brute = _brute_min_arc(F, r, 128)
+        fast = kaplan_min_arc_integral(f, 2, lam, r, M=128)
+        brute = _brute_min_arc(f, 2, lam, r, 128)
         assert abs(fast - brute) < 1e-12, (lam, r)
 
 
@@ -351,38 +364,38 @@ def test_full_circle_integral_is_two_pi():
     # argument principle: F' zero-free in |z| <= r makes the closed integral 2*pi
     f = make_bshouty_lyzzaik(0.3)
     for lam in (1.0, np.exp(0.7j), -1.0):
-        F = shear_function(f.h, 1, lam)
-        u = _arc_integrand(F, 0.9, 4096)
+        u = _arc_integrand(f, 1, lam, 0.9, 4096)
         full = u.sum() * 2.0 * math.pi / 4096
         assert full == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
 def test_kaplan_min_at_most_full_circle():
     f = make_bshouty_lyzzaik(0.3)
-    F = shear_function(f.h, 1, 1.0)
-    assert kaplan_min_arc_integral(F, 0.9) <= 2.0 * math.pi + 1e-12
+    assert kaplan_min_arc_integral(f, 1, 1.0, 0.9) <= 2.0 * math.pi + 1e-12
 
 
 def test_kaplan_validates_sampling():
     f = make_identity()
-    F = shear_function(f.h, 1, 1.0)
     with pytest.raises(ParameterError):
-        kaplan_min_arc_integral(F, 0.5, M=32)
+        kaplan_min_arc_integral(f, 1, 1.0, 0.5, M=32)
 
 
 def test_shear_function_derivatives():
+    # the arc integral of F = h - lam g, built from f.derivs, against the
+    # reference built from the views; the reference's F'' against a central
+    # difference of its F'
     f = make_bshouty_lyzzaik(0.2)
     lam = np.exp(0.3j)
-    F = shear_function(f.h, 2, lam)
+    for r in (0.3, 0.6, 0.9):
+        got = kaplan_min_arc_integral(f, 2, lam, r, M=128)
+        assert abs(got - _brute_min_arc(f, 2, lam, r, 128)) < 1e-12, r
+    Fp, Fpp = _shear_derivs(f, 2, lam)
     rng = np.random.default_rng(71)
     for _ in range(10):
         z = 0.7 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-        want = f.h.deriv(z) * (1.0 - lam * z**2)
-        assert abs(F.deriv(z) - want) < 1e-12
-        # second derivative consistent with a central difference of F'
         step = 1e-6
-        fd = (F.deriv(z + step) - F.deriv(z - step)) / (2 * step)
-        assert abs(F.deriv2(z) - fd) < 1e-5
+        fd = (Fp(z + step) - Fp(z - step)) / (2 * step)
+        assert abs(Fpp(z) - fd) < 1e-5
 
 
 # -- close-to-convexity radius ------------------------------------------------

@@ -1,9 +1,7 @@
 """End-to-end command-line checks: exit codes, JSON schemas, file output."""
 
 import cmath
-import contextlib
 import hashlib
-import io
 import json
 import math
 import re
@@ -11,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import run_cli, validate_payload
+from conftest import run_cli, run_module, validate_payload
 from harmap import cli
 from harmap.mappings import make_counterexample
 from harmap.univalence import CollisionSearchParams, find_symmetric_collision
@@ -111,22 +109,23 @@ _VERIFY_POINT = ("verify-bounds", "--what", "all", "--alphas", "0.5", "--ns", "1
                  "--zetas", "", "--zeta-rel", "0.5", "--radii", "0.5", "--area-radii", "0.5")
 
 
-def _json_doc(capsys, *argv):
-    assert cli.main([*argv, "--json"]) in (0, 1)
-    return json.loads(capsys.readouterr().out)
+def _json_doc(*argv):
+    res = run_cli(*argv, "--json")
+    assert res.returncode in (0, 1), res.stderr
+    return json.loads(res.stdout)
 
 
-def test_check_without_tol_reports_the_library_default(capsys):
-    doc = _json_doc(capsys, "check", "--family", _EXTREMAL, "--cls", "0.5,0.5,1")
+def test_check_without_tol_reports_the_library_default():
+    doc = _json_doc("check", "--family", _EXTREMAL, "--cls", "0.5,0.5,1")
     assert doc["report"]["details"]["tol"] == 1e-8
     assert "tol" not in doc["config"]
 
 
-def test_verify_bounds_without_tol_reports_each_library_default(capsys):
-    tols = [r["details"].get("tol") for r in _json_doc(capsys, *_VERIFY_POINT)["reports"]]
+def test_verify_bounds_without_tol_reports_each_library_default():
+    tols = [r["details"].get("tol") for r in _json_doc(*_VERIFY_POINT)["reports"]]
     assert tols == [1e-10, 1e-12, 1e-9, 1e-8, 1e-4, None]
     tols = [r["details"].get("tol")
-            for r in _json_doc(capsys, *_VERIFY_POINT, "--tol", "1e-3")["reports"]]
+            for r in _json_doc(*_VERIFY_POINT, "--tol", "1e-3")["reports"]]
     assert tols == [1e-3] * 5 + [None]
 
 
@@ -151,19 +150,21 @@ def test_verify_bounds_without_tol_reports_each_library_default(capsys):
     ("counterexample", "--gamma", "5/4", "--r0", "0.95+1j"),
     ("render", "--family", "counterexample:gamma=1.25+1j", "--preset", "zoom"),
 ])
-def test_real_field_with_an_imaginary_part_is_a_usage_error(argv, capsys):
-    assert cli.main(list(argv)) == 2
-    err = capsys.readouterr().err
+def test_real_field_with_an_imaginary_part_is_a_usage_error(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    err = res.stderr
     assert err.startswith("error:") and "must be real" in err, err
 
 
 @pytest.mark.parametrize("weights", ["1,0,1/2,1", "2/2,0/3,1/2,1"])
-def test_theorem_b_fields_take_fractions(weights, capsys):
+def test_theorem_b_fields_take_fractions(weights):
     argv = ["check", "--family", "extremal:alpha=0,zeta=0.5,n=1", "--theorem-b"]
-    assert cli.main([*argv, weights]) == 0
-    out = capsys.readouterr().out
-    assert cli.main([*argv, "1,0,0.5,1"]) == 0
-    assert capsys.readouterr().out == out
+    res = run_cli(*argv, weights)
+    assert res.returncode == 0
+    ref = run_cli(*argv, "1,0,0.5,1")
+    assert ref.returncode == 0
+    assert ref.stdout == res.stdout
 
 
 # -- check --------------------------------------------------------------------
@@ -253,20 +254,21 @@ def test_check_theorem_b_admissibility_error():
     ("eval", "--family", "from-h:{n_half}", "--z", "0.1,0"),
     ("eval", "--family", "from-h:{n_true}", "--z", "0.1,0"),
 ], ids=["spec", "cls", "eval", "theorem-b", "ns", "file-1.5", "file-true"])
-def test_non_integer_n_is_a_usage_error(argv, tmp_path, capsys):
+def test_non_integer_n_is_a_usage_error(argv, tmp_path):
     files = {}
     for name, n in (("n_half", 1.5), ("n_true", True)):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({"coeffs": [0.0, 1.0], "zeta": 0.5, "n": n}))
-    assert cli.main([a.format(**files) for a in argv]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and "must be an integer" in out.err
+    res = run_cli(*[a.format(**files) for a in argv])
+    assert res.returncode == 2
+    assert res.stdout == "" and "must be an integer" in res.stderr
 
 
-def test_order_is_not_a_family_key(capsys):
+def test_order_is_not_a_family_key():
     spec = "extremal:alpha=0.5,zeta=0.5,n=1,delta=0.6+0.8j,order=1"
-    assert cli.main(["render", "--family", spec, "--json"]) == 2
-    assert "unknown family parameter 'order'" in capsys.readouterr().err
+    res = run_cli("render", "--family", spec, "--json")
+    assert res.returncode == 2
+    assert "unknown family parameter 'order'" in res.stderr
 
 
 def test_check_requires_a_mode():
@@ -278,7 +280,7 @@ def test_check_requires_a_mode():
 
 
 def test_verify_bounds_covering_json():
-    res = run_cli("verify-bounds", "--what", "covering", "--json", timeout=300)
+    res = run_cli("verify-bounds", "--what", "covering", "--json")
     assert res.returncode == 0, res.stderr
     payload = json.loads(res.stdout)
     validate_payload(payload, "bound_report_list.json")
@@ -289,7 +291,7 @@ def test_verify_bounds_covering_json():
 
 
 def test_verify_bounds_coefficients_text():
-    res = run_cli("verify-bounds", "--what", "coefficients", timeout=300)
+    res = run_cli("verify-bounds", "--what", "coefficients")
     assert res.returncode == 0, res.stderr
     assert "all checks passed" in res.stdout
 
@@ -297,7 +299,7 @@ def test_verify_bounds_coefficients_text():
 def test_verify_bounds_restricted_lattice():
     res = run_cli("verify-bounds", "--what", "growth", "--alphas", "0.5",
                   "--zetas", "0", "--zeta-rel", "", "--ns", "1",
-                  "--radii", "0.3,0.7", "--json", timeout=300)
+                  "--radii", "0.3,0.7", "--json")
     assert res.returncode == 0, res.stderr
     payload = json.loads(res.stdout)
     assert payload["all_pass"] is True
@@ -435,12 +437,10 @@ def test_render_zoom_centres_on_the_collision_of_the_given_gamma(tmp_path):
     gamma = 1.23456789
     col = find_symmetric_collision(CollisionSearchParams(gamma=gamma))
     want = complex(make_counterexample(gamma)(col.z1)).real
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert cli.main(["render", "--family", f"counterexample:gamma={gamma}",
-                         "--preset", "zoom", "--out", str(tmp_path / "z.svg"),
-                         "--json"]) == 0
-    center = json.loads(buf.getvalue())["scene"]["center"]
+    res = run_cli("render", "--family", f"counterexample:gamma={gamma}",
+                  "--preset", "zoom", "--out", tmp_path / "z.svg", "--json")
+    assert res.returncode == 0, res.stderr
+    center = json.loads(res.stdout)["scene"]["center"]
     assert abs(center[0] - want) <= 1e-12
     assert center[1] == 0.0
 
@@ -450,15 +450,13 @@ def test_render_json_stdout_is_the_document_alone():
     # last line as its result) must find nothing else there
     argv = ("render", "--family", "counterexample:gamma=5/4", "--preset", "zoom",
             "--half-width", "0.08", "--json")
-    res = run_cli(*argv)
+    res = run_module(*argv)
     assert res.returncode == 0, res.stderr
     manifest = json.loads(res.stdout)
     assert res.stdout == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     # in process, the same bytes go to the sys.stdout of the call
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert cli.main(list(argv)) == 0
-    assert buf.getvalue() == res.stdout
+    inproc = run_cli(*argv)
+    assert (inproc.returncode, inproc.stdout, inproc.stderr) == (0, res.stdout, res.stderr)
 
 
 def test_render_zoom_needs_collision_family():
@@ -510,6 +508,25 @@ def test_render_lone_viewport_option_is_rejected(preset, lone):
     assert res.stderr.startswith("error:"), res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("--circles", "3"),
+    ("--rays", "5"),
+    ("--circles", "3", "--rays", "5", "--samples", "300"),
+])
+def test_render_boundary_rejects_circles_and_rays(argv):
+    # the boundary preset draws one curve; options it cannot use are errors
+    res = run_cli("render", "--family", "identity", "--preset", "boundary", *argv)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and res.stdout == "", res.stderr
+
+
+def test_render_boundary_takes_samples():
+    res = run_cli("render", "--family", "identity", "--preset", "boundary",
+                  "--samples", "300", "--json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["scene"]["samples"] == 300
+
+
 def test_render_zoom_derives_missing_center(tmp_path):
     out = tmp_path / "zoom.svg"
     res = run_cli("render", "--family", "counterexample:gamma=1.25", "--preset", "zoom",
@@ -525,6 +542,19 @@ def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
     assert "harmap" in res.stdout
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("--version",), 0),
+    (("eval", "--family", "nope:x=1", "--z", "0,0"), 2),
+])
+def test_module_entry_point(argv, code):
+    # ``python -m harmap`` gives the exit code and output of the in-process runner
+    res = run_module(*argv)
+    assert res.returncode == code
+    inproc = run_cli(*argv)
+    assert (res.returncode, res.stdout, res.stderr) == \
+        (inproc.returncode, inproc.stdout, inproc.stderr)
 
 
 def test_out_writes_json_file(tmp_path):
@@ -549,22 +579,19 @@ def test_missing_subcommand_usage_error():
     assert res.returncode == 2
 
 
-def test_main_in_process_reuses_parser(capsys):
+def test_main_in_process_reuses_parser():
     # one process, one parser: a failed parse leaves nothing behind that
     # changes a later command's output
     def run(*argv):
-        code = cli.main(list(argv))
-        return code, capsys.readouterr().out
+        res = run_cli(*argv)
+        return res.returncode, res.stdout
 
     evaluate = ("eval", "--family", "bl:lam=0.3", "--z", "0.5,0.25", "--json")
     code, first = run(*evaluate)
     assert code == 0
     validate_payload(json.loads(first), "eval.json")
 
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--family", "identity", "--cls"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert run_cli("check", "--family", "identity", "--cls").returncode == 2
 
     code, checked = run("check", "--family", "identity", "--cls", "0.5,0,1", "--json")
     assert code == 0

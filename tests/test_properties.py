@@ -146,6 +146,15 @@ def test_conjugate_symmetry_of_real_coefficient_families(f, z):
     assert abs(complex(f(z.conjugate())) - w.conjugate()) <= 1e-12 * max(1.0, abs(w))
 
 
+@SETTINGS
+@given(f=mappings(real=True), zs=st.lists(points, min_size=1, max_size=40))
+def test_reflection_is_exact_for_real_coefficient_families(f, zs):
+    # a mirrored render draws the lower halves of its circles as conj(f(z)),
+    # which must equal f(conj z) exactly for the SVG to match evaluating them
+    z = np.array(zs, dtype=np.complex128)
+    assert np.array_equal(f(np.conjugate(z)), np.conjugate(f(z)))
+
+
 @st.composite
 def sheared(draw):
     """``(mapping, zeta, n)`` for families sheared by ``g' = zeta z^n h'``."""

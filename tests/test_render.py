@@ -24,7 +24,6 @@ from harmap.render import (
     SceneSpec,
     render_boundary_curve,
     render_image_domain,
-    zoom_scene,
 )
 from harmap.univalence import CollisionSearchParams, find_symmetric_collision
 
@@ -103,7 +102,7 @@ def test_all_points_inside_viewport():
 
 def test_explicit_viewport_clips_points():
     f = make_counterexample(1.25)
-    spec = zoom_scene(f.label, center=1.0 + 0.0j, half_width=0.08)
+    spec = SceneSpec(f.label, center=1.0 + 0.0j, half_width=0.08)
     svg = render_image_domain(spec, f)
     meta = scene_meta(svg)
     assert meta["center"] == [1.0, 0.0]
@@ -157,7 +156,7 @@ def test_scene_spec_validation_messages():
 
 
 def test_scene_metadata_round_trip():
-    spec = zoom_scene("identity", center=0.25 + 0.1j, half_width=0.2)
+    spec = SceneSpec("identity", center=0.25 + 0.1j, half_width=0.2)
     svg = render_image_domain(spec, make_identity())
     meta = scene_meta(svg)
     assert meta["family"] == "identity"
@@ -291,8 +290,8 @@ def test_scene_clip_matches_clipping_each_curve():
     # (inner circles end and start inside this viewport) must not be drawn
     f = make_counterexample(1.25)
     center, hw = 0.1 + 0.0j, 0.5
-    spec = zoom_scene(f.label, center=center, half_width=hw)
-    curves = render._scene_curves(f, spec, render._sample_scene(f, spec))
+    spec = SceneSpec(f.label, center=center, half_width=hw)
+    curves = render._scene_curves(spec, render._sample_scene(f, spec))
     want = [(c.tag, render._points_attr(xs, ys)) for c in curves
             for _, xs, ys in render._clip_polyline(c.points, center, hw)]
     svg = render._assemble(spec, curves, center, hw)
@@ -354,7 +353,7 @@ def test_fixed_viewport_samples_the_scene_once(monkeypatch):
 
         monkeypatch.setattr(render, name, counting)
     f = make_identity()
-    render_image_domain(zoom_scene("identity", center=0.25 + 0.1j, half_width=0.2), f)
+    render_image_domain(SceneSpec("identity", center=0.25 + 0.1j, half_width=0.2), f)
     assert calls == ["_sample_scene", "_refine_scene", "_scene_curves"]
     calls.clear()
     render_image_domain(SceneSpec("identity", radius=0.9), f)
@@ -373,12 +372,13 @@ def test_render_evaluates_f_at_most_once_per_pass(monkeypatch):
         return call(self, z)
 
     monkeypatch.setattr(type(f), "__call__", counting)
-    # sampling, the auto-fit curves' lower halves, the passes, the lower halves
+    # sampling, then the passes: the mirrored lower halves are reflected
+    # images, so neither the auto-fit curves nor the drawn ones call f again
     render_image_domain(SceneSpec(f.label), f)
-    assert 3 < len(calls) <= render.MAX_REFINE_PASSES + 3
+    assert 1 < len(calls) <= render.MAX_REFINE_PASSES + 1
     calls.clear()
-    render_image_domain(zoom_scene(f.label, center=_collision_center(1.25)), f)
-    assert 2 < len(calls) <= render.MAX_REFINE_PASSES + 2
+    render_image_domain(SceneSpec(f.label, center=_collision_center(1.25), half_width=0.05), f)
+    assert 1 < len(calls) <= render.MAX_REFINE_PASSES + 1
 
 
 def test_domain_error_in_a_pass_names_the_parameter_point(monkeypatch):
@@ -518,7 +518,7 @@ def test_point_cap_stops_one_curve_while_the_others_refine(monkeypatch):
     f = make_counterexample(1.25)
     spec = SceneSpec(f.label)
     start = render._sample_scene(f, spec)
-    center, hw = render._resolve_viewport(spec, render._scene_curves(f, spec, start))
+    center, hw = render._resolve_viewport(spec, render._scene_curves(spec, start))
     max_gap = 2.0 * hw / render.GAP_DENOM
 
     def refined():
@@ -564,10 +564,10 @@ def test_pruned_zoom_matches_refining_everywhere(family, center, hw):
     f = family_from_spec(family)
     if center is None:
         center = _collision_center(1.25)
-    spec = zoom_scene(f.label, center=center, half_width=hw)
+    spec = SceneSpec(f.label, center=center, half_width=hw)
     max_gap = 2.0 * hw / render.GAP_DENOM
     start = render._sample_scene(f, spec)
-    pruned, full = (render._scene_curves(f, spec, render._refine_scene(f, start, max_gap, view))
+    pruned, full = (render._scene_curves(spec, render._refine_scene(f, start, max_gap, view))
                     for view in ((center, hw), (center, math.inf)))
     svg = render_image_domain(spec, f)
     assert svg == render._assemble(spec, pruned, center, hw)
@@ -583,7 +583,7 @@ def test_pruned_zoom_gaps_within_max_gap(family, center, hw):
     f = family_from_spec(family)
     if center is None:
         center = _collision_center(1.25)
-    svg = render_image_domain(zoom_scene(f.label, center=center, half_width=hw), f)
+    svg = render_image_domain(SceneSpec(f.label, center=center, half_width=hw), f)
     max_gap = 2.0 * hw / render.GAP_DENOM
     worst = 0.0
     for chunk in POINTS_RE.findall(svg):
