@@ -145,10 +145,25 @@ def _batch_refine(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
+#: the step lengths of the line search: the full step, then five halvings
+_STEPS = 0.5 ** np.arange(6)[:, None]
+
+
 def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray,
                         J: np.ndarray, gap: np.ndarray, r: float, floor: float,
                         tol: float, iters: int):
+    """One block of :func:`_batch_refine`.
+
+    Each iteration takes the least-norm Gauss-Newton step and line-searches
+    it: the full step for every pair in one call of ``f``, then the halved
+    steps ``0.5**k`` (k = 1..5) of the pairs it failed in one more call; a
+    pair keeps the first that lowers its gap.  A pair whose separation is
+    below half the floor both now and after the full step is retired unseen:
+    the separation is convex along the step and ``clamp`` (a projection onto
+    a disk) does not expand distances, so it merges whatever step is taken.
+    """
     z1, z2, gap = z[I], z[J], gap.copy()
+    half = 0.5 * floor
 
     def clamp(zz):
         a = np.abs(zz)
@@ -158,7 +173,9 @@ def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.n
         return zz
 
     def gap_of(za, zb):
-        return np.abs(f(za) - np.asarray(f(zb)))
+        """``|f(za) - f(zb)|`` from one call of ``f`` on both sides."""
+        w = f(np.concatenate([za.ravel(), zb.ravel()]))
+        return np.abs(w[: za.size] - w[za.size :]).reshape(za.shape)
 
     def side(zz, index, sgn, c, k):
         """``f(zz)``; writes the d/dx and d/dy columns of ``sgn * f`` at
@@ -177,12 +194,13 @@ def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.n
         active = alive & progress & (gap > 0.1 * tol)
         if not np.any(active):
             break
-        a1, a2 = z1[active], z2[active]
+        act = np.nonzero(active)[0]
+        a1, a2 = z1[act], z2[act]
         # residual and the complex columns of its 2x4 real Jacobian
         c = np.empty((4, len(a1)), dtype=np.complex128)
         first = it == 0
-        R = (side(a1, I[active] if first else None, 1.0, c, 0)
-             - side(a2, J[active] if first else None, -1.0, c, 2))
+        R = (side(a1, I[act] if first else None, 1.0, c, 0)
+             - side(a2, J[act] if first else None, -1.0, c, 2))
         A = np.sum(c.real * c.real, axis=0)
         B = np.sum(c.real * c.imag, axis=0)
         D = np.sum(c.imag * c.imag, axis=0)
@@ -196,30 +214,36 @@ def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.n
             dx[k] = c[k].real * u1 + c[k].imag * u2
         step1 = dx[0] + 1j * dx[1]
         step2 = dx[2] + 1j * dx[3]
-        t = np.ones(len(a1))
-        cur_gap = gap[active]
-        best1, best2 = a1.copy(), a2.copy()
-        improved = np.zeros(len(a1), dtype=bool)
-        for _ in range(6):
-            todo = ~improved
-            if not np.any(todo):
-                break
-            t1 = clamp(a1[todo] + t[todo] * step1[todo])
-            t2 = clamp(a2[todo] + t[todo] * step2[todo])
+        del c, R, dx  # free the Jacobian before the line search evaluates
+        p1, p2 = a1 + _STEPS[0] * step1, a2 + _STEPS[0] * step2
+        slack = 1e-12 * (1.0 + np.abs(a1) + np.abs(a2) + np.abs(step1) + np.abs(step2))
+        doomed = (np.abs(a1 - a2) < half - slack) & (np.abs(p1 - p2) < half - slack)
+        alive[act[doomed]] = False
+        keep = ~doomed
+        act, a1, a2, step1, step2 = act[keep], a1[keep], a2[keep], step1[keep], step2[keep]
+        t1, t2 = clamp(p1[keep]), clamp(p2[keep])
+        cur_gap = gap[act]
+        g = gap_of(t1, t2)
+        better = g < cur_gap
+        z1[act[better]], z2[act[better]], gap[act[better]] = t1[better], t2[better], g[better]
+        fail = np.nonzero(~better)[0]
+        if len(fail):
+            t1 = clamp(a1[fail] + _STEPS[1:] * step1[fail])
+            t2 = clamp(a2[fail] + _STEPS[1:] * step2[fail])
             g = gap_of(t1, t2)
-            better = g < cur_gap[todo]
-            idx = np.nonzero(todo)[0][better]
-            best1[idx], best2[idx] = t1[better], t2[better]
-            cur_gap[idx] = g[better]
-            improved[idx] = True
-            t[np.nonzero(todo)[0][~better]] *= 0.5
-        z1[active], z2[active] = best1, best2
-        gap[active] = cur_gap
-        # The step and line search are deterministic, so a candidate that
-        # failed to improve once can never improve later; retire it.
-        progress[np.nonzero(active)[0][~improved]] = False
-        merged = np.abs(z1 - z2) < 0.5 * floor
-        alive &= ~merged
+            lower = g < cur_gap[fail]
+            found = lower.any(axis=0)
+            hit = np.nonzero(found)[0]
+            k = np.argmax(lower[:, hit], axis=0)
+            idx = act[fail[hit]]
+            z1[idx], z2[idx], gap[idx] = t1[k, hit], t2[k, hit], g[k, hit]
+            # The step and line search are deterministic, so a candidate
+            # that failed to improve once can never improve later; retire it.
+            progress[act[fail[~found]]] = False
+        # only this iteration's live pairs can have moved since their last
+        # merge test; the first test covers every pair, even one never active
+        moved = slice(None) if first else act
+        alive[moved] &= ~(np.abs(z1[moved] - z2[moved]) < half)
     return z1, z2, gap, alive
 
 
@@ -323,10 +347,10 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
     _, cell = np.unique((lev << 40) + ((bx >> lev) << 20) + (by >> lev), return_inverse=True)
     _, rep, grp = np.unique(cell * (int(box.max()) + 1) + box, return_index=True,
                             return_inverse=True)
+    rlev, wr, zr = lev[rep], w[rep], z[rep]
     reach, spread = np.zeros(len(rep)), np.zeros(len(rep))
-    np.maximum.at(reach, grp, rad + np.abs(w - w[rep][grp]))
-    np.maximum.at(spread, grp, np.abs(z - z[rep][grp]))
-    rlev = lev[rep]
+    np.maximum.at(reach, grp, rad + np.abs(w - wr[grp]))
+    np.maximum.at(spread, grp, np.abs(z - zr[grp]))
 
     pairs = [np.zeros((2, 0), dtype=np.int64)]
     chunk = 2_000_000  # cap transient allocation per expansion block
@@ -347,11 +371,13 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
             c = cnt[b0:b1]
             a = np.repeat(src[b0:b1], c)
             b = qs[t[np.arange(len(a)) - np.repeat(np.cumsum(c) - c - lo[b0:b1], c)]]
-            pa, pb = rep[a], rep[b]
-            m = ((np.abs(w[pa] - w[pb]) <= reach[a] + reach[b])
-                 & (np.abs(z[pa] - z[pb]) + spread[a] + spread[b] >= sep_pre)
-                 & ((rlev[a] < level) | (a < b)))
-            pairs.append(np.stack([pa[m], pb[m]]))
+            # cheapest test first; each later one sees only the survivors
+            m = (rlev[a] < level) | (a < b)
+            a, b = a[m], b[m]
+            m = np.abs(wr[a] - wr[b]) <= reach[a] + reach[b]
+            a, b = a[m], b[m]
+            m = np.abs(zr[a] - zr[b]) + spread[a] + spread[b] >= sep_pre
+            pairs.append(np.stack([rep[a[m]], rep[b[m]]]))
             if sum(p.shape[1] for p in pairs) > MAX_CANDIDATES:
                 return *np.concatenate(pairs, axis=1), levels, True
             b0 = b1

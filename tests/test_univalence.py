@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from harmap import cli, univalence
 from harmap.errors import InfeasibilityError, OnCurveError, ParameterError
 from harmap.mappings import (
+    HarmonicMapping,
     family_from_spec,
     is_conjugate_symmetric,
     make_bshouty_lyzzaik,
@@ -289,6 +290,133 @@ def test_candidate_pairs_cover_every_close_pair(f, r):
         p += a
         want = set(zip(np.minimum(box[p], box[q]).tolist(), np.maximum(box[p], box[q]).tolist()))
         assert want <= found, sorted(want - found)[:5]
+
+
+# -- batch refiner ----------------------------------------------------------------
+
+
+# The block refiner as it was before pairs that must merge were retired
+# unevaluated and the line search took one call of ``f`` per stage, verbatim.
+def _batch_refine_block_reference(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray,
+                        J: np.ndarray, gap: np.ndarray, r: float, floor: float,
+                        tol: float, iters: int):
+    z1, z2, gap = z[I], z[J], gap.copy()
+
+    def clamp(zz):
+        a = np.abs(zz)
+        over = a > r
+        if np.any(over):
+            zz = np.where(over, zz * (r / np.maximum(a, 1e-300)), zz)
+        return zz
+
+    def gap_of(za, zb):
+        return np.abs(f(za) - np.asarray(f(zb)))
+
+    def side(zz, index, sgn, c, k):
+        """``f(zz)``; writes the d/dx and d/dy columns of ``sgn * f`` at
+        ``zz`` to ``c[k]``, ``c[k + 1]``.  Values come from ``evals`` at the
+        grid points ``index`` when given.  Evaluating one side at a time
+        keeps only one side's derivative arrays alive."""
+        w, hp, gp = f.eval_all(zz) if index is None else (e[index] for e in evals)
+        gpc = np.conjugate(gp)
+        c[k] = sgn * (hp + gpc)
+        c[k + 1] = sgn * 1j * (hp - gpc)
+        return w
+
+    alive = np.ones(len(z1), dtype=bool)
+    progress = np.ones(len(z1), dtype=bool)
+    for it in range(iters):
+        active = alive & progress & (gap > 0.1 * tol)
+        if not np.any(active):
+            break
+        a1, a2 = z1[active], z2[active]
+        # residual and the complex columns of its 2x4 real Jacobian
+        c = np.empty((4, len(a1)), dtype=np.complex128)
+        first = it == 0
+        R = (side(a1, I[active] if first else None, 1.0, c, 0)
+             - side(a2, J[active] if first else None, -1.0, c, 2))
+        A = np.sum(c.real * c.real, axis=0)
+        B = np.sum(c.real * c.imag, axis=0)
+        D = np.sum(c.imag * c.imag, axis=0)
+        det = A * D - B * B
+        det = np.where(np.abs(det) < 1e-300, np.inf, det)
+        u1 = (-R.real * D + R.imag * B) / det
+        u2 = (R.real * B - R.imag * A) / det
+        # least-norm step components J^T u, packed back into complex points
+        dx = np.empty((4, len(a1)))
+        for k in range(4):
+            dx[k] = c[k].real * u1 + c[k].imag * u2
+        step1 = dx[0] + 1j * dx[1]
+        step2 = dx[2] + 1j * dx[3]
+        t = np.ones(len(a1))
+        cur_gap = gap[active]
+        best1, best2 = a1.copy(), a2.copy()
+        improved = np.zeros(len(a1), dtype=bool)
+        for _ in range(6):
+            todo = ~improved
+            if not np.any(todo):
+                break
+            t1 = clamp(a1[todo] + t[todo] * step1[todo])
+            t2 = clamp(a2[todo] + t[todo] * step2[todo])
+            g = gap_of(t1, t2)
+            better = g < cur_gap[todo]
+            idx = np.nonzero(todo)[0][better]
+            best1[idx], best2[idx] = t1[better], t2[better]
+            cur_gap[idx] = g[better]
+            improved[idx] = True
+            t[np.nonzero(todo)[0][~better]] *= 0.5
+        z1[active], z2[active] = best1, best2
+        gap[active] = cur_gap
+        # The step and line search are deterministic, so a candidate that
+        # failed to improve once can never improve later; retire it.
+        progress[np.nonzero(active)[0][~improved]] = False
+        merged = np.abs(z1 - z2) < 0.5 * floor
+        alive &= ~merged
+    return z1, z2, gap, alive
+
+
+
+def _refine_case(f, r, floor, seed, n_pairs=3000):
+    """Inputs of ``_batch_refine_block`` on a 48 x 96 scan grid: the grid, its
+    evaluation and a random candidate set, half of it pairs the scan's hash
+    proposes and half pairs of grid points a few steps apart, whose
+    preimages straddle half the separation floor."""
+    n_r, n_a = 48, 96
+    Z = (r * np.arange(1, n_r + 1) / n_r)[:, None] * np.exp(2j * np.pi * np.arange(n_a) / n_a)
+    W, hp, gp = f.eval_all(Z)
+    z, w = Z.ravel(), W.ravel()
+    rng = np.random.default_rng(seed)
+    rad = np.full(len(z), float(np.max(np.abs(np.diff(W, axis=1)))))
+    box = np.arange(len(z))
+    I, J, _, _ = univalence._candidate_pairs(w, z, rad, box, 0.25 * floor)
+    pick = rng.choice(len(I), size=min(len(I), n_pairs // 2), replace=False)
+    ring, col = rng.integers(n_r, size=(2, n_pairs // 2))
+    ring2 = np.clip(ring + rng.integers(-6, 7, size=ring.size), 0, n_r - 1)
+    col2 = (col + rng.integers(-6, 7, size=col.size)) % n_a
+    I = np.concatenate([I[pick], ring * n_a + col])
+    J = np.concatenate([J[pick], ring2 * n_a + col2])
+    return z, (w, hp.ravel(), gp.ravel()), I, J, np.abs(w[I] - w[J])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("f, r", [
+    (make_counterexample(1.2), 0.995),
+    (make_bshouty_lyzzaik(0.40), 0.999),
+    (_rotated_bl(), 0.999),
+    (family_from_spec("extremal:alpha=-0.5,zeta=1,n=1,delta=0.6+0.8j"), 0.99),
+], ids=["counterexample-1.2", "bl-0.40", "rotated-bl", "extremal-rotated"])
+def test_batch_refiner_matches_reference(f, r, seed):
+    floor, tol = 0.2, 1e-8
+    z, evals, I, J, gap = _refine_case(f, r, floor, seed)
+    z1, z2, g, alive = univalence._batch_refine_block(f, z, evals, I, J, gap, r, floor, tol, 14)
+    rz1, rz2, rg, ralive = _batch_refine_block_reference(f, z, evals, I, J, gap, r, floor,
+                                                         tol, 14)
+    assert alive.tolist() == ralive.tolist()
+    for got, want in ((z1, rz1), (z2, rz2), (g, rg)):
+        assert got[alive].tobytes() == want[alive].tobytes()
+    # the case reaches the clamp radius and both sides of the merge test
+    assert np.any(np.abs(rz1[ralive]) > r * (1.0 - 1e-12))
+    assert 0 < np.count_nonzero(ralive) < len(ralive)
 
 
 # -- box-pair dedup -------------------------------------------------------------
