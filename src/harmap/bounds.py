@@ -191,11 +191,11 @@ def _parseval_terms(c, r: float, zeta2: float, n: int, j0: int = 0):
 
 
 def _binomial_moduli(q: float, N: int, j0: int = 0, carry: float = 1.0):
-    """``|c_j| = prod_{i<=j} |q - i + 1|/i`` for ``j0 <= j < N``, the coefficient
+    """``|c_j| = prod_{i<=j} |q - (i - 1)|/i`` for ``j0 <= j < N``, the coefficient
     moduli of ``(1 - delta z)**q`` with ``|delta| = 1``; ``carry`` is
     ``|c_(j0-1)|``, so a running product continues bit for bit."""
     i = np.arange(max(j0, 1), N, dtype=float)
-    c = np.cumprod(np.concatenate(([carry], np.abs(q - i + 1.0) / i)))
+    c = np.cumprod(np.concatenate(([carry], np.abs(q - (i - 1.0)) / i)))
     return c[1:] if j0 else c
 
 

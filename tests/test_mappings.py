@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from harmap import bounds
 from harmap.errors import (
     AdmissibilityError,
     DomainError,
@@ -331,6 +332,12 @@ def test_power_taylor_prefix_does_not_depend_on_the_order():
     assert (h5.order, g5.order, h40.order, g40.order) == (5, 7, 40, 42)
     assert np.array_equal(h40.coeffs[:6], h5.coeffs)
     assert np.array_equal(g40.coeffs[:8], g5.coeffs)
+
+
+def test_power_series_keeps_a_tiny_exponent():
+    # the k = 1 factor is q - 0, not (q - 1) + 1, which rounds to 0 here
+    assert PowerKernel(1e-20).series(2).coeffs[1] == -1e-20
+    assert bounds._binomial_moduli(1e-20, 3)[1] == 1e-20
 
 
 def test_family_from_spec_errors():

@@ -156,6 +156,41 @@ def test_reflection_is_exact_for_real_coefficient_families(f, zs):
 
 
 @st.composite
+def log_points(draw):
+    """``(z, delta)`` with ``|z| < 1`` and ``delta = 1`` or ``e^(i phi)``: a
+    point of the disk, a point near the branch point ``1/delta``, or a point
+    on the circle ``|1 - delta z| = 1``, where ``log|u|`` vanishes."""
+    delta = draw(st.sampled_from((1.0, cmath.exp(1j * draw(st.floats(-np.pi, np.pi))))))
+    kind = draw(st.sampled_from(("disk", "branch", "unit")))
+    if kind == "disk":
+        z = draw(points)
+    elif kind == "branch":
+        u = draw(st.floats(1e-14, 1e-2)) * cmath.exp(1j * draw(st.floats(-1.5, 1.5)))
+        z = (1.0 - u) / delta
+    else:
+        z = (1.0 - cmath.exp(1j * draw(st.floats(-1.0, 1.0)))) / delta
+    assume(abs(z) < 1.0)
+    return z, delta
+
+
+@SETTINGS
+@given(case=log_points(), others=st.lists(points, max_size=40))
+def test_branch_logarithm_is_accurate(case, others):
+    mpmath = pytest.importorskip("mpmath")
+    z, delta = case
+    kernel = PowerKernel(0.25, delta)
+    L = complex(kernel._log_u(z))
+    # the reference takes the logarithm of the same rounded u = 1 - delta z
+    u = complex(1.0 - delta * np.asarray(z))
+    with mpmath.workprec(120):
+        want = complex(mpmath.log(mpmath.mpc(u)))
+    assert abs(L - want) <= 4 * np.spacing(max(1.0, abs(want)))
+    # a scalar equals the same point's element of an array, bit for bit
+    row = np.array(others + [z] + others, dtype=np.complex128)
+    assert np.array(kernel._log_u(z)).tobytes() == kernel._log_u(row)[len(others)].tobytes()
+
+
+@st.composite
 def sheared(draw):
     """``(mapping, zeta, n)`` for families sheared by ``g' = zeta z^n h'``."""
     kind = draw(st.sampled_from(("counterexample", "extremal", "from-h")))
