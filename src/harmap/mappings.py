@@ -265,9 +265,12 @@ class PolyKernel:
 
     def singular_points(self) -> np.ndarray:
         """The zeros of ``h'`` (companion-matrix roots, found once; none for a
-        constant)."""
+        constant).  A root that overflows, as ``-c0/c1`` does for a tiny
+        ``c1``, lies outside every disk and is left out."""
         if self._roots is None:
-            self._roots = np.polynomial.polynomial.polyroots(self.hp.coeffs)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                roots = np.polynomial.polynomial.polyroots(self.hp.coeffs)
+            self._roots = roots[np.isfinite(roots)]
         return self._roots
 
     def derivs(self, z):

@@ -18,6 +18,7 @@ from harmap.mappings import (
     ExtremalSpec,
     HarmonicMapping,
     PBetaParams,
+    PolyKernel,
     PowerKernel,
     family_from_spec,
     is_conjugate_symmetric,
@@ -338,6 +339,14 @@ def test_power_series_keeps_a_tiny_exponent():
     # the k = 1 factor is q - 0, not (q - 1) + 1, which rounds to 0 here
     assert PowerKernel(1e-20).series(2).coeffs[1] == -1e-20
     assert bounds._binomial_moduli(1e-20, 3)[1] == 1e-20
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_root_lies_outside_every_disk():
+    # -c0/c1 overflows for c1 = 1e-310; h' is zero-free on every disk
+    kernel = PolyKernel(PowerSeries([1.0, 1e-310]))
+    assert kernel.singular_points().size == 0
+    assert kernel.zero_free(0.999)
 
 
 def test_family_from_spec_errors():
