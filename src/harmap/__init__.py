@@ -53,7 +53,6 @@ from .errors import (
 )
 from .mappings import (
     ClassParams,
-    ExtremalSpec,
     HarmonicMapping,
     PBetaParams,
     PolyKernel,
@@ -76,7 +75,6 @@ from .reports import BoundReport, UnivalenceReport, dump_json
 from .series import PowerSeries
 from .special import hyp2f1, principal_pow
 from .univalence import (
-    CollisionSearchParams,
     SymmetricCollision,
     feasibility_threshold,
     find_symmetric_collision,
@@ -87,8 +85,8 @@ from .univalence import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaBounds", "BoundReport", "ClassParams", "CollisionSearchParams",
-    "CurvatureReport", "DiskGrid", "ExtremalSpec", "GrowthBounds", "HarmonicMapping",
+    "AreaBounds", "BoundReport", "ClassParams",
+    "CurvatureReport", "DiskGrid", "GrowthBounds", "HarmonicMapping",
     "PBetaParams", "PolyKernel", "PowerKernel", "PowerSeries", "SceneSpec",
     "SymmetricCollision", "UnivalenceReport",
     "HarmapError", "ParameterError", "AdmissibilityError", "InfeasibilityError",

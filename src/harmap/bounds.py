@@ -19,14 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .mappings import (ClassParams, ExtremalSpec, HarmonicMapping, PolyKernel, make_extremal,
-                       within_zeta_cap, zeta_cap)
+from .mappings import (ClassParams, HarmonicMapping, PolyKernel, make_extremal, within_zeta_cap,
+                       zeta_cap)
 from .quadrature import disk_integral, integrate_real
 from .reports import BoundReport, complex_pair
 from .special import hyp2f1
 
 #: closeness to alpha = 1/2 that selects the logarithmic branch
 _HALF_EPS = 1e-9
+#: relative tolerance of the growth and area envelope quadratures
+_ENVELOPE_TOL = 1e-12
+#: area tolerance in the area sandwich, whose slack is ten times this
+_SANDWICH_TOL = 1e-9
 
 
 def _rising_product(k: int, alpha: float) -> float:
@@ -103,7 +107,7 @@ class GrowthBounds:
     r: float
     params: ClassParams
     mode: str
-    notes: tuple = ()
+    notes: tuple
 
 
 def _growth_params(params: ClassParams) -> tuple[float, float, int, tuple]:
@@ -138,8 +142,7 @@ def _envelope(r: float, s: float, alpha: float, zeta: float, n: int) -> float:
     return s * lead - s * correction * F
 
 
-def growth_bounds(r: float, params: ClassParams, mode: str = "closed-form",
-                  quad_tol: float = 1e-12) -> GrowthBounds:
+def growth_bounds(r: float, params: ClassParams, mode: str = "closed-form") -> GrowthBounds:
     """Sharp growth envelope at radius ``r``.
 
     ``mode="closed-form"`` uses the hypergeometric expressions;
@@ -155,9 +158,9 @@ def growth_bounds(r: float, params: ClassParams, mode: str = "closed-form",
     elif mode == "quadrature":
         expo = 2.0 * (1.0 - alpha)
         phi = integrate_real(
-            lambda rho: (1.0 - zeta * rho**n) / (1.0 + rho) ** expo, 0.0, r, tol=quad_tol)
+            lambda rho: (1.0 - zeta * rho**n) / (1.0 + rho) ** expo, 0.0, r, tol=_ENVELOPE_TOL)
         psi = integrate_real(
-            lambda rho: (1.0 + zeta * rho**n) / (1.0 - rho) ** expo, 0.0, r, tol=quad_tol)
+            lambda rho: (1.0 + zeta * rho**n) / (1.0 - rho) ** expo, 0.0, r, tol=_ENVELOPE_TOL)
     else:
         raise ParameterError(f"unknown growth mode {mode!r}")
     return GrowthBounds(phi=float(phi), psi=float(psi), r=r, params=params,
@@ -287,10 +290,10 @@ class AreaBounds:
     upper: float
     r: float
     params: ClassParams
-    notes: tuple = ()
+    notes: tuple
 
 
-def area_bounds(params: ClassParams, r: float, quad_tol: float = 1e-12) -> AreaBounds:
+def area_bounds(params: ClassParams, r: float) -> AreaBounds:
     """Sharp area sandwich ``2 pi int rho (1 - |zeta|^2 rho^(2n)) / (1 +- rho)^(4-4alpha)``."""
     if not 0.0 < r < 1.0:
         raise ParameterError(f"radius must lie in (0, 1), got {r}")
@@ -300,10 +303,10 @@ def area_bounds(params: ClassParams, r: float, quad_tol: float = 1e-12) -> AreaB
 
     lower = 2.0 * math.pi * integrate_real(
         lambda rho: rho * (1.0 - zz * rho ** (2 * n)) / (1.0 + rho) ** expo,
-        0.0, r, tol=quad_tol)
+        0.0, r, tol=_ENVELOPE_TOL)
     upper = 2.0 * math.pi * integrate_real(
         lambda rho: rho * (1.0 - zz * rho ** (2 * n)) / (1.0 - rho) ** expo,
-        0.0, r, tol=quad_tol)
+        0.0, r, tol=_ENVELOPE_TOL)
     return AreaBounds(lower=float(lower), upper=float(upper), r=r,
                       params=params, notes=notes)
 
@@ -319,9 +322,9 @@ def verify_sharpness(params: ClassParams, r_list, tol: float = 1e-8) -> BoundRep
     """
     alpha, zeta, n, _ = _growth_params(params)
     base = ClassParams(alpha, zeta, n)
-    f_psi = make_extremal(ExtremalSpec(base, 1.0))
+    f_psi = make_extremal(base)
     zeta_phi = zeta if n % 2 == 1 else -zeta
-    f_phi = make_extremal(ExtremalSpec(ClassParams(alpha, zeta_phi, n), 1.0))
+    f_phi = make_extremal(ClassParams(alpha, zeta_phi, n))
 
     def deviations():
         for r in r_list:
@@ -341,23 +344,22 @@ def verify_sharpness(params: ClassParams, r_list, tol: float = 1e-8) -> BoundRep
     )
 
 
-def verify_coeff_sharpness(spec: ExtremalSpec, K: int,
-                           tol: float = 1e-10) -> BoundReport:
-    """Check the extremal family attains the coefficient bounds exactly.
+def verify_coeff_sharpness(params: ClassParams, K: int, tol: float = 1e-10) -> BoundReport:
+    """Check the ``delta = 1`` extremal member attains the coefficient bounds
+    exactly.
 
     Compares ``|a_k|`` for ``2 <= k <= K`` and ``|b_(k+n)|`` for
     ``1 <= k <= K`` against the closed-form bounds; the worst absolute
     deviation drives the verdict.
     """
-    p = spec.params
-    th, tg = make_extremal(spec).taylor(K)
+    th, tg = make_extremal(params).taylor(K)
 
     def deviations():
         for k in range(2, K + 1):
-            yield abs(abs(complex(th.coeff(k))) - coeff_bound_a(k, p.alpha)), k
+            yield abs(abs(complex(th.coeff(k))) - coeff_bound_a(k, params.alpha)), k
         for k in range(1, K + 1):
-            yield (abs(abs(complex(tg.coeff(k + p.n)))
-                       - coeff_bound_b(k, p.n, p.alpha, p.zeta)), k + p.n)
+            yield (abs(abs(complex(tg.coeff(k + params.n)))
+                       - coeff_bound_b(k, params.n, params.alpha, params.zeta)), k + params.n)
 
     worst, witness, _ = _worst(deviations())
     return BoundReport(
@@ -365,8 +367,8 @@ def verify_coeff_sharpness(spec: ExtremalSpec, K: int,
         passed=worst <= tol,
         margin=float(tol - worst),
         witness=witness,
-        details={"alpha": p.alpha, "zeta": complex_pair(p.zeta), "n": p.n,
-                 "delta": complex_pair(spec.delta), "K": K, "tol": tol},
+        details={"alpha": params.alpha, "zeta": complex_pair(params.zeta), "n": params.n,
+                 "delta": [1.0, 0.0], "K": K, "tol": tol},
     )
 
 
@@ -393,9 +395,10 @@ def verify_growth_consistency(params: ClassParams, r_list,
     )
 
 
-def verify_covering_consistency(params: ClassParams, r: float = 1.0 - 1e-6,
-                                tol: float = 1e-4) -> BoundReport:
-    """The covering radius should match the lower envelope as ``r -> 1``."""
+def verify_covering_consistency(params: ClassParams, tol: float = 1e-4) -> BoundReport:
+    """The covering radius should match the lower envelope as ``r -> 1``,
+    here at ``r = 1 - 1e-6``."""
+    r = 1.0 - 1e-6
     rad = covering_radius(params)
     phi = growth_bounds(r, params).phi
     dev = abs(rad - phi)
@@ -410,16 +413,15 @@ def verify_covering_consistency(params: ClassParams, r: float = 1.0 - 1e-6,
     )
 
 
-def verify_area_sandwich(params: ClassParams, r_list,
-                         quad_tol: float = 1e-9) -> BoundReport:
+def verify_area_sandwich(params: ClassParams, r_list) -> BoundReport:
     """Computed image area of the extremal member must sit inside the
     two-sided envelope at every radius (small quadrature slack allowed)."""
-    f = make_extremal(ExtremalSpec(params, 1.0))
-    slack = 10.0 * quad_tol
+    f = make_extremal(params)
+    slack = 10.0 * _SANDWICH_TOL
 
     def margins():
         for r in r_list:
-            a = area(f, r, tol=quad_tol)
+            a = area(f, r, tol=_SANDWICH_TOL)
             ab = area_bounds(params, r)
             yield min(a - ab.lower, ab.upper - a) + slack, r, a, ab.lower, ab.upper
 
@@ -433,7 +435,7 @@ def verify_area_sandwich(params: ClassParams, r_list,
         details={"alpha": params.alpha, "zeta": complex_pair(params.zeta),
                  "n": params.n, "radii": [float(r) for r in r_list],
                  "lower": lower, "upper": upper,
-                 "quad_tol": quad_tol},
+                 "quad_tol": _SANDWICH_TOL},
     )
 
 

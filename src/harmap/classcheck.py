@@ -171,7 +171,7 @@ def _band_check(f: HarmonicMapping, check: str, bound: float, upper: bool,
     z, hp, sampled, seeds = _sample(f, grid)
 
     def residual(z, hp):
-        return np.abs(f._omega(z) * hp - zeta * z**n * hp)
+        return np.abs(f._g_prime(z, hp) - zeta * z**n * hp)
 
     resid, resid_arg = _refined(lambda w: residual(w, f.derivs(w)[0]), grid, z,
                                 residual(z, hp), True, seeds)

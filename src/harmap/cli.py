@@ -32,10 +32,11 @@ from .classcheck import check_membership, check_pbeta, check_theorem_b_condition
 from .errors import HarmapError, ParameterError
 from .mappings import (
     ClassParams,
-    ExtremalSpec,
     PBetaParams,
     PolyKernel,
+    dilatation_of,
     family_from_spec,
+    jacobian_of,
     make_extremal,
     parse_family_spec,
     parse_int,
@@ -46,8 +47,8 @@ from .render import (BOUNDARY_SAMPLES, DEFAULT_RADIUS, ZOOM_HALF_WIDTH, SceneSpe
                      render_boundary_curve, render_image_domain)
 from .reports import dump_json
 from .univalence import (DEFAULT_CELLS, DEFAULT_COLLISION_TOL, DEFAULT_SCAN_RADIUS,
-                         DEFAULT_SEPARATION_FLOOR, CollisionSearchParams,
-                         find_symmetric_collision, univalence_scan)
+                         DEFAULT_SEPARATION_FLOOR, find_symmetric_collision,
+                         univalence_scan)
 
 
 def _given(**options) -> dict:
@@ -101,12 +102,12 @@ def _emit(args, payload: dict | None, lines: list[str], code: int) -> int:
 def cmd_eval(args) -> int:
     f = family_from_spec(args.family)
     z = _parse_complex(args.z, "--z")
-    fz = complex(f(z))
-    hz = complex(f.h(z))
-    gz = complex(f.g(z))
-    jac = float(f.jacobian(z))
+    h, g, hp, gp = f.parts(z)
+    hz, gz = complex(h), complex(g)
+    fz = hz + gz.conjugate()
+    jac = float(jacobian_of(hp, gp))
     try:
-        dil = complex(f.dilatation(z))
+        dil = complex(dilatation_of(hp, gp))
     except HarmapError:
         dil = None
     payload = {
@@ -159,10 +160,9 @@ def cmd_verify_bounds(args) -> int:
     reports = []
     for params in lattice:
         if what in ("coefficients", "all"):
-            spec = ExtremalSpec(params, 1.0)
-            reports.append(verify_coeff_sharpness(spec, K=args.kmax, **tol))
+            reports.append(verify_coeff_sharpness(params, K=args.kmax, **tol))
             reports.append(verify_coeff_relation(
-                make_extremal(spec), params.n, params.zeta, K=args.kmax, **tol))
+                make_extremal(params), params.n, params.zeta, K=args.kmax, **tol))
         if what in ("growth", "all"):
             reports.append(verify_growth_consistency(params, radii, **tol))
             reports.append(verify_sharpness(params, radii, **tol))
@@ -189,8 +189,8 @@ def cmd_univalence(args) -> int:
 
 def cmd_counterexample(args) -> int:
     r0 = None if args.r0 is None else parse_real(args.r0, "--r0")
-    col = find_symmetric_collision(CollisionSearchParams(
-        gamma=parse_real(args.gamma, "--gamma"), r0=r0, **_given(tol=args.tol)))
+    col = find_symmetric_collision(parse_real(args.gamma, "--gamma"), r0,
+                                   **_given(tol=args.tol))
     payload = {
         "gamma": col.gamma, "r0": col.r0, "theta0": col.theta0,
         "threshold": col.threshold, "z1": col.z1, "z2": col.z2,
@@ -230,12 +230,11 @@ def cmd_area(args) -> int:
     return _emit(args, payload, lines, code)
 
 
-def _zoom_center(spec: str, f) -> complex:
+def _zoom_center(spec: str) -> complex:
     name, kv, _ = parse_family_spec(spec)
     if name == "counterexample":
-        gamma = parse_real(kv["gamma"], "gamma")
-        col = find_symmetric_collision(CollisionSearchParams(gamma=gamma))
-        return complex(complex(f(col.z1)).real, 0.0)
+        col = find_symmetric_collision(parse_real(kv["gamma"], "gamma"))
+        return complex(col.w.real, 0.0)
     raise ParameterError(
         "the zoom preset needs --center unless the family is a counterexample")
 
@@ -259,7 +258,7 @@ def cmd_render(args) -> int:
         half_width = args.half_width
         if args.preset == "zoom":
             if center is None:
-                center = _zoom_center(args.family, f)
+                center = _zoom_center(args.family)
             if half_width is None:
                 half_width = ZOOM_HALF_WIDTH
         # an explicit 0 is passed on for SceneSpec to validate

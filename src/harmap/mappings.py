@@ -69,11 +69,6 @@ class AnalyticFunction:
         return self.value(z)
 
 
-def _check_unimodular(delta) -> None:
-    if abs(abs(delta) - 1.0) > 1e-14:
-        raise ParameterError(f"|delta| must equal 1, got {abs(delta)}")
-
-
 def zeta_cap(n: int) -> float:
     """The class cap ``1/(2n - 1)`` on ``|zeta|``."""
     return 1.0 / (2 * n - 1)
@@ -103,11 +98,20 @@ def jacobian_of(hp, gp):
     return (hp * np.conjugate(hp)).real - (gp * np.conjugate(gp)).real
 
 
+def dilatation_of(hp, gp):
+    """The second complex dilatation ``g'/h'``; a :class:`SingularityError`
+    where ``h'`` vanishes."""
+    if np.min(np.abs(hp)) < 1e-300:
+        raise SingularityError("dilatation undefined where h' vanishes")
+    return gp / hp
+
+
 class PowerKernel:
     """``h' = (1 - delta z)**q`` with ``|delta| = 1`` (branch point on the circle)."""
 
     def __init__(self, q: float, delta=1.0):
-        _check_unimodular(delta)
+        if abs(abs(delta) - 1.0) > 1e-14:
+            raise ParameterError(f"|delta| must equal 1, got {abs(delta)}")
         self.q = float(q)
         self.delta = delta
 
@@ -127,17 +131,19 @@ class PowerKernel:
         return zeta.imag == 0.0 and (self.q == 0.0 or complex(self.delta).imag == 0.0)
 
     def evaluator(self, f: "HarmonicMapping"):
-        """``(z, value, derivs) -> (h, g, h')`` for the shear of ``f``.
+        """``(z, value, order) -> (h, g, h', h'')`` for the shear of ``f``:
+        ``h`` and ``g`` when ``value``, the derivatives of ``h`` up to ``order``
+        (0, 1 or 2), None for the rest, all from one ``L = log(1 - delta z)``.
 
         With ``u = 1 - delta t`` the primitive ``int_0^z t^n u^q dt`` is a
         binomial sum over ``m <= n`` of ``(1 - u^(q+1+m))/(q+1+m)`` (``-log u``
         where the exponent is zero); ``h`` is the ``m = 0`` term.  With
         ``E = u^(q+1)`` the power terms add up to ``K - E p(z)`` for a constant
         ``K`` and a polynomial ``p`` of degree ``n``, so ``h``, ``g`` and ``h'``
-        take one ``log u`` and two ``exp``.  The exponents are spaced by one, so
-        at most one lies within ``_NEAR_ZERO`` of zero; its weight ``1/expo`` is
-        large and ``1 - u^expo`` cancels, so that term is summed on its own as
-        ``-expm1(expo log u)/expo``.
+        take one ``log u`` and two ``exp``, and ``h''`` one more ``exp``.  The
+        exponents are spaced by one, so at most one lies within ``_NEAR_ZERO``
+        of zero; its weight ``1/expo`` is large and ``1 - u^expo`` cancels, so
+        that term is summed on its own as ``-expm1(expo log u)/expo``.
         """
         q, delta, n = self.q, self.delta, f.n
         expo = q + 1.0 + np.arange(n + 1)
@@ -174,10 +180,12 @@ class PowerKernel:
             g = K - Ep
             return h, g if near is None else g + weight[near] * D
 
-        def evaluate(z, value, derivs):
+        def evaluate(z, value, order):
             L = self._log_u(z)
             h, g = primitives(z, L) if value else (None, None)
-            return h, g, np.exp(q * L) if derivs else None
+            hp = np.exp(q * L) if order >= 1 else None
+            e = np.exp((q - 1.0) * L) if order >= 2 else None
+            return h, g, hp, None if e is None else -q * delta * e
 
         return evaluate
 
@@ -216,12 +224,6 @@ class PowerKernel:
         np.arctan2(np.imag(u), np.real(u), out=L.imag)
         return L if L.ndim else L[()]
 
-    def derivs(self, z):
-        """``(h', h'')`` from one ``L``: ``exp(q L)`` and ``-q delta exp((q-1) L)``."""
-        q, L = self.q, self._log_u(z)
-        e = np.exp((q - 1.0) * L)
-        return np.exp(q * L), -q * self.delta * e
-
 
 class PolyKernel:
     """``h'`` given exactly by a polynomial :class:`PowerSeries`."""
@@ -241,14 +243,14 @@ class PolyKernel:
         return not np.any(c.imag) and (zeta.imag == 0.0 or not np.any(c))
 
     def evaluator(self, f: "HarmonicMapping"):
-        """``(z, value, derivs) -> (h, g, h')`` by Horner on the exact Taylor
-        arrays of ``h`` and ``g``."""
-        hp = self.hp
+        """``(z, value, order) -> (h, g, h', h'')`` by Horner on the exact
+        Taylor arrays of ``h`` and ``g`` and on ``h'`` and ``h''``."""
+        hp, hpp = self.hp, self.hpp
         th, tg = f.taylor(hp.order + 1)
 
-        def evaluate(z, value, derivs):
+        def evaluate(z, value, order):
             return (th(z) if value else None, tg(z) if value else None,
-                    hp(z) if derivs else None)
+                    hp(z) if order >= 1 else None, hpp(z) if order >= 2 else None)
 
         return evaluate
 
@@ -264,22 +266,24 @@ class PolyKernel:
         return bool(np.all(np.abs(self.singular_points()) > rho + _ROOT_MARGIN))
 
     def singular_points(self) -> np.ndarray:
-        """The zeros of ``h'`` (companion-matrix roots, found once; none for a
-        constant).  A root that overflows, as ``-c0/c1`` does for a tiny
-        ``c1``, lies outside every disk and is left out."""
+        """The zeros of ``h'``, found once: a root at 0 per zero low
+        coefficient, then the reciprocal roots of the reversed polynomial,
+        whose leading coefficient is ``h'(0) = 1`` for a normalized map, so a
+        tiny top coefficient only moves a root far out (or to infinity, left
+        out).  ``+ 0.0`` keeps a linear ``h'``'s root ``-c0/c1`` bit for bit."""
         if self._roots is None:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                roots = np.polynomial.polynomial.polyroots(self.hp.coeffs)
-            self._roots = roots[np.isfinite(roots)]
+            c = self.hp.coeffs
+            k = int(np.argmax(c != 0)) if np.any(c) else 0
+            with np.errstate(all="ignore"):
+                roots = 1.0 / np.polynomial.polynomial.polyroots(c[k:][::-1]) + 0.0
+            self._roots = np.concatenate([roots[np.isfinite(roots)], np.zeros(k)])
         return self._roots
-
-    def derivs(self, z):
-        return self.hp(z), self.hpp(z)
 
 
 class HarmonicMapping:
     """``f = h + conj(g)`` with ``g' = zeta z^n h'`` and ``h'`` from ``kernel``.
 
+    Every value comes from one kernel evaluation, asked for what it needs.
     ``h`` and ``g`` are :class:`AnalyticFunction` views (value and two
     derivatives); :meth:`taylor` gives their Taylor coefficients.
     """
@@ -290,11 +294,11 @@ class HarmonicMapping:
         self.n = parse_int(n, "n")
         self.label = label
         self._evaluate = kernel.evaluator(self)
-        self.h = AnalyticFunction(lambda z: self._parts(z)[0],
-                                  lambda z: self._eval(z, False, True)[1],
+        self.h = AnalyticFunction(lambda z: self._eval(z, True, 0)[0],
+                                  lambda z: self._eval(z, False, 1)[2],
                                   lambda z: self.derivs(z)[1])
-        self.g = AnalyticFunction(lambda z: self._parts(z)[1],
-                                  lambda z: self._eval(z, False, True)[2],
+        self.g = AnalyticFunction(lambda z: self._eval(z, True, 0)[1],
+                                  lambda z: self._slopes(z)[1],
                                   lambda z: self.g_second(z, *self.derivs(z)))
 
     def taylor(self, order: int) -> tuple[PowerSeries, PowerSeries]:
@@ -305,27 +309,17 @@ class HarmonicMapping:
         hp = self.kernel.series(order - 1)
         return hp.integrate(), hp.shift(self.n).scale(self.zeta).integrate()
 
-    def _parts(self, z):
-        """``(h(z), g(z), None)``."""
+    def _eval(self, z, value: bool, order: int):
+        """``(h, g, h', h'')`` at ``z``, disk bound checked: ``h`` and ``g`` if
+        ``value``, ``h'`` if ``order >= 1``, ``h''`` if 2; the rest None."""
         _check_disk(z)
-        return self._evaluate(z, True, False)
+        return self._evaluate(z, value, order)
 
-    def _omega(self, z):
-        """The dilatation ``zeta z^n``."""
+    def _g_prime(self, z, hp):
+        """``g' = (zeta z^n) h'``, in the class checks' operand order: their
+        residual is 0."""
         w = z if self.n == 1 else z**self.n
-        return w if self.zeta == 1 else self.zeta * w
-
-    def _eval(self, z, value: bool, derivs: bool):
-        _check_disk(z)
-        h, g, hp = self._evaluate(z, value, derivs)
-        # ``(zeta z^n) h'`` in the class checks' operand order: their residual is 0
-        return (h + np.conjugate(g) if value else None, hp,
-                self._omega(z) * hp if derivs else None)
-
-    def derivs(self, z):
-        """``(h'(z), h''(z))`` from one kernel evaluation, disk bound checked."""
-        _check_disk(z)
-        return self.kernel.derivs(z)
+        return (w if self.zeta == 1 else self.zeta * w) * hp
 
     def g_second(self, z, hp, hpp):
         """``g''(z)`` from ``h'(z)`` and ``h''(z)``: the derivative of
@@ -333,27 +327,37 @@ class HarmonicMapping:
         s = self.n * z ** (self.n - 1) * hp + z**self.n * hpp
         return self.zeta * s
 
+    def _slopes(self, z):
+        """``(h'(z), g'(z))`` from one kernel evaluation."""
+        hp = self._eval(z, False, 1)[2]
+        return hp, self._g_prime(z, hp)
+
+    def parts(self, z):
+        """``(h(z), g(z), h'(z), g'(z))`` from one kernel evaluation."""
+        h, g, hp, _ = self._eval(z, True, 1)
+        return h, g, hp, self._g_prime(z, hp)
+
+    def derivs(self, z):
+        """``(h'(z), h''(z))`` from one kernel evaluation."""
+        return self._eval(z, False, 2)[2:]
+
     def __call__(self, z):
-        return self._eval(z, True, False)[0]
+        h, g, _, _ = self._eval(z, True, 0)
+        return h + np.conjugate(g)
 
     def eval_all(self, z):
-        """``(f(z), h'(z), g'(z))`` from one evaluation, disk bound checked once.
-
-        Bit-identical to ``(f(z), f.h.deriv(z), f.g.deriv(z))``.
-        """
-        return self._eval(z, True, True)
+        """``(f(z), h'(z), g'(z))`` from one kernel evaluation, bit-identical
+        to ``(f(z), f.h.deriv(z), f.g.deriv(z))``."""
+        h, g, hp, gp = self.parts(z)
+        return h + np.conjugate(g), hp, gp
 
     def jacobian(self, z):
         """``|h'|^2 - |g'|^2``; positive exactly where f is sense-preserving."""
-        _, hp, gp = self._eval(z, False, True)
-        return jacobian_of(hp, gp)
+        return jacobian_of(*self._slopes(z))
 
     def dilatation(self, z):
         """Second complex dilatation ``g'/h'``."""
-        _, hp, gp = self._eval(z, False, True)
-        if np.min(np.abs(hp)) < 1e-300:
-            raise SingularityError("dilatation undefined where h' vanishes")
-        return gp / hp
+        return dilatation_of(*self._slopes(z))
 
     def __repr__(self):
         return f"HarmonicMapping({self.label!r})"
@@ -391,18 +395,6 @@ class ClassParams:
     @property
     def zeta_cap(self) -> float:
         return zeta_cap(self.n)
-
-
-@dataclass(frozen=True)
-class ExtremalSpec:
-    """Extremal-family parameters: class parameters plus kernel rotation."""
-
-    params: ClassParams
-    delta: complex = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", complex(self.delta))
-        _check_unimodular(self.delta)
 
 
 @dataclass(frozen=True)
@@ -445,32 +437,32 @@ def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
                            f"bl:lam={_num(lam)}")
 
 
-def make_extremal(spec: ExtremalSpec) -> HarmonicMapping:
-    """Extremal mapping ``h' = (1 - delta z)**(2 alpha - 2)``, ``g' = zeta z^n h'``.
+def make_extremal(params: ClassParams, delta=1.0) -> HarmonicMapping:
+    """Extremal mapping ``h' = (1 - delta z)**(2 alpha - 2)``, ``g' = zeta z^n h'``,
+    for ``|delta| = 1``.
 
     Saturates the class coefficient bounds; with ``delta = 1`` its values at
     ``+r`` (and, after the sign rotation of ``zeta``, at ``-r``) attain the
     sharp growth envelope.
     """
-    p = spec.params
-    label = (f"extremal:alpha={_num(p.alpha)},zeta={_num(p.zeta)},n={p.n},"
-             f"delta={_num(spec.delta)}")
-    return HarmonicMapping(PowerKernel(2.0 * p.alpha - 2.0, spec.delta), p.zeta, p.n, label)
+    delta = complex(delta)
+    label = (f"extremal:alpha={_num(params.alpha)},zeta={_num(params.zeta)},n={params.n},"
+             f"delta={_num(delta)}")
+    return HarmonicMapping(PowerKernel(2.0 * params.alpha - 2.0, delta), params.zeta,
+                           params.n, label)
 
 
-def make_from_h(h: PowerSeries, zeta, n: int, require_admissible: bool = True,
-                label: str | None = None) -> HarmonicMapping:
+def make_from_h(h: PowerSeries, zeta, n: int, label: str | None = None) -> HarmonicMapping:
     """Shear a normalized polynomial analytic part by ``g' = zeta * z^n * h'``.
 
     ``g`` is obtained by exact series integration.  Normalization
-    ``h(0)=0, h'(0)=1`` is enforced; so is ``|zeta| <= 1/(2n-1)`` unless
-    ``require_admissible`` is disabled (useful for shear constructions
-    outside the class).
+    ``h(0)=0, h'(0)=1`` and the cap ``|zeta| <= 1/(2n-1)`` are enforced; a
+    shear outside the class is ``HarmonicMapping(PolyKernel(h.derive()), zeta,
+    n, label)``.
     """
     zeta = complex(zeta)
     n = _check_class_n(n)
-    if require_admissible:
-        _check_zeta_cap(zeta, n)
+    _check_zeta_cap(zeta, n)
     if not isinstance(h, PowerSeries):
         raise ParameterError(f"unsupported analytic-part type: {type(h).__name__}")
     if abs(h.coeff(0)) > 1e-12 or abs(h.coeff(1) - 1.0) > 1e-12:
@@ -607,8 +599,7 @@ def family_from_spec(spec: str) -> HarmonicMapping:
             raise ParameterError(f"extremal family needs {sorted(missing)}")
         params = ClassParams(parse_real(raw["alpha"], "alpha"),
                              parse_scalar(raw["zeta"]), parse_int(raw["n"], "n"))
-        delta = parse_scalar(raw.get("delta", "1"))
-        return make_extremal(ExtremalSpec(params, delta))
+        return make_extremal(params, parse_scalar(raw.get("delta", "1")))
     if name == "from-h":
         path = raw.get("path") or (positional[0] if positional else None)
         if path is None:

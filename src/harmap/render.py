@@ -44,6 +44,9 @@ DEFAULT_RADIUS = 0.999
 BOUNDARY_SAMPLES = 1024
 #: viewport half-width of a close-up scene, e.g. around a collision image point
 ZOOM_HALF_WIDTH = 0.05
+#: strokes of the rays and inner circles, and of the outermost circle and a
+#: boundary curve; fill of the viewport
+GRID_COLOR, BOUNDARY_COLOR, BACKGROUND = "#3a6ea5", "#b22222", "#ffffff"
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,9 @@ class SceneSpec:
     """Declarative description of one rendered scene.
 
     ``center``/``half_width`` of ``None`` select an automatic square
-    viewport containing every sampled image point with a 5% margin.
-    Resolved values are embedded in the output metadata, so a fixed spec
-    always produces identical bytes.
+    viewport containing every sampled image point with a 5% margin.  The
+    stroke width is ``half_width/240``.  Resolved values are embedded in the
+    output metadata, so a fixed spec always produces identical bytes.
     """
 
     family: str
@@ -63,10 +66,6 @@ class SceneSpec:
     samples_per_curve: int = 256
     center: complex | None = None
     half_width: float | None = None
-    stroke_width: float | None = None
-    grid_color: str = "#3a6ea5"
-    boundary_color: str = "#b22222"
-    background: str = "#ffffff"
 
     def __post_init__(self):
         if not 0.0 < self.radius < 1.0:
@@ -77,13 +76,6 @@ class SceneSpec:
             raise ParameterError("scene needs at least one circle or ray")
         if self.half_width is not None and not self.half_width > 0.0:
             raise ParameterError(f"viewport half-width must be > 0, got {self.half_width}")
-        if self.stroke_width is not None and not self.stroke_width > 0.0:
-            raise ParameterError(f"stroke width must be > 0, got {self.stroke_width}")
-
-    def to_metadata(self, center: complex, half_width: float, stroke_width: float) -> dict:
-        """Every field, with the viewport and stroke width resolved."""
-        return {**asdict(self), "center": [center.real, center.imag],
-                "half_width": half_width, "stroke_width": stroke_width}
 
 
 # -- sampling -----------------------------------------------------------------
@@ -214,12 +206,12 @@ def _scene_curves(spec: SceneSpec, s: _Samples) -> list[_Curve]:
     ends = np.searchsorted(s.cid, np.arange(len(s.tags)), side="right")
     ws = np.split(s.w, ends[:-1])
     rays = ws[:nr] + [np.conjugate(ws[spec.rays - k]) for k in range(nr, spec.rays)]
-    curves = [_Curve(f"ray-{k}", spec.grid_color, 1.0, w) for k, w in enumerate(rays)]
+    curves = [_Curve(f"ray-{k}", GRID_COLOR, 1.0, w) for k, w in enumerate(rays)]
     for j, w in enumerate(ws[nr:]):
         w = np.concatenate([w, np.conjugate(w[-2:0:-1]), w[:1]] if s.mirror
                            else [w[:-1], w[:1]])
         edge = j == spec.circles - 1
-        curves.append(_Curve(s.tags[nr + j], spec.boundary_color if edge else spec.grid_color,
+        curves.append(_Curve(s.tags[nr + j], BOUNDARY_COLOR if edge else GRID_COLOR,
                              1.8 if edge else 1.0, w))
     return curves
 
@@ -309,9 +301,11 @@ def _points_attr(xs: np.ndarray, ys: np.ndarray) -> str:
 
 
 def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex, hw: float) -> str:
-    stroke = spec.stroke_width if spec.stroke_width is not None else hw / 240.0
-    meta = json.dumps(spec.to_metadata(center, hw, stroke), sort_keys=True,
-                      separators=(", ", ": "))
+    stroke = hw / 240.0
+    meta = json.dumps({**asdict(spec), "center": [center.real, center.imag], "half_width": hw,
+                       "stroke_width": stroke, "grid_color": GRID_COLOR,
+                       "boundary_color": BOUNDARY_COLOR, "background": BACKGROUND},
+                      sort_keys=True, separators=(", ", ": "))
     vb = (f"{_fmt(center.real - hw)} {_fmt(-(center.imag + hw))} "
           f"{_fmt(2 * hw)} {_fmt(2 * hw)}")
     lines = [
@@ -321,7 +315,7 @@ def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex, hw: float)
         f"<!-- scene: {meta} -->",
         f'<rect x="{_fmt(center.real - hw)}" y="{_fmt(-(center.imag + hw))}" '
         f'width="{_fmt(2 * hw)}" height="{_fmt(2 * hw)}" '
-        f'fill="{spec.background}"/>',
+        f'fill="{BACKGROUND}"/>',
         '<g transform="scale(1,-1)" fill="none" stroke-linecap="round" '
         'stroke-linejoin="round">',
     ]
@@ -370,7 +364,7 @@ def render_boundary_curve(f: HarmonicMapping, r: float, M: int = BOUNDARY_SAMPLE
     z = r * np.exp(1j * theta)
     z[-1] = z[0]
     pts = _eval_points(f, z, ["boundary"], np.zeros(z.size, dtype=int))
-    curve = _Curve("boundary", "#b22222", 1.8, pts)
+    curve = _Curve("boundary", BOUNDARY_COLOR, 1.8, pts)
     spec = SceneSpec(family=f.label, radius=r, circles=1, rays=0,
                      samples_per_curve=max(int(M), 128),
                      center=None if viewport is None else complex(viewport[0]),

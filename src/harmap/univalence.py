@@ -37,6 +37,9 @@ MAX_CANDIDATES = 12_000_000
 #: safety cap on the collision bisection, which stops once the midpoint equals
 #: an end point (in under 70 steps for every feasible gamma and r0 tried)
 _MAX_BISECTIONS = 200
+#: Gauss-Newton iterations of the scan's refiner, and the pairs it refines at
+#: a time (its transient arrays are a small multiple of that)
+_REFINE_ITERS, _REFINE_BLOCK = 14, 1_500_000
 
 
 def feasibility_threshold(gamma: float) -> float:
@@ -53,15 +56,6 @@ def feasibility_threshold(gamma: float) -> float:
 
 
 @dataclass(frozen=True)
-class CollisionSearchParams:
-    """Inputs for the symmetric-collision construction."""
-
-    gamma: float
-    r0: float | None = None  # None selects the midpoint of the feasible range
-    tol: float = 1e-12
-
-
-@dataclass(frozen=True)
 class SymmetricCollision:
     """A conjugate pair identified under the counterexample mapping."""
 
@@ -70,25 +64,29 @@ class SymmetricCollision:
     theta0: float
     z1: complex
     z2: complex
+    w: complex  # f(z1)
     image_gap: float
     im_f: float
     threshold: float
 
 
-def find_symmetric_collision(p: CollisionSearchParams) -> SymmetricCollision:
-    """Locate ``z1 = r0 e^(i theta0)`` with ``f(z1) = f(conj z1)``.
+def find_symmetric_collision(gamma: float, r0: float | None = None,
+                             tol: float = 1e-12) -> SymmetricCollision:
+    """Locate ``z1 = r0 e^(i theta0)`` with ``f(z1) = f(conj z1)`` for the
+    counterexample map of ``gamma``; ``r0`` defaults to the midpoint of the
+    feasible range, and ``|Im f(z1)|`` must end below ``tol``.
 
     Solves ``arg(1 - r0 e^(i theta)) = -pi/(gamma+1)`` by bisection on the
     monotone stretch ``theta in (0, arccos r0)``; there the imaginary part of
     the mapping vanishes, so the conjugate pair collides.
     """
-    thr = feasibility_threshold(p.gamma)
-    r0 = 0.5 * (thr + 1.0) if p.r0 is None else float(p.r0)
+    thr = feasibility_threshold(gamma)
+    r0 = 0.5 * (thr + 1.0) if r0 is None else float(r0)
     if not thr < r0 < 1.0:
         raise InfeasibilityError(
-            f"r0={r0} infeasible: need {thr:.6f} < r0 < 1 for gamma={p.gamma}"
+            f"r0={r0} infeasible: need {thr:.6f} < r0 < 1 for gamma={gamma}"
         )
-    target = -math.pi / (p.gamma + 1.0)
+    target = -math.pi / (gamma + 1.0)
 
     def g(theta: float) -> float:
         w = 1.0 - r0 * cmath.exp(1j * theta)
@@ -98,7 +96,7 @@ def find_symmetric_collision(p: CollisionSearchParams) -> SymmetricCollision:
     hi = math.acos(r0)
     if g(lo) <= 0.0 or g(hi) >= 0.0:
         raise InfeasibilityError(
-            f"no sign change on (0, arccos r0) for gamma={p.gamma}, r0={r0}"
+            f"no sign change on (0, arccos r0) for gamma={gamma}, r0={r0}"
         )
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
@@ -110,16 +108,16 @@ def find_symmetric_collision(p: CollisionSearchParams) -> SymmetricCollision:
             hi = mid
     theta0 = 0.5 * (lo + hi)
 
-    f = make_counterexample(p.gamma)
+    f = make_counterexample(gamma)
     z1 = r0 * cmath.exp(1j * theta0)
     z2 = z1.conjugate()
     w1 = complex(f(z1))
     gap = abs(w1 - complex(f(z2)))
-    if abs(w1.imag) > p.tol:
+    if abs(w1.imag) > tol:
         raise ConvergenceError(
-            f"bisection stalled: residual imaginary part {w1.imag:.3e} exceeds {p.tol}"
+            f"bisection stalled: residual imaginary part {w1.imag:.3e} exceeds {tol}"
         )
-    return SymmetricCollision(gamma=p.gamma, r0=r0, theta0=theta0, z1=z1, z2=z2,
+    return SymmetricCollision(gamma=gamma, r0=r0, theta0=theta0, z1=z1, z2=z2, w=w1,
                               image_gap=gap, im_f=w1.imag, threshold=thr)
 
 
@@ -127,21 +125,20 @@ def find_symmetric_collision(p: CollisionSearchParams) -> SymmetricCollision:
 
 
 def _batch_refine(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray,
-                  J: np.ndarray, gap: np.ndarray, r: float, floor: float, tol: float,
-                  iters: int = 14, block: int = 1_500_000):
+                  J: np.ndarray, gap: np.ndarray, r: float, floor: float, tol: float):
     """Vectorised damped Gauss-Newton on many candidate pairs at once.
 
     The pairs start at the grid points ``(z[I], z[J])`` with image gaps
     ``gap``; ``evals = (w, hp, gp)`` holds ``f.eval_all(z)``, from which the
     first step takes its residual and Jacobian instead of evaluating again.
-    Works block-wise (the solver's transient arrays are a small multiple of
-    the block length) and returns ``(z1, z2, gap, alive)`` where ``alive`` is
-    False for pairs that merged below half the separation floor (trivial
-    near-diagonal minima).
+    Works ``_REFINE_BLOCK`` pairs at a time and returns ``(z1, z2, gap,
+    alive)`` where ``alive`` is False for pairs that merged below half the
+    separation floor (trivial near-diagonal minima).
     """
-    parts = [_batch_refine_block(f, z, evals, I[i : i + block], J[i : i + block],
-                                 gap[i : i + block], r, floor, tol, iters)
-             for i in range(0, len(I), block)]
+    b = _REFINE_BLOCK
+    parts = [_batch_refine_block(f, z, evals, I[i : i + b], J[i : i + b], gap[i : i + b],
+                                 r, floor, tol, _REFINE_ITERS)
+             for i in range(0, len(I), b)]
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
@@ -259,14 +256,17 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
     the scan resolution.
     """
 
-    def imf_and_derivs(rho: float, th: float):
+    def residual(rho: float, th: float, order: int):
+        """``Im f`` and its ``theta`` derivative at ``rho e^(i theta)``, for ``order``
+        2 also ``d/drho``, ``d2/dtheta2`` and ``d2/drho dtheta``: one kernel call."""
         z = rho * cmath.exp(1j * th)
-        w, hp, gp = f.eval_all(z)
-        phi = complex(hp - gp)
-        _, hpp = f.derivs(z)
-        dphi = complex(hpp - f.g_second(z, hp, hpp))
-        imf = complex(w).imag
+        h, g, hp, hpp = f._eval(z, True, order)
+        phi = complex(hp - f._g_prime(z, hp))
+        imf = complex(h + np.conjugate(g)).imag
         d_th = (1j * z * phi).imag
+        if order < 2:
+            return imf, d_th
+        dphi = complex(hpp - f.g_second(z, hp, hpp))
         d_rho = ((z / rho) * phi).imag
         d_thth = (-(z * phi + z * z * dphi)).imag
         d_rhoth = ((1j / rho) * (z * phi + z * z * dphi)).imag
@@ -279,7 +279,7 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
     scale0 = None
     extra = 3
     for _ in range(80):
-        imf, d_th, d_rho, d_thth, d_rhoth = imf_and_derivs(rho, th)
+        imf, d_th, d_rho, d_thth, d_rhoth = residual(rho, th, 2)
         G = np.array([imf, d_th])
         size = float(np.hypot(*G))
         if scale0 is None:
@@ -297,7 +297,7 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
         for _ in range(1 if converged else 50):
             nr = min(max(rho + t * step[0], 1e-6), r)
             nt = min(max(th + t * step[1], 1e-9), math.pi - 1e-9)
-            n_imf, n_dth, *_ = imf_and_derivs(nr, nt)
+            n_imf, n_dth = residual(nr, nt, 1)
             if np.hypot(n_imf, n_dth) < size:
                 rho, th = nr, nt
                 moved = True

@@ -30,17 +30,16 @@ from harmap.bounds import (
 from harmap.classcheck import cc_radius, curvature_extrema, kaplan_min_arc_integral
 from harmap.mappings import (
     ClassParams,
-    ExtremalSpec,
+    HarmonicMapping,
+    PolyKernel,
     make_bshouty_lyzzaik,
     make_counterexample,
     make_extremal,
-    make_from_h,
 )
 from harmap.render import SceneSpec, render_image_domain
 from harmap.series import PowerSeries
 from harmap.special import hyp2f1, principal_pow
 from harmap.univalence import (
-    CollisionSearchParams,
     feasibility_threshold,
     find_symmetric_collision,
     univalence_scan,
@@ -50,7 +49,7 @@ from harmap.univalence import (
 def test_criterion_01_collision_pair_reproduced():
     """Two distinct points of the gamma=5/4 family share an image value."""
     t0 = time.perf_counter()
-    col = find_symmetric_collision(CollisionSearchParams(1.25))
+    col = find_symmetric_collision(1.25)
     elapsed = time.perf_counter() - t0
 
     f = make_counterexample(1.25)
@@ -97,7 +96,7 @@ def test_criterion_04_coefficient_sharpness():
         for n in (1, 2):
             zeta = 0.9 / (2 * n - 1)
             params = ClassParams(alpha, zeta, n)
-            f = make_extremal(ExtremalSpec(params, 1.0))
+            f = make_extremal(params, 1.0)
             th, tg = f.taylor(12)
             for k in range(2, 13):
                 got = abs(th.coeff(k))
@@ -158,7 +157,7 @@ def test_criterion_07_area_closed_form_and_sandwich():
     """Monomial-shear areas match the closed form to 1e-9; lattice areas sit inside the envelope."""
     for zeta, n, r in ((0.6, 1, 0.5), (0.3, 2, 0.7), (0.9, 1, 0.3)):
         h = PowerSeries([0.0, 1.0] + [0.0] * (n + 1))
-        f = make_from_h(h, zeta, n, require_admissible=False)
+        f = HarmonicMapping(PolyKernel(h.derive()), zeta, n, "from-h")
         want = math.pi * r * r - math.pi * zeta * zeta * r ** (2 * n + 2) / (n + 1)
         assert area(f, r) == pytest.approx(want, rel=1e-9, abs=1e-12), (zeta, n, r)
 
@@ -172,7 +171,7 @@ def test_criterion_08_close_to_convexity_radius():
     rc = cc_radius(-0.25, 2)
     assert rc == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    f = make_extremal(ExtremalSpec(ClassParams(-0.25, 1.0 / 3.0, 2), 1.0))
+    f = make_extremal(ClassParams(-0.25, 1.0 / 3.0, 2), 1.0)
     lams = np.exp(2j * np.pi * np.arange(32) / 32)
 
     # hard direction: at 0.95 * rc every sampled weight keeps the minimum
@@ -217,7 +216,7 @@ def test_criterion_09_hypergeometric_identities():
 def test_criterion_10_deterministic_figures(tmp_path):
     """Byte-stable whole-image and collision-zoom SVGs with mirror symmetry."""
     f = make_counterexample(1.25)
-    col = find_symmetric_collision(CollisionSearchParams(1.25))
+    col = find_symmetric_collision(1.25)
     w0 = complex(f(col.z1))
 
     fig1_spec = SceneSpec(f.label, radius=0.999)

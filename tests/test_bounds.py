@@ -38,8 +38,8 @@ from harmap.bounds import (
 from harmap.errors import ParameterError
 from harmap.mappings import (
     ClassParams,
-    ExtremalSpec,
     HarmonicMapping,
+    PolyKernel,
     PowerKernel,
     family_from_spec,
     make_bshouty_lyzzaik,
@@ -80,7 +80,7 @@ def test_coeff_bound_b_first_index():
 def test_extremal_coefficients_attain_bounds():
     alpha, n = 0.5, 1
     zeta = 0.9
-    th, tg = make_extremal(ExtremalSpec(ClassParams(alpha, zeta, n), 1.0)).taylor(12)
+    th, tg = make_extremal(ClassParams(alpha, zeta, n), 1.0).taylor(12)
     # alpha = 1/2 extremal analytic part is -log(1-z): a_k = 1/k
     for k in range(2, 13):
         assert abs(th.coeff(k)) == pytest.approx(
@@ -92,7 +92,7 @@ def test_extremal_coefficients_attain_bounds():
 
 def test_verify_coeff_relation_on_extremal():
     params = ClassParams(0.25, 0.3, 2)
-    f = make_extremal(ExtremalSpec(params, 1.0))
+    f = make_extremal(params, 1.0)
     report = verify_coeff_relation(f, params.n, params.zeta, K=10)
     assert report.passed, report.summary()
     assert report.margin < 1e-12
@@ -115,8 +115,7 @@ def test_verify_coeff_relation_flags_mismatch():
 
 
 def test_verify_coeff_sharpness_report():
-    spec = ExtremalSpec(ClassParams(0.0, 0.3, 2), 1.0)
-    report = verify_coeff_sharpness(spec, K=12)
+    report = verify_coeff_sharpness(ClassParams(0.0, 0.3, 2), K=12)
     assert report.passed, report.summary()
 
 
@@ -214,7 +213,7 @@ def test_verify_sharpness_extremal_attains_growth():
 
 def test_sharpness_direct_value():
     # zeta = 0, alpha = 0, r = 1/2: |h(0.5)| = |0.5/(1-0.5)| = 1 = Psi
-    f = make_extremal(ExtremalSpec(ClassParams(0.0, 0.0, 1), 1.0))
+    f = make_extremal(ClassParams(0.0, 0.0, 1), 1.0)
     assert abs(f(0.5)) == pytest.approx(1.0, abs=1e-10)
     assert growth_bounds(0.5, ClassParams(0.0, 0.0, 1)).psi == pytest.approx(1.0)
 
@@ -258,7 +257,7 @@ def test_monomial_shear_area_closed_form():
     # h = z, g = zeta z^(n+1)/(n+1): A = pi r^2 - pi |zeta|^2 r^(2n+2)/(n+1)
     for zeta, n, r in ((0.6, 1, 0.7), (0.3, 2, 0.5), (0.2, 3, 0.8)):
         h = PowerSeries([0.0, 1.0] + [0.0] * (n + 1))
-        f = make_from_h(h, zeta, n, require_admissible=False)
+        f = HarmonicMapping(PolyKernel(h.derive()), zeta, n, "from-h")
         want = math.pi * r * r - math.pi * zeta * zeta * r ** (2 * n + 2) / (n + 1)
         assert area(f, r) == pytest.approx(want, rel=1e-9), (zeta, n, r)
 
@@ -266,7 +265,7 @@ def test_monomial_shear_area_closed_form():
 def test_extremal_area_poisson_oracle():
     # alpha = 1/2, zeta = 0: h' = 1/(1-z); the angular mean of 1/|1-z|^2 on
     # |z| = rho is 1/(1-rho^2), so the area over |z| < 1/2 is pi log(4/3)
-    f = make_extremal(ExtremalSpec(ClassParams(0.5, 0.0, 1), 1.0))
+    f = make_extremal(ClassParams(0.5, 0.0, 1), 1.0)
     want = math.pi * math.log(4.0 / 3.0)
     assert area(f, 0.5) == pytest.approx(want, rel=1e-9)
     assert want == pytest.approx(0.9037798853840013, abs=1e-15)
@@ -299,7 +298,7 @@ def test_area_sandwich_spot_check():
 def _area_families():
     """Every family with the radii its area is checked at."""
     for params in default_lattice():
-        yield make_extremal(ExtremalSpec(params, 1.0)), (0.2, 0.5, 0.8)
+        yield make_extremal(params, 1.0), (0.2, 0.5, 0.8)
     for spec in ("identity", "bl:lam=0.3", "bl:lam=0.45",
                  "counterexample:gamma=5/4", "counterexample:gamma=1.75"):
         yield family_from_spec(spec), (0.2, 0.5, 0.8, 0.95)
@@ -344,7 +343,7 @@ def test_area_series_tail_bound(q, zeta, n, r):
 
 
 def test_area_falls_back_to_quadrature_past_the_cap(monkeypatch):
-    f = make_extremal(ExtremalSpec(ClassParams(0.25, 0.3, 2), 1.0))
+    f = make_extremal(ClassParams(0.25, 0.3, 2), 1.0)
     series, route, _ = area_route(f, 0.6)
     assert route == "series"
     monkeypatch.setattr(bounds, "_SERIES_CAP", 32)

@@ -26,7 +26,6 @@ from harmap.classcheck import (
 from harmap.errors import AdmissibilityError, ParameterError
 from harmap.mappings import (
     ClassParams,
-    ExtremalSpec,
     HarmonicMapping,
     PBetaParams,
     PowerKernel,
@@ -142,10 +141,10 @@ def _assert_band_matches_views(report, f, bound, upper, zeta, n, tol=1e-8):
 
 _BAND_CASES = [
     (make_counterexample(1.25), -0.5, 1.0, 1),
-    (make_extremal(ExtremalSpec(ClassParams(0.5, 0.5, 1))), 0.5, 0.5, 1),
-    (make_extremal(ExtremalSpec(ClassParams(0.2, 0.3 - 0.1j, 2))), 0.2, 0.3 - 0.1j, 2),
-    (make_extremal(ExtremalSpec(ClassParams(-0.25, 0.15j, 3), -1.0)), -0.25, 0.15j, 3),
-    (make_extremal(ExtremalSpec(ClassParams(0.3, 0.25 + 0.2j, 1), cmath.exp(0.7j))),
+    (make_extremal(ClassParams(0.5, 0.5, 1)), 0.5, 0.5, 1),
+    (make_extremal(ClassParams(0.2, 0.3 - 0.1j, 2)), 0.2, 0.3 - 0.1j, 2),
+    (make_extremal(ClassParams(-0.25, 0.15j, 3), -1.0), -0.25, 0.15j, 3),
+    (make_extremal(ClassParams(0.3, 0.25 + 0.2j, 1), cmath.exp(0.7j)),
      0.3, 0.25 + 0.2j, 1),
     (HarmonicMapping(PowerKernel(-0.6, cmath.exp(2.1j)), 0.2 - 0.15j, 2, "power"),
      -0.5, 0.2 - 0.15j, 2),
@@ -211,7 +210,7 @@ def test_extremum_between_samples_is_recovered():
     # delta rotated by half an angle step puts the singular direction, where
     # Re(1 + z h''/h') ~ 1/(1 - r), between two sample points
     delta = cmath.exp(1j * math.pi / 512)
-    f = make_extremal(ExtremalSpec(ClassParams(0.5, 0.5, 1), delta))
+    f = make_extremal(ClassParams(0.5, 0.5, 1), delta)
     report = check_pbeta(f, PBetaParams(1.5))
     assert not report.passed
     assert report.details["curvature_sup"] >= 0.999 / (1.0 - DEFAULT_RMAX)
@@ -250,7 +249,7 @@ def test_narrow_dip_at_a_root_direction_fails_the_check():
 
 def test_extremal_member_passes_its_own_class():
     params = ClassParams(0.5, 0.5, 1)
-    f = make_extremal(ExtremalSpec(params, 1.0))
+    f = make_extremal(params, 1.0)
     report = check_membership(f, params)
     assert report.passed, report.summary()
     assert report.details["curvature_inf"] > 0.5
@@ -351,7 +350,7 @@ def _brute_min_arc(f, n, lam, r, M):
 
 def test_kaplan_matches_brute_force():
     rng = np.random.default_rng(67)
-    f = make_extremal(ExtremalSpec(ClassParams(-0.25, 1.0 / 3.0, 2), 1.0))
+    f = make_extremal(ClassParams(-0.25, 1.0 / 3.0, 2), 1.0)
     for _ in range(6):
         lam = np.exp(2j * math.pi * rng.uniform())
         r = rng.uniform(0.3, 0.9)

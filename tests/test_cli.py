@@ -11,8 +11,8 @@ import pytest
 
 from conftest import run_cli, run_module, validate_payload
 from harmap import cli
-from harmap.mappings import make_counterexample
-from harmap.univalence import CollisionSearchParams, find_symmetric_collision
+from harmap.mappings import HarmonicMapping, PowerKernel, make_counterexample
+from harmap.univalence import find_symmetric_collision
 
 
 # -- eval ---------------------------------------------------------------------
@@ -81,6 +81,23 @@ def test_eval_unknown_family_usage_error():
 def test_eval_missing_required_flag():
     res = run_cli("eval", "--family", "identity")
     assert res.returncode == 2
+
+
+def test_eval_asks_the_kernel_once(monkeypatch):
+    # f, h, g, the Jacobian and the dilatation all come from one evaluation
+    calls = []
+    log_u = PowerKernel._log_u
+    monkeypatch.setattr(PowerKernel, "_log_u", lambda self, z: calls.append(z) or log_u(self, z))
+    res = run_cli("eval", "--family", "counterexample:gamma=1.25", "--z", "0.3,0.4", "--json")
+    assert res.returncode == 0, res.stderr
+    assert len(calls) == 1
+    f = make_counterexample(1.25)
+    doc = json.loads(res.stdout)
+    z = 0.3 + 0.4j
+    assert complex(*doc["f"]) == complex(f(z))
+    assert complex(*doc["h"]) == complex(f.h(z)) and complex(*doc["g"]) == complex(f.g(z))
+    assert doc["jacobian"] == float(f.jacobian(z))
+    assert complex(*doc["dilatation"]) == complex(f.dilatation(z))
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,6 +253,17 @@ def test_check_fails_on_a_narrow_dip_between_samples(tmp_path):
     assert res.returncode == 1, res.stdout + res.stderr
     report = validate_payload(json.loads(res.stdout), "bound_report.json")["report"]
     assert report["pass"] is False and report["details"]["curvature_inf"] < -4e5
+
+
+@pytest.mark.parametrize("top", [1e-44, 1e-311])
+def test_check_passes_with_a_tiny_top_coefficient_of_h(tmp_path, top):
+    # h' = 1 + 0.2z + 3 top z^2 has its roots at -5 and far out; the tiny top
+    # coefficient must neither put a root at 0 nor break the root finder
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"coeffs": [0, 1, 0.1, top], "zeta": 0.2}))
+    res = run_cli("check", "--family", f"from-h:{path}", "--cls=-0.4,0.2,1")
+    assert (res.returncode, res.stderr) == (0, ""), res.stdout
+    assert res.stdout.startswith("[pass] membership")
 
 
 def test_check_theorem_b_admissibility_error():
@@ -435,7 +463,7 @@ def test_render_zoom_centres_on_the_collision_of_the_given_gamma(tmp_path):
     # the label prints gamma to 6 digits (1.23457); the centre must use the
     # gamma the family was built from, whose collision image is 9e-9 away
     gamma = 1.23456789
-    col = find_symmetric_collision(CollisionSearchParams(gamma=gamma))
+    col = find_symmetric_collision(gamma)
     want = complex(make_counterexample(gamma)(col.z1)).real
     res = run_cli("render", "--family", f"counterexample:gamma={gamma}",
                   "--preset", "zoom", "--out", tmp_path / "z.svg", "--json")
@@ -443,6 +471,27 @@ def test_render_zoom_centres_on_the_collision_of_the_given_gamma(tmp_path):
     center = json.loads(res.stdout)["scene"]["center"]
     assert abs(center[0] - want) <= 1e-12
     assert center[1] == 0.0
+
+
+def test_render_zoom_takes_its_centre_from_the_collision_solver(monkeypatch, tmp_path):
+    # the solver already evaluated f(z1): the CLI's own map is not asked again
+    made, scalar_calls = [], []
+    build = cli.family_from_spec
+    monkeypatch.setattr(cli, "family_from_spec", lambda spec: made.append(build(spec)) or made[-1])
+    call = HarmonicMapping.__call__
+
+    def counting(self, z):
+        if self is made[0] and np.ndim(z) == 0:
+            scalar_calls.append(z)
+        return call(self, z)
+
+    monkeypatch.setattr(HarmonicMapping, "__call__", counting)
+    res = run_cli("render", "--family", "counterexample:gamma=1.25", "--preset", "zoom",
+                  "--out", tmp_path / "z.svg", "--json")
+    assert res.returncode == 0, res.stderr
+    assert len(made) == 1 and scalar_calls == []
+    col = find_symmetric_collision(1.25)
+    assert json.loads(res.stdout)["scene"]["center"] == [col.w.real, 0.0]
 
 
 def test_render_json_stdout_is_the_document_alone():

@@ -15,7 +15,6 @@ from harmap.errors import (
 )
 from harmap.mappings import (
     ClassParams,
-    ExtremalSpec,
     HarmonicMapping,
     PBetaParams,
     PolyKernel,
@@ -58,10 +57,10 @@ def test_class_params_complex_zeta_allowed():
 
 def test_extremal_spec_requires_unimodular_delta():
     params = ClassParams(0.5, 0.5, 1)
-    ExtremalSpec(params, 1.0)
-    ExtremalSpec(params, -1.0)
-    with pytest.raises(ParameterError):
-        ExtremalSpec(params, 0.5)
+    make_extremal(params, 1.0)
+    make_extremal(params, -1.0)
+    with pytest.raises(ParameterError, match=r"\|delta\| must equal 1, got 0.5"):
+        make_extremal(params, 0.5)
 
 
 def test_pbeta_params_range():
@@ -177,7 +176,7 @@ def test_bshouty_lyzzaik_parameter_range():
 
 def test_extremal_normalization_and_dilatation():
     params = ClassParams(0.25, 0.4, 1)
-    f = make_extremal(ExtremalSpec(params, 1.0))
+    f = make_extremal(params, 1.0)
     assert abs(f(0.0)) < 1e-13
     assert abs(f.h.deriv(0.0) - 1.0) < 1e-12
     rng = np.random.default_rng(47)
@@ -189,7 +188,7 @@ def test_extremal_normalization_and_dilatation():
 
 def test_extremal_half_alpha_is_log():
     # alpha = 1/2, delta = 1: analytic part is -log(1-z)
-    f = make_extremal(ExtremalSpec(ClassParams(0.5, 0.0, 1), 1.0))
+    f = make_extremal(ClassParams(0.5, 0.0, 1), 1.0)
     for z in (0.3, -0.4, 0.2 + 0.1j):
         assert abs(f.h.value(z) + np.log(1.0 - z)) < 1e-12
 
@@ -198,7 +197,7 @@ def test_extremal_half_alpha_is_log():
 @pytest.mark.parametrize("n", [1, 2])
 def test_extremal_near_zero_exponent_matches_taylor(alpha, n):
     # an exponent q + 1 + m near zero weighs its cancelling 1 - u^e by 1/e
-    f = make_extremal(ExtremalSpec(ClassParams(alpha, 1.0 / (2 * n - 1), n), 1.0))
+    f = make_extremal(ClassParams(alpha, 1.0 / (2 * n - 1), n), 1.0)
     th, tg = f.taylor(64)
     for z in (0.5, -0.45, 0.3 - 0.35j):
         assert abs(th(z) - f.h.value(z)) < 1e-13
@@ -206,7 +205,7 @@ def test_extremal_near_zero_exponent_matches_taylor(alpha, n):
 
 
 def test_extremal_taylor_matches_values():
-    f = make_extremal(ExtremalSpec(ClassParams(0.0, 0.3, 2), 1.0))
+    f = make_extremal(ClassParams(0.0, 0.3, 2), 1.0)
     th, tg = f.taylor(48)
     rng = np.random.default_rng(53)
     for _ in range(10):
@@ -222,7 +221,7 @@ def test_extremal_log_branches_match_taylor(alpha, n, delta):
     # at these alpha an exponent of the binomial sum for g vanishes (for
     # alpha = -1/2 only when n >= 2) and its term becomes -log(1 - delta z)
     zeta = 0.9 / (2 * n - 1) * cmath.exp(0.3j)
-    f = make_extremal(ExtremalSpec(ClassParams(alpha, zeta, n), delta))
+    f = make_extremal(ClassParams(alpha, zeta, n), delta)
     tg = f.taylor(64)[1]
     for z in (0.5, -0.45j, 0.3 + 0.35j, -0.2 - 0.1j):
         assert abs(f.g.value(z) - tg(z)) < 1e-12
@@ -252,7 +251,7 @@ def test_make_from_h_admissibility_gate():
     h = PowerSeries([0.0, 1.0, 0.0])
     with pytest.raises(AdmissibilityError):
         make_from_h(h, 0.9, 2)  # cap is 1/3
-    f = make_from_h(h, 0.9, 2, require_admissible=False)
+    f = HarmonicMapping(PolyKernel(h.derive()), 0.9, 2, "from-h")  # out of the class
     assert abs(f.g.deriv(0.5) - 0.9 * 0.25) < 1e-12
 
 
@@ -328,7 +327,7 @@ def test_poly_taylor_is_exact_and_zero_padded():
 
 
 def test_power_taylor_prefix_does_not_depend_on_the_order():
-    f = make_extremal(ExtremalSpec(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j)))
+    f = make_extremal(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j))
     (h5, g5), (h40, g40) = f.taylor(5), f.taylor(40)
     assert (h5.order, g5.order, h40.order, g40.order) == (5, 7, 40, 42)
     assert np.array_equal(h40.coeffs[:6], h5.coeffs)
@@ -347,6 +346,37 @@ def test_overflowing_root_lies_outside_every_disk():
     kernel = PolyKernel(PowerSeries([1.0, 1e-310]))
     assert kernel.singular_points().size == 0
     assert kernel.zero_free(0.999)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([1.0, 0.2, 3e-45], [-5.0]),   # the companion matrix put a root at 0
+    ([1.0, 0.2, 3e-311], [-5.0]),  # the companion matrix overflowed
+    ([1.0, -0.5, 1e-200], [2.0]),
+    ([1.0, 0.5j, 1e-50], [2j]),
+])
+def test_tiny_top_coefficient_moves_a_root_out_not_to_zero(coeffs, roots):
+    kernel = PolyKernel(PowerSeries(coeffs))
+    got = kernel.singular_points()
+    np.testing.assert_allclose(got[np.abs(got) < 1e3], roots, rtol=1e-12)
+    assert kernel.zero_free(0.9999)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([0.0, 1.0], [0.0]),
+    ([0.0, 0.0, 1.0, 2.0], [-0.5, 0.0, 0.0]),
+])
+def test_zero_low_coefficients_are_roots_at_the_origin(coeffs, roots):
+    kernel = PolyKernel(PowerSeries(coeffs))
+    np.testing.assert_allclose(kernel.singular_points(), roots, atol=1e-15)
+    assert not kernel.zero_free(0.1)
+
+
+def test_linear_h_prime_keeps_its_root_bit_for_bit():
+    # numpy's degree-1 root -c0/c1, which the checks of the bl family saw
+    for c1 in (-0.8, -2.0 * 0.3, 0.2, 0.3 - 0.4j, -1e-3j, 7.0 + 1e-300j):
+        c = np.array([1.0, c1], dtype=np.complex128)
+        root = PolyKernel(PowerSeries(c)).singular_points()
+        assert root.tobytes() == np.array([-c[0] / c[1]]).tobytes(), c1
 
 
 def test_family_from_spec_errors():

@@ -1,6 +1,6 @@
 """Exact identities of the built-in families, checked on random inputs.
 
-Guards the fused ``eval_all`` and kernel ``derivs`` paths against the
+Guards the fused ``eval_all`` and ``derivs`` paths against the
 separate ``h``/``g`` evaluators (bit for bit), values on long arrays against
 the same values in chunks, the closed forms against the Taylor arrays, and
 each kernel's ``hp_bound`` against sampled ``|h'|``.
@@ -18,7 +18,6 @@ from harmap.classcheck import DiskGrid, check_membership, curvature, curvature_e
 from harmap.errors import ParameterError
 from harmap.mappings import (
     ClassParams,
-    ExtremalSpec,
     HarmonicMapping,
     PolyKernel,
     PowerKernel,
@@ -50,6 +49,11 @@ def class_params(draw, real_zeta=False):
     return ClassParams(alpha, sign * rho * cmath.exp(1j * phase), n)
 
 
+def _shear(h: PowerSeries, zeta, n: int) -> HarmonicMapping:
+    """The shear ``g' = zeta z^n h'`` of a normalized ``h``, in the class or not."""
+    return HarmonicMapping(PolyKernel(h.derive()), zeta, n, "from-h")
+
+
 @st.composite
 def mappings(draw, real=False):
     """A built-in family with drawn parameters; ``real`` restricts to real
@@ -65,12 +69,11 @@ def mappings(draw, real=False):
         params = draw(class_params(real_zeta=real))
         delta = (draw(st.sampled_from((1.0, -1.0))) if real
                  else cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi))))
-        return make_extremal(ExtremalSpec(params, delta))
+        return make_extremal(params, delta)
     coeffs = [0.0, 1.0] + [complex(draw(unit), 0.0 if real else draw(unit)) / 4
                            for _ in range(draw(st.integers(0, 5)))]
     zeta = draw(unit) if real else complex(draw(unit), draw(unit)) / 2
-    return make_from_h(PowerSeries(coeffs), zeta, draw(st.integers(1, 3)),
-                       require_admissible=False)
+    return _shear(PowerSeries(coeffs), zeta, draw(st.integers(1, 3)))
 
 
 def _bits(x) -> bytes:
@@ -94,7 +97,7 @@ def test_eval_all_is_bit_identical_to_separate_evaluators(f, zs):
 
 @pytest.mark.parametrize("f", [
     make_counterexample(1.25),
-    make_extremal(ExtremalSpec(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j))),
+    make_extremal(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j)),
     make_bshouty_lyzzaik(0.4),
 ], ids=lambda f: f.label)
 def test_eval_all_is_bit_identical_on_large_arrays(f):
@@ -111,7 +114,7 @@ def test_eval_all_is_bit_identical_on_large_arrays(f):
 @given(f=mappings(), zs=st.lists(points, min_size=1, max_size=16))
 def test_kernel_derivs_are_bit_identical_to_the_views(f, zs):
     for z in (zs[0], np.array(zs)):
-        hp, hpp = f.kernel.derivs(z)
+        hp, hpp = f.derivs(z)
         assert _bits(hp) == _bits(f.h.deriv(z))
         assert _bits(hpp) == _bits(f.h.deriv2(z))
 
@@ -120,10 +123,10 @@ def test_kernel_derivs_are_bit_identical_to_the_views(f, zs):
     make_identity(),
     make_counterexample(1.25),
     make_bshouty_lyzzaik(0.4),
-    make_extremal(ExtremalSpec(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j))),
-    make_extremal(ExtremalSpec(ClassParams(0.5, 0.5, 1), 1.0)),  # -log u term
-    make_extremal(ExtremalSpec(ClassParams(0.0, 0.15j, 3), -1.0)),
-    make_extremal(ExtremalSpec(ClassParams(-0.5, 0.2 + 0.1j, 1), cmath.exp(2.0j))),
+    make_extremal(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j)),
+    make_extremal(ClassParams(0.5, 0.5, 1), 1.0),  # -log u term
+    make_extremal(ClassParams(0.0, 0.15j, 3), -1.0),
+    make_extremal(ClassParams(-0.5, 0.2 + 0.1j, 1), cmath.exp(2.0j)),
     make_from_h(PowerSeries([0.0, 1.0, 0.2 - 0.1j, 0.05j]), 0.2 + 0.2j, 2),
 ], ids=lambda f: f.label)
 def test_values_do_not_depend_on_array_length(f):
@@ -199,10 +202,10 @@ def sheared(draw):
     if kind == "extremal":
         params = draw(class_params())
         delta = cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
-        return make_extremal(ExtremalSpec(params, delta)), params.zeta, params.n
+        return make_extremal(params, delta), params.zeta, params.n
     coeffs = [0.0, 1.0] + [complex(draw(unit), draw(unit)) for _ in range(6)]
     zeta, n = complex(draw(unit), draw(unit)), draw(st.integers(1, 3))
-    return make_from_h(PowerSeries(coeffs), zeta, n, require_admissible=False), zeta, n
+    return _shear(PowerSeries(coeffs), zeta, n), zeta, n
 
 
 @SETTINGS

@@ -25,7 +25,7 @@ from harmap.render import (
     render_boundary_curve,
     render_image_domain,
 )
-from harmap.univalence import CollisionSearchParams, find_symmetric_collision
+from harmap.univalence import find_symmetric_collision
 
 SCENE_RE = re.compile(r"<!-- scene: (.*?) -->")
 POINTS_RE = re.compile(r'points="([^"]*)"')
@@ -151,8 +151,6 @@ def test_scene_spec_validation_messages():
         SceneSpec(family="identity", circles=0, rays=0)
     with pytest.raises(ParameterError):
         SceneSpec(family="identity", half_width=-0.5)
-    with pytest.raises(ParameterError):
-        SceneSpec(family="identity", stroke_width=0.0)
 
 
 def test_scene_metadata_round_trip():
@@ -163,8 +161,10 @@ def test_scene_metadata_round_trip():
     assert meta["radius"] == spec.radius
     assert meta["circles"] == spec.circles
     assert meta["rays"] == spec.rays
-    assert meta["stroke_width"] > 0
-    assert meta["grid_color"].startswith("#")
+    # the styling is fixed, and still written out with the scene
+    assert meta["stroke_width"] == 0.2 / 240.0
+    assert (meta["grid_color"], meta["boundary_color"], meta["background"]) == (
+        "#3a6ea5", "#b22222", "#ffffff")
 
 
 def test_curve_classes_present():
@@ -443,7 +443,7 @@ def _scene_curves_reference(f, spec, max_gap, view=None, start=None):
         tag = f"ray-{k}"
         if mirror and k > spec.rays // 2:
             mirrored = np.conjugate(curves[spec.rays - k].points)
-            curves.append(render._Curve(tag, spec.grid_color, 1.0, mirrored))
+            curves.append(render._Curve(tag, render.GRID_COLOR, 1.0, mirrored))
             continue
         angle = 2.0 * math.pi * k / spec.rays
         direction = complex(math.cos(angle), math.sin(angle))
@@ -451,7 +451,7 @@ def _scene_curves_reference(f, spec, max_gap, view=None, start=None):
         t, w = _refine_params_reference(f, lambda s, d=direction: s * d, t, max_gap,
                                         reach(spec.radius, 1.0), w)
         samples[tag] = (t, w)
-        curves.append(render._Curve(tag, spec.grid_color, 1.0, w))
+        curves.append(render._Curve(tag, render.GRID_COLOR, 1.0, w))
     for j in range(1, spec.circles + 1):
         rho = spec.radius * j / spec.circles
         boundary = j == spec.circles
@@ -470,7 +470,7 @@ def _scene_curves_reference(f, spec, max_gap, view=None, start=None):
             pts = np.concatenate([w, np.asarray(f(lower)), w[:1]])
         else:
             pts = np.concatenate([w[:-1], w[:1]])
-        curves.append(render._Curve(tag, spec.boundary_color if boundary else spec.grid_color,
+        curves.append(render._Curve(tag, render.BOUNDARY_COLOR if boundary else render.GRID_COLOR,
                                     1.8 if boundary else 1.0, pts))
     return curves, samples
 
@@ -543,7 +543,7 @@ def test_point_cap_stops_one_curve_while_the_others_refine(monkeypatch):
 
 def _collision_center(gamma):
     f = make_counterexample(gamma)
-    col = find_symmetric_collision(CollisionSearchParams(gamma))
+    col = find_symmetric_collision(gamma)
     return complex(complex(f(col.z1)).real, 0.0)
 
 

@@ -13,6 +13,7 @@ from harmap import cli, univalence
 from harmap.errors import InfeasibilityError, OnCurveError, ParameterError
 from harmap.mappings import (
     HarmonicMapping,
+    PowerKernel,
     family_from_spec,
     is_conjugate_symmetric,
     make_bshouty_lyzzaik,
@@ -22,7 +23,6 @@ from harmap.mappings import (
 )
 from harmap.series import PowerSeries
 from harmap.univalence import (
-    CollisionSearchParams,
     feasibility_threshold,
     find_symmetric_collision,
     univalence_scan,
@@ -55,7 +55,7 @@ def test_threshold_domain():
 
 
 def test_collision_construction_reference_values():
-    col = find_symmetric_collision(CollisionSearchParams(1.25))
+    col = find_symmetric_collision(1.25)
     assert col.r0 == pytest.approx(0.9924038765061041, abs=1e-12)
     assert col.theta0 == pytest.approx(0.05072621409183507, abs=1e-12)
     assert col.z1 == pytest.approx(0.991127348845925 + 0.05031930518191549j,
@@ -70,7 +70,7 @@ def test_collision_phase_equation():
     # the construction solves arg(1 - r0 e^(i theta)) = -pi/(gamma+1),
     # equivalently sin((gamma+1) * arg(1 - r0 e^(i theta0))) = 0
     for gamma in (1.1, 1.25, 1.5, 1.75):
-        col = find_symmetric_collision(CollisionSearchParams(gamma))
+        col = find_symmetric_collision(gamma)
         phase = cmath.phase(1.0 - col.r0 * cmath.exp(1j * col.theta0))
         assert abs(phase + math.pi / (gamma + 1.0)) < 1e-10
         assert abs(math.sin((gamma + 1.0) * phase)) < 1e-9
@@ -78,7 +78,7 @@ def test_collision_phase_equation():
 
 def test_collision_across_gamma_grid():
     for gamma in (1.05, 1.2, 1.4, 1.6, 1.75):
-        col = find_symmetric_collision(CollisionSearchParams(gamma))
+        col = find_symmetric_collision(gamma)
         f = make_counterexample(gamma)
         # direct re-evaluation: two distinct points, equal images
         w1, w2 = f(col.z1), f(col.z2)
@@ -90,7 +90,7 @@ def test_collision_across_gamma_grid():
 
 def test_collision_image_is_real():
     # conjugate-symmetric family: the common image lies on the real axis
-    col = find_symmetric_collision(CollisionSearchParams(1.25))
+    col = find_symmetric_collision(1.25)
     f = make_counterexample(1.25)
     assert abs(f(col.z1).imag) < 1e-10
 
@@ -98,14 +98,14 @@ def test_collision_image_is_real():
 def test_collision_explicit_radius():
     thr = feasibility_threshold(1.25)
     r0 = 0.5 * (thr + 1.0) + 0.002
-    col = find_symmetric_collision(CollisionSearchParams(1.25, r0=r0))
+    col = find_symmetric_collision(1.25, r0=r0)
     assert col.r0 == pytest.approx(r0)
     assert col.image_gap < 1e-10
 
 
 def test_collision_infeasible_radius_raises():
     with pytest.raises(InfeasibilityError):
-        find_symmetric_collision(CollisionSearchParams(1.25, r0=0.9))
+        find_symmetric_collision(1.25, r0=0.9)
 
 
 def test_imaginary_part_antisymmetry():
@@ -241,6 +241,23 @@ def test_symmetric_witness_independent_of_resolution(lam):
         assert report.details["anchor"] == "symmetric-tangency"
         z1s.append(report.z1)
     assert max(abs(z - z1s[0]) for z in z1s) <= 1e-14
+
+
+def test_polish_asks_the_kernel_once_per_point(monkeypatch):
+    # a Newton point asks for f, h', g', h'' and g'' in one kernel evaluation,
+    # a line-search trial point for f, h' and g' only, and the closing
+    # re-check for f(z) and f(conj z)
+    f = make_counterexample(1.2)
+    asked, logs = [], []
+    evaluate, log_u = f._evaluate, PowerKernel._log_u
+    monkeypatch.setattr(f, "_evaluate", lambda z, *want: asked.append(want) or evaluate(z, *want))
+    monkeypatch.setattr(PowerKernel, "_log_u", lambda self, z: logs.append(z) or log_u(self, z))
+    # a start near the tangency 0.97974649 + 0.14086628i of the scan at r 0.995
+    z1, _, gap = univalence._polish_symmetric(f, 0.978 + 0.15j, 0.995, 0.2, 1e-8)
+    assert abs(z1 - (0.97974649 + 0.14086628j)) < 1e-8 and gap < 1e-12
+    assert len(logs) == len(asked)
+    assert asked[0] == (True, 2) and asked[-2:] == [(True, 0)] * 2
+    assert set(asked[:-2]) == {(True, 2), (True, 1)}
 
 
 def test_scan_certifies_univalent_extremal_map():
