@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .mappings import (ClassParams, HarmonicMapping, PolyKernel, make_extremal, within_zeta_cap,
-                       zeta_cap)
+from .mappings import (ClassParams, HarmonicMapping, PolyKernel, check_radius, make_extremal,
+                       within_zeta_cap, zeta_cap)
 from .quadrature import disk_integral, integrate_real
 from .reports import BoundReport, complex_pair
 from .special import hyp2f1
@@ -29,8 +29,8 @@ from .special import hyp2f1
 _HALF_EPS = 1e-9
 #: relative tolerance of the growth and area envelope quadratures
 _ENVELOPE_TOL = 1e-12
-#: area tolerance in the area sandwich, whose slack is ten times this
-_SANDWICH_TOL = 1e-9
+#: relative tolerance of the area's disk quadrature; the envelope slack is ten times this
+_AREA_TOL = 1e-9
 
 
 def _rising_product(k: int, alpha: float) -> float:
@@ -149,8 +149,7 @@ def growth_bounds(r: float, params: ClassParams, mode: str = "closed-form") -> G
     ``mode="quadrature"`` integrates ``(1 -+ |zeta| rho^n)/(1 +- rho)^(2-2alpha)``
     directly.  The hypotheses require ``0 <= alpha < 1``.
     """
-    if not 0.0 < r < 1.0:
-        raise ParameterError(f"radius must lie in (0, 1), got {r}")
+    check_radius(r, "radius")
     alpha, zeta, n, notes = _growth_params(params)
     if mode == "closed-form":
         phi = _envelope(r, 1.0, alpha, zeta, n)
@@ -247,17 +246,13 @@ def _power_tail(c_last: float, q: float, N: int, r: float, zeta2: float, n: int)
     return math.pi * max(1.0, zeta2 * r ** (2 * n)) * t_last * rho / (1.0 - rho)
 
 
-def area_route(f: HarmonicMapping, r: float, tol: float = 1e-9) -> tuple[float, str, int | None]:
-    """``(area, route, terms)`` for :func:`area`.
-
-    ``route`` is ``"series"`` with ``terms`` Parseval terms summed (exact for a
-    polynomial ``h'``), or ``"quadrature"`` with ``terms`` ``None`` when a
-    power kernel would need more than ``_SERIES_CAP`` (2^22) terms.  ``tol``
-    reaches only that disk-quadrature fallback; below the cap the area does
-    not depend on it.
-    """
-    if not 0.0 < r < 1.0:
-        raise ParameterError(f"radius must lie in (0, 1), got {r}")
+def area(f: HarmonicMapping, r: float, tol: float = _AREA_TOL) -> tuple[float, str, int | None]:
+    """``(area, route, terms)``: the image area ``integral of (|h'|^2 - |g'|^2)``
+    over ``|z| < r``, summed as ``terms`` Parseval terms of the ``h'`` kernel's
+    coefficients (route ``"series"``; exact for a polynomial ``h'``) or, past
+    ``_SERIES_CAP`` (2^22) terms, by polar disk quadrature to relative ``tol``
+    (route ``"quadrature"``, ``terms`` None)."""
+    check_radius(r, "radius")
     zeta2 = abs(f.zeta) ** 2
     if isinstance(f.kernel, PolyKernel):
         c = np.abs(f.kernel.hp.coeffs)
@@ -272,16 +267,6 @@ def area_route(f: HarmonicMapping, r: float, tol: float = 1e-9) -> tuple[float, 
     return disk_integral(f.jacobian, r, tol=tol), "quadrature", None
 
 
-def area(f: HarmonicMapping, r: float, tol: float = 1e-9) -> float:
-    """Image area ``integral of (|h'|^2 - |g'|^2)`` over ``|z| < r``.
-
-    Summed as the Parseval series of the ``h'`` kernel's coefficients; the
-    polar disk quadrature, to relative ``tol``, runs only past the series
-    order cap (see :func:`area_route`).
-    """
-    return area_route(f, r, tol)[0]
-
-
 @dataclass(frozen=True)
 class AreaBounds:
     """Quadrature sandwich for the image area at radius ``r``."""
@@ -292,11 +277,15 @@ class AreaBounds:
     params: ClassParams
     notes: tuple
 
+    def margin(self, a: float) -> float:
+        """How far the area ``a`` lies inside the envelope, with a slack of
+        ten times the area tolerance; negative when it lies outside."""
+        return min(a - self.lower, self.upper - a) + 10.0 * _AREA_TOL
+
 
 def area_bounds(params: ClassParams, r: float) -> AreaBounds:
     """Sharp area sandwich ``2 pi int rho (1 - |zeta|^2 rho^(2n)) / (1 +- rho)^(4-4alpha)``."""
-    if not 0.0 < r < 1.0:
-        raise ParameterError(f"radius must lie in (0, 1), got {r}")
+    check_radius(r, "radius")
     alpha, zeta, n, notes = _growth_params(params)
     expo = 4.0 * (1.0 - alpha)
     zz = zeta * zeta
@@ -415,15 +404,14 @@ def verify_covering_consistency(params: ClassParams, tol: float = 1e-4) -> Bound
 
 def verify_area_sandwich(params: ClassParams, r_list) -> BoundReport:
     """Computed image area of the extremal member must sit inside the
-    two-sided envelope at every radius (small quadrature slack allowed)."""
+    two-sided envelope at every radius (:meth:`AreaBounds.margin`)."""
     f = make_extremal(params)
-    slack = 10.0 * _SANDWICH_TOL
 
     def margins():
         for r in r_list:
-            a = area(f, r, tol=_SANDWICH_TOL)
+            a = area(f, r)[0]
             ab = area_bounds(params, r)
-            yield min(a - ab.lower, ab.upper - a) + slack, r, a, ab.lower, ab.upper
+            yield ab.margin(a), r, a, ab.lower, ab.upper
 
     worst, witness, (value, lower, upper) = _worst(margins(), lowest=True)
     witness["value"] = value
@@ -435,12 +423,11 @@ def verify_area_sandwich(params: ClassParams, r_list) -> BoundReport:
         details={"alpha": params.alpha, "zeta": complex_pair(params.zeta),
                  "n": params.n, "radii": [float(r) for r in r_list],
                  "lower": lower, "upper": upper,
-                 "quad_tol": _SANDWICH_TOL},
+                 "quad_tol": _AREA_TOL},
     )
 
 
-def default_lattice(alphas=(0.0, 0.25, 0.5, 0.75), zetas=(0.0, 0.3),
-                    zeta_rel=(0.99,), ns=(1, 2, 3)) -> list[ClassParams]:
+def default_lattice(alphas, zetas, zeta_rel, ns) -> list[ClassParams]:
     """Admissible (alpha, zeta, n) combinations used by the verification
     sweeps; zeta values whose modulus exceeds ``1/(2n-1)`` are skipped."""
     out = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError, SingularityError
-from .mappings import ClassParams, HarmonicMapping, PBetaParams, within_zeta_cap
+from .mappings import ClassParams, HarmonicMapping, PBetaParams, check_radius, within_zeta_cap
 from .reports import BoundReport, complex_pair
 
 #: radius of the default sample circle, close to the boundary
@@ -49,8 +49,7 @@ class DiskGrid:
 
     def __post_init__(self):
         radius = float(self.radius)
-        if not 0.0 < radius < 1.0:
-            raise ParameterError("grid radius must lie in (0, 1)")
+        check_radius(radius, "grid radius")
         if self.angles_per_circle < 8:
             raise ParameterError("grid needs at least 8 angles per circle")
         object.__setattr__(self, "radius", radius)
@@ -252,8 +251,7 @@ def kaplan_min_arc_integral(f: HarmonicMapping, n: int, lam: complex, r: float,
     """
     if M < 64:
         raise ParameterError(f"need at least 64 angular samples, got {M}")
-    if not 0.0 < r < 1.0:
-        raise ParameterError(f"radius must lie in (0, 1), got {r}")
+    check_radius(r, "radius")
     lam = complex(lam)
     theta = 2.0 * np.pi * np.arange(M) / M
     z = r * np.exp(1j * theta)

@@ -14,12 +14,13 @@ import argparse
 import functools
 import hashlib
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .bounds import (
+    area,
     area_bounds,
-    area_route,
     default_lattice,
     verify_area_sandwich,
     verify_coeff_relation,
@@ -34,6 +35,7 @@ from .mappings import (
     ClassParams,
     PBetaParams,
     PolyKernel,
+    check_tolerance,
     dilatation_of,
     family_from_spec,
     jacobian_of,
@@ -55,6 +57,18 @@ def _given(**options) -> dict:
     """``options`` without those left unset (``None``), so that a library call
     falls back on its own defaults for them."""
     return {k: v for k, v in options.items() if v is not None}
+
+
+def _tolerance(text: str) -> float:
+    """The argparse type of the tolerance flags: a finite float ``> 0``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        return check_tolerance(value, "value")
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_complex(text: str, key: str) -> complex:
@@ -149,11 +163,8 @@ def cmd_check(args) -> int:
 def cmd_verify_bounds(args) -> int:
     tol = _given(tol=args.tol)
     lattice = default_lattice(
-        alphas=tuple(_parse_csv(args.alphas, "--alphas")),
-        zetas=tuple(_parse_csv(args.zetas, "--zetas")),
-        zeta_rel=tuple(_parse_csv(args.zeta_rel, "--zeta-rel")),
-        ns=tuple(_parse_csv(args.ns, "n", parse_int)),
-    )
+        _parse_csv(args.alphas, "--alphas"), _parse_csv(args.zetas, "--zetas"),
+        _parse_csv(args.zeta_rel, "--zeta-rel"), _parse_csv(args.ns, "n", parse_int))
     radii = _parse_csv(args.radii, "--radii")
     area_radii = _parse_csv(args.area_radii, "--area-radii")
     what = args.what
@@ -211,7 +222,7 @@ def cmd_counterexample(args) -> int:
 def cmd_area(args) -> int:
     f = family_from_spec(args.family)
     r = parse_real(args.r, "--r")
-    val, route, terms = area_route(f, r, **_given(tol=args.tol))
+    val, route, terms = area(f, r, **_given(tol=args.tol))
     # a polynomial h' has a finite Parseval sum, which is then exact
     closed = val if isinstance(f.kernel, PolyKernel) else None
     payload = {"family": f.label, "r": r, "area": val, "closed_form": closed,
@@ -222,7 +233,7 @@ def cmd_area(args) -> int:
     code = 0
     if args.cls is not None:
         ab = area_bounds(_parse_class(args.cls), r)
-        inside = ab.lower - 1e-8 <= val <= ab.upper + 1e-8
+        inside = ab.margin(val) >= 0.0
         payload.update({"lower": ab.lower, "upper": ab.upper, "inside": inside})
         lines.append(f"class envelope: [{ab.lower:.12g}, {ab.upper:.12g}] "
                      f"-> {'inside' if inside else 'OUTSIDE'}")
@@ -267,10 +278,7 @@ def cmd_render(args) -> int:
                                   samples_per_curve=args.samples))
         svg = render_image_domain(spec, f)
         # dump_json writes the complex center as [re, im]
-        scene_meta = {"family": spec.family, "preset": args.preset, "radius": spec.radius,
-                      "circles": spec.circles, "rays": spec.rays,
-                      "samples_per_curve": spec.samples_per_curve,
-                      **_given(center=spec.center, half_width=spec.half_width)}
+        scene_meta = {"preset": args.preset, **_given(**asdict(spec))}
 
     data = svg.encode("utf-8")
     if args.out:
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="curvature-above-beta class with dilatation z")
     p.add_argument("--theorem-b", default=None, metavar="LRE,LIM,K,N",
                    help="unimodular-weight membership variant")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="tolerance of the check (default 1e-8)")
     p.set_defaults(func=cmd_check)
 
@@ -343,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="0.1,0.3,0.5,0.7,0.9")
     p.add_argument("--area-radii", dest="area_radii", default="0.2,0.5,0.8")
     p.add_argument("--kmax", type=int, default=12)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="one tolerance for every check but the area sandwich "
                         "(default: each check's own)")
     p.set_defaults(func=cmd_verify_bounds)
@@ -353,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--r", type=float, default=DEFAULT_SCAN_RADIUS)
     p.add_argument("--cells", type=int, default=DEFAULT_CELLS)
-    p.add_argument("--collision-tol", dest="collision_tol", type=float,
+    p.add_argument("--collision-tol", dest="collision_tol", type=_tolerance,
                    default=DEFAULT_COLLISION_TOL)
-    p.add_argument("--separation-floor", dest="separation_floor", type=float,
+    p.add_argument("--separation-floor", dest="separation_floor", type=_tolerance,
                    default=DEFAULT_SEPARATION_FLOOR)
     p.set_defaults(func=cmd_univalence)
 
@@ -365,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True, help="exponent in (1, 7/4]; fractions ok")
     p.add_argument("--r0", default=None,
                    help="explicit collision radius (default: feasible midpoint)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="tolerance of the collision solve (default 1e-12)")
     p.set_defaults(func=cmd_counterexample)
 
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cls", "--class", dest="cls", default=None,
                    metavar="ALPHA,ZETA,N",
                    help="also check the class area envelope")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="relative tolerance of the disk quadrature (default 1e-9); "
                         "it runs only past 2^22 series terms, very near the "
                         "boundary, so below that the area does not depend on it")

@@ -53,8 +53,32 @@ _ROOT_MARGIN = 1e-6
 
 
 def _check_disk(z) -> None:
-    if np.any(np.abs(z) >= _DISK_EDGE):
+    # written so that a NaN point fails too
+    if not np.all(np.abs(z) < _DISK_EDGE):
         raise DomainError("evaluation point lies outside the open unit disk")
+
+
+def check_radius(r: float, noun: str) -> None:
+    """A :class:`ParameterError`, naming ``r`` as ``noun``, unless ``0 < r < 1``."""
+    if not 0.0 < r < 1.0:
+        raise ParameterError(f"{noun} must lie in (0, 1), got {r}")
+
+
+def check_tolerance(tol: float, noun: str) -> float:
+    """``tol`` as a float; a :class:`ParameterError`, naming it as ``noun``,
+    unless it is finite and ``> 0``."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"{noun} must be finite and > 0, got {tol}")
+    return tol
+
+
+def check_gamma(gamma: float) -> float:
+    """``gamma`` as a float; a :class:`ParameterError` unless ``1 < gamma <= 7/4``."""
+    gamma = float(gamma)
+    if not 1.0 < gamma <= 1.75:
+        raise ParameterError(f"gamma must lie in (1, 7/4], got {gamma}")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -288,7 +312,7 @@ class HarmonicMapping:
     derivatives); :meth:`taylor` gives their Taylor coefficients.
     """
 
-    def __init__(self, kernel, zeta=0.0, n: int = 1, label: str = "mapping"):
+    def __init__(self, kernel, zeta, n: int, label: str):
         self.kernel = kernel
         self.zeta = complex(zeta)
         self.n = parse_int(n, "n")
@@ -392,10 +416,6 @@ class ClassParams:
         object.__setattr__(self, "zeta", complex(self.zeta))
         _check_zeta_cap(self.zeta, self.n)
 
-    @property
-    def zeta_cap(self) -> float:
-        return zeta_cap(self.n)
-
 
 @dataclass(frozen=True)
 class PBetaParams:
@@ -418,9 +438,7 @@ def make_counterexample(gamma: float) -> HarmonicMapping:
     For every ``1 < gamma <= 7/4`` the analytic part has curvature real part
     strictly below ``(1 + gamma)/2`` yet the mapping is not univalent.
     """
-    gamma = float(gamma)
-    if not 1.0 < gamma <= 1.75:
-        raise ParameterError(f"gamma must lie in (1, 7/4], got {gamma}")
+    gamma = check_gamma(gamma)
     return HarmonicMapping(PowerKernel(gamma - 1.0), 1.0, 1,
                            f"counterexample:gamma={_num(gamma)}")
 
@@ -452,7 +470,7 @@ def make_extremal(params: ClassParams, delta=1.0) -> HarmonicMapping:
                            params.n, label)
 
 
-def make_from_h(h: PowerSeries, zeta, n: int, label: str | None = None) -> HarmonicMapping:
+def make_from_h(h: PowerSeries, zeta, n: int, label: str) -> HarmonicMapping:
     """Shear a normalized polynomial analytic part by ``g' = zeta * z^n * h'``.
 
     ``g`` is obtained by exact series integration.  Normalization
@@ -467,8 +485,7 @@ def make_from_h(h: PowerSeries, zeta, n: int, label: str | None = None) -> Harmo
         raise ParameterError(f"unsupported analytic-part type: {type(h).__name__}")
     if abs(h.coeff(0)) > 1e-12 or abs(h.coeff(1) - 1.0) > 1e-12:
         raise ParameterError("analytic part must be normalized: h(0)=0, h'(0)=1")
-    return HarmonicMapping(PolyKernel(h.derive()), zeta, n,
-                           label or f"from-h:order={h.order},zeta={_num(zeta)},n={n}")
+    return HarmonicMapping(PolyKernel(h.derive()), zeta, n, label)
 
 
 # -- family-spec grammar ------------------------------------------------------
@@ -609,5 +626,5 @@ def family_from_spec(spec: str) -> HarmonicMapping:
             zeta = parse_scalar(raw["zeta"])
         if "n" in raw:
             n = parse_int(raw["n"], "n")
-        return make_from_h(series, zeta, n, label=f"from-h:{path},zeta={_num(zeta)},n={n}")
+        return make_from_h(series, zeta, n, f"from-h:{path},zeta={_num(zeta)},n={n}")
     raise ParameterError(f"unknown family {name!r}")

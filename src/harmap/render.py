@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .mappings import HarmonicMapping, is_conjugate_symmetric
+from .mappings import HarmonicMapping, check_radius, is_conjugate_symmetric
 
 #: emitted document is a square of this many pixels
 CANVAS_PX = 720
@@ -68,14 +68,16 @@ class SceneSpec:
     half_width: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.radius < 1.0:
-            raise ParameterError(f"scene radius must lie in (0, 1), got {self.radius}")
+        check_radius(self.radius, "scene radius")
         if self.samples_per_curve < 128:
             raise ParameterError(f"samples_per_curve must be >= 128, got {self.samples_per_curve}")
         if self.circles < 0 or self.rays < 0 or self.circles + self.rays == 0:
             raise ParameterError("scene needs at least one circle or ray")
-        if self.half_width is not None and not self.half_width > 0.0:
-            raise ParameterError(f"viewport half-width must be > 0, got {self.half_width}")
+        if self.center is not None and not np.isfinite(self.center):
+            raise ParameterError(f"viewport center must be finite, got {self.center}")
+        if self.half_width is not None and not 0.0 < self.half_width < math.inf:
+            raise ParameterError(
+                f"viewport half-width must be finite and > 0, got {self.half_width}")
 
 
 # -- sampling -----------------------------------------------------------------
@@ -356,8 +358,7 @@ def render_boundary_curve(f: HarmonicMapping, r: float, M: int = BOUNDARY_SAMPLE
     Uniform sampling with ``M`` steps (at least 256); with the default
     auto-fitted viewport the output is a single closed polyline.
     """
-    if not 0.0 < r < 1.0:
-        raise ParameterError(f"radius must lie in (0, 1), got {r}")
+    check_radius(r, "radius")
     if M < 256:
         raise ParameterError(f"boundary sampling needs M >= 256, got {M}")
     theta = np.linspace(0.0, 2.0 * math.pi, int(M) + 1)

@@ -18,15 +18,15 @@ def complex_pair(z) -> list[float] | None:
 def _json_safe(value):
     """Recursively convert values to JSON-representable types.
 
-    Complex numbers become ``[re, im]``; non-finite floats become ``None``
-    (JSON has no inf/nan).
+    Complex numbers become ``[re, im]``; non-finite floats, and non-finite
+    parts of complex numbers, become ``None`` (JSON has no inf/nan).
     """
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     if isinstance(value, complex):
-        return complex_pair(value)
+        return [_json_safe(value.real), _json_safe(value.imag)]
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if hasattr(value, "item"):  # numpy scalars
@@ -109,5 +109,5 @@ class UnivalenceReport:
 
 
 def dump_json(payload: dict) -> str:
-    """Deterministic JSON text (sorted keys, two-space indent)."""
-    return json.dumps(_json_safe(payload), indent=2, sort_keys=True)
+    """Deterministic, strict JSON text (sorted keys, two-space indent)."""
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)

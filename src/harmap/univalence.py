@@ -20,7 +20,8 @@ from .errors import (
     OnCurveError,
     ParameterError,
 )
-from .mappings import HarmonicMapping, is_conjugate_symmetric, jacobian_of, make_counterexample
+from .mappings import (HarmonicMapping, check_gamma, check_radius, check_tolerance,
+                       is_conjugate_symmetric, jacobian_of, make_counterexample)
 from .reports import UnivalenceReport
 
 #: default scan radius for near-boundary collision hunting
@@ -49,10 +50,7 @@ def feasibility_threshold(gamma: float) -> float:
     as ``theta`` runs over ``(0, pi)``; the collision needs it to reach
     ``-pi/(gamma+1)``, hence ``r > sin(pi/(gamma+1))``.
     """
-    gamma = float(gamma)
-    if not 1.0 < gamma <= 1.75:
-        raise ParameterError(f"gamma must lie in (1, 7/4], got {gamma}")
-    return math.sin(math.pi / (gamma + 1.0))
+    return math.sin(math.pi / (check_gamma(gamma) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,7 @@ def find_symmetric_collision(gamma: float, r0: float | None = None,
     the mapping vanishes, so the conjugate pair collides.
     """
     thr = feasibility_threshold(gamma)
+    tol = check_tolerance(tol, "collision tolerance")
     r0 = 0.5 * (thr + 1.0) if r0 is None else float(r0)
     if not thr < r0 < 1.0:
         raise InfeasibilityError(
@@ -424,10 +423,12 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
       truncated at ``MAX_CANDIDATES``, so not every pair was refined;
     * ``certified-at-resolution`` -- none of the above at this resolution.
     """
-    if not 0.0 < r < 1.0:
-        raise ParameterError(f"scan radius must lie in (0, 1), got {r}")
+    check_radius(r, "scan radius")
     if cells < 64:
         raise ParameterError(f"need at least 64 cells, got {cells}")
+    collision_tol = check_tolerance(collision_tol, "collision tolerance")
+    if not 0.0 < separation_floor < 2.0 * r:
+        raise ParameterError(f"separation floor must lie in (0, 2r), got {separation_floor}")
 
     n_r, n_a = cells, 2 * cells
     rho = r * np.arange(1, n_r + 1) / n_r
@@ -555,8 +556,7 @@ def winding_check(f: HarmonicMapping, r: float, w, M: int = 1024) -> int:
     every step is below ``pi/2``.  Raises :class:`OnCurveError` when ``w``
     comes within ``1e-9`` of the sampled curve.
     """
-    if not 0.0 < r < 1.0:
-        raise ParameterError(f"radius must lie in (0, 1), got {r}")
+    check_radius(r, "radius")
     M = max(int(M), 256)
     wc = complex(w)
     while True:

@@ -20,6 +20,10 @@ from harmap import cli
 
 SCHEMA_DIR = Path(harmap.__file__).resolve().parent / "schemas"
 
+#: ``default_lattice`` arguments of ``verify-bounds`` without flags: the
+#: defaults of ``--alphas``, ``--zetas``, ``--zeta-rel`` and ``--ns``
+CLI_LATTICE = ((0.0, 0.25, 0.5, 0.75), (0.0, 0.3), (0.99,), (1, 2, 3))
+
 
 def run_cli(*args):
     """Run ``harmap <args>`` in process: :func:`harmap.cli.main` with stdout

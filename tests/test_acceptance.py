@@ -45,6 +45,8 @@ from harmap.univalence import (
     univalence_scan,
 )
 
+from conftest import CLI_LATTICE
+
 
 def test_criterion_01_collision_pair_reproduced():
     """Two distinct points of the gamma=5/4 family share an image value."""
@@ -114,11 +116,11 @@ def test_criterion_04_coefficient_sharpness():
 def test_criterion_05_growth_consistency_and_sharpness():
     """Closed-form and quadrature growth bounds agree to 1e-9; extremal attains them to 1e-8."""
     r_list = (0.1, 0.3, 0.5, 0.7, 0.9)
-    for params in default_lattice():
+    for params in default_lattice(*CLI_LATTICE):
         rep = verify_growth_consistency(params, r_list)
         assert rep.passed, (params, rep.summary())
         assert rep.witness["value"] < 1e-9  # worst closed-vs-quadrature gap
-    for params in default_lattice():
+    for params in default_lattice(*CLI_LATTICE):
         if abs(params.zeta.imag) > 0:
             continue
         sharp = verify_sharpness(params, r_list, tol=1e-8)
@@ -159,9 +161,9 @@ def test_criterion_07_area_closed_form_and_sandwich():
         h = PowerSeries([0.0, 1.0] + [0.0] * (n + 1))
         f = HarmonicMapping(PolyKernel(h.derive()), zeta, n, "from-h")
         want = math.pi * r * r - math.pi * zeta * zeta * r ** (2 * n + 2) / (n + 1)
-        assert area(f, r) == pytest.approx(want, rel=1e-9, abs=1e-12), (zeta, n, r)
+        assert area(f, r)[0] == pytest.approx(want, rel=1e-9, abs=1e-12), (zeta, n, r)
 
-    for params in default_lattice():
+    for params in default_lattice(*CLI_LATTICE):
         rep = verify_area_sandwich(params, r_list=(0.2, 0.5, 0.8))
         assert rep.passed, (params, rep.summary())
 

@@ -22,7 +22,6 @@ from harmap.bounds import (
     _power_tail,
     area,
     area_bounds,
-    area_route,
     coeff_bound_a,
     coeff_bound_b,
     covering_radius,
@@ -46,9 +45,12 @@ from harmap.mappings import (
     make_extremal,
     make_from_h,
     make_identity,
+    zeta_cap,
 )
 from harmap.quadrature import disk_integral
 from harmap.series import PowerSeries
+
+from conftest import CLI_LATTICE
 
 
 # -- coefficient bounds -------------------------------------------------------
@@ -109,7 +111,7 @@ def test_verify_coeff_relation_reads_the_orders_it_needs():
 def test_verify_coeff_relation_flags_mismatch():
     # a shear with zeta = 0.5 checked against zeta = 0.4 must fail
     h = PowerSeries([0.0, 1.0, 0.25, 0.125] + [0.0] * 10)
-    f = make_from_h(h, 0.5, 1)
+    f = make_from_h(h, 0.5, 1, "from-h")
     report = verify_coeff_relation(f, 1, 0.4, K=3, tol=1e-12)
     assert not report.passed
 
@@ -250,7 +252,7 @@ def test_covering_equals_growth_limit():
 
 def test_identity_area():
     f = make_identity()
-    assert area(f, 0.5) == pytest.approx(math.pi * 0.25, rel=1e-9)
+    assert area(f, 0.5)[0] == pytest.approx(math.pi * 0.25, rel=1e-9)
 
 
 def test_monomial_shear_area_closed_form():
@@ -259,7 +261,7 @@ def test_monomial_shear_area_closed_form():
         h = PowerSeries([0.0, 1.0] + [0.0] * (n + 1))
         f = HarmonicMapping(PolyKernel(h.derive()), zeta, n, "from-h")
         want = math.pi * r * r - math.pi * zeta * zeta * r ** (2 * n + 2) / (n + 1)
-        assert area(f, r) == pytest.approx(want, rel=1e-9), (zeta, n, r)
+        assert area(f, r)[0] == pytest.approx(want, rel=1e-9), (zeta, n, r)
 
 
 def test_extremal_area_poisson_oracle():
@@ -267,7 +269,7 @@ def test_extremal_area_poisson_oracle():
     # |z| = rho is 1/(1-rho^2), so the area over |z| < 1/2 is pi log(4/3)
     f = make_extremal(ClassParams(0.5, 0.0, 1), 1.0)
     want = math.pi * math.log(4.0 / 3.0)
-    assert area(f, 0.5) == pytest.approx(want, rel=1e-9)
+    assert area(f, 0.5)[0] == pytest.approx(want, rel=1e-9)
     assert want == pytest.approx(0.9037798853840013, abs=1e-15)
 
 
@@ -297,19 +299,19 @@ def test_area_sandwich_spot_check():
 
 def _area_families():
     """Every family with the radii its area is checked at."""
-    for params in default_lattice():
+    for params in default_lattice(*CLI_LATTICE):
         yield make_extremal(params, 1.0), (0.2, 0.5, 0.8)
     for spec in ("identity", "bl:lam=0.3", "bl:lam=0.45",
                  "counterexample:gamma=5/4", "counterexample:gamma=1.75"):
         yield family_from_spec(spec), (0.2, 0.5, 0.8, 0.95)
-    yield make_from_h(PowerSeries([0.0, 1.0, 0.0, 0.0]), 0.3, 2), (0.2, 0.5, 0.8, 0.95)
+    yield make_from_h(PowerSeries([0.0, 1.0, 0.0, 0.0]), 0.3, 2, "from-h"), (0.2, 0.5, 0.8, 0.95)
 
 
 def test_area_series_matches_disk_quadrature():
     # Parseval on the kernel coefficients against polar quadrature of the Jacobian
     for f, radii in _area_families():
         for r in radii:
-            value, route, terms = area_route(f, r)
+            value, route, terms = area(f, r)
             assert route == "series" and terms >= 1, (f.label, r, route)
             assert value == pytest.approx(disk_integral(f.jacobian, r), rel=1e-9), (f.label, r)
 
@@ -319,7 +321,7 @@ def test_area_series_near_boundary_oracle():
     # the disk rule does not converge this close to the boundary
     f = family_from_spec("extremal:alpha=0.5,zeta=0,n=1")
     r = 0.999
-    value, route, _ = area_route(f, r)
+    value, route, _ = area(f, r)
     assert route == "series"
     assert value == pytest.approx(-math.pi * math.log1p(-r * r), rel=1e-12)
 
@@ -330,8 +332,8 @@ def test_area_series_near_boundary_oracle():
 def test_area_series_tail_bound(q, zeta, n, r):
     # the terms dropped at the returned order, summed to twice that order,
     # stay inside the stated tail bound, itself within the relative target
-    f = HarmonicMapping(PowerKernel(q), zeta, n)
-    value, route, N = area_route(f, r)
+    f = HarmonicMapping(PowerKernel(q), zeta, n, "power")
+    value, route, N = area(f, r)
     assert route == "series"
     zeta2 = zeta * zeta
     c = _binomial_moduli(q, 2 * N)
@@ -344,21 +346,21 @@ def test_area_series_tail_bound(q, zeta, n, r):
 
 def test_area_falls_back_to_quadrature_past_the_cap(monkeypatch):
     f = make_extremal(ClassParams(0.25, 0.3, 2), 1.0)
-    series, route, _ = area_route(f, 0.6)
+    series, route, _ = area(f, 0.6)
     assert route == "series"
     monkeypatch.setattr(bounds, "_SERIES_CAP", 32)
-    value, route, terms = area_route(f, 0.6)
+    value, route, terms = area(f, 0.6)
     assert (route, terms) == ("quadrature", None)
     assert value == pytest.approx(series, rel=1e-9)
-    assert area(f, 0.6) == value
+    assert area(f, 0.6) == (value, route, terms)
 
 
 def test_default_lattice_is_admissible():
-    pts = default_lattice()
+    pts = default_lattice(*CLI_LATTICE)
     assert len(pts) >= 24
     for p in pts:
         assert 0.0 <= p.alpha < 1.0
-        assert abs(p.zeta) <= p.zeta_cap + 1e-12
+        assert abs(p.zeta) <= zeta_cap(p.n) + 1e-12
 
 
 def test_default_lattice_skips_zetas_past_the_cap():
@@ -373,7 +375,7 @@ def test_area_series_memory_is_bounded():
     f = family_from_spec("counterexample:gamma=5/4")
     tracemalloc.start()
     try:
-        _, route, terms = area_route(f, 1.0 - 1e-8)
+        _, route, terms = area(f, 1.0 - 1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,7 +392,7 @@ def test_area_series_chunks_sum_like_whole_arrays(monkeypatch, family, r):
     # (numpy sums blocks of up to 128 items directly, so chunks must be larger)
     f = family_from_spec(family)
     monkeypatch.setattr(bounds, "_SERIES_CHUNK", 256)
-    value, _, N = area_route(f, r)
+    value, _, N = area(f, r)
     assert N >= 1024
     c = _binomial_moduli(f.kernel.q, N)
     assert value == float(np.sum(_parseval_terms(c, r, abs(f.zeta) ** 2, f.n)))

@@ -72,6 +72,15 @@ def test_eval_outside_disk_is_domain_error():
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("z", ["nan,0", "0,inf", "nan"])
+def test_eval_at_a_non_finite_point_is_a_domain_error(z):
+    # it printed bare NaN tokens, which strict JSON parsers reject
+    res = run_cli("eval", "--family", "identity", "--z", z, "--json")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "outside the open unit disk" in res.stderr
+
+
 def test_eval_unknown_family_usage_error():
     res = run_cli("eval", "--family", "nope:x=1", "--z", "0,0")
     assert res.returncode == 2
@@ -119,6 +128,34 @@ def test_tol_is_rejected_where_nothing_reads_it(argv):
 ])
 def test_tol_is_kept_where_it_is_read(argv):
     assert cli.build_parser().parse_args([*argv, "--tol", "1e-3"]).tol == 1e-3
+
+
+_TOLERANCE_FLAGS = [
+    ("check", "--family", "identity", "--cls", "0,0,1", "--tol"),
+    ("verify-bounds", "--what", "growth", "--alphas", "0.5", "--ns", "1", "--tol"),
+    ("counterexample", "--gamma", "5/4", "--tol"),
+    ("area", "--family", "identity", "--r", "0.5", "--tol"),
+    ("univalence", "--family", "identity", "--r", "0.5", "--cells", "64", "--collision-tol"),
+    ("univalence", "--family", "identity", "--r", "0.5", "--cells", "64",
+     "--separation-floor"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("argv", _TOLERANCE_FLAGS, ids=lambda a: f"{a[0]}{a[-1]}")
+def test_tolerance_flags_take_only_finite_positive_values(argv, value):
+    # the input is at fault, not the map: check and verify-bounds reported a
+    # failed check on a NaN tolerance, and the scan a certificate
+    res = run_cli(*argv, value)
+    assert res.returncode == 2
+    assert f"error: argument {argv[-1]}: value must be finite and > 0, got" in res.stderr
+
+
+@pytest.mark.parametrize("argv", _TOLERANCE_FLAGS, ids=lambda a: f"{a[0]}{a[-1]}")
+def test_tolerance_flags_report_a_non_number_as_before(argv):
+    res = run_cli(*argv, "x")
+    assert res.returncode == 2
+    assert f"error: argument {argv[-1]}: invalid float value: 'x'" in res.stderr
 
 
 _EXTREMAL = "extremal:alpha=0.5,zeta=0.5,n=1"

@@ -28,6 +28,7 @@ from harmap.mappings import (
     make_identity,
     parse_int,
     parse_scalar,
+    zeta_cap,
 )
 from harmap.series import PowerSeries
 
@@ -37,8 +38,8 @@ from harmap.series import PowerSeries
 
 def test_class_params_validation():
     p = ClassParams(0.5, 0.9, 1)
-    assert p.zeta_cap == pytest.approx(1.0)
-    assert ClassParams(-0.5, 0.2, 2).zeta_cap == pytest.approx(1.0 / 3.0)
+    assert zeta_cap(p.n) == pytest.approx(1.0)
+    assert zeta_cap(ClassParams(-0.5, 0.2, 2).n) == pytest.approx(1.0 / 3.0)
 
     with pytest.raises(AdmissibilityError):
         ClassParams(0.5, 0.9, 2)  # |zeta| above 1/(2n-1) = 1/3
@@ -52,7 +53,7 @@ def test_class_params_validation():
 
 def test_class_params_complex_zeta_allowed():
     p = ClassParams(0.0, 0.2 + 0.2j, 2)
-    assert abs(p.zeta) <= p.zeta_cap
+    assert abs(p.zeta) <= zeta_cap(p.n)
 
 
 def test_extremal_spec_requires_unimodular_delta():
@@ -87,6 +88,13 @@ def test_domain_error_outside_disk():
         f(1.0 + 0.0j)
     with pytest.raises(DomainError):
         f(1.5j)
+
+
+def test_non_finite_point_is_outside_the_disk():
+    f = make_identity()
+    for z in (complex(math.nan, 0.0), complex(0.0, math.inf), np.array([0.1, math.nan])):
+        with pytest.raises(DomainError):
+            f(z)
 
 
 # -- branched-exponent counterexample family ----------------------------------
@@ -232,7 +240,7 @@ def test_extremal_log_branches_match_taylor(alpha, n, delta):
 
 def test_make_from_h_series_route():
     h = PowerSeries([0.0, 1.0, -0.25, 0.125, 0.0, 0.0])
-    f = make_from_h(h, 0.5, 1)
+    f = make_from_h(h, 0.5, 1, "from-h")
     rng = np.random.default_rng(59)
     for _ in range(15):
         z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
@@ -242,15 +250,15 @@ def test_make_from_h_series_route():
 
 def test_make_from_h_normalization_enforced():
     with pytest.raises(ParameterError):
-        make_from_h(PowerSeries([0.1, 1.0, 0.0]), 0.5, 1)  # h(0) != 0
+        make_from_h(PowerSeries([0.1, 1.0, 0.0]), 0.5, 1, "from-h")  # h(0) != 0
     with pytest.raises(ParameterError):
-        make_from_h(PowerSeries([0.0, 2.0, 0.0]), 0.5, 1)  # h'(0) != 1
+        make_from_h(PowerSeries([0.0, 2.0, 0.0]), 0.5, 1, "from-h")  # h'(0) != 1
 
 
 def test_make_from_h_admissibility_gate():
     h = PowerSeries([0.0, 1.0, 0.0])
     with pytest.raises(AdmissibilityError):
-        make_from_h(h, 0.9, 2)  # cap is 1/3
+        make_from_h(h, 0.9, 2, "from-h")  # cap is 1/3
     f = HarmonicMapping(PolyKernel(h.derive()), 0.9, 2, "from-h")  # out of the class
     assert abs(f.g.deriv(0.5) - 0.9 * 0.25) < 1e-12
 
@@ -310,7 +318,7 @@ def test_n_must_be_an_integer():
     with pytest.raises(ParameterError):
         family_from_spec("extremal:alpha=0.5,zeta=0.5,n=1.5")
     with pytest.raises(ParameterError):
-        HarmonicMapping(PowerKernel(0.5), 0.2, 1.5)
+        HarmonicMapping(PowerKernel(0.5), 0.2, 1.5, "power")
     assert family_from_spec("extremal:alpha=0.5,zeta=0.3,n=2.0").n == 2
 
 
@@ -416,6 +424,6 @@ def test_family_labels():
 
 def test_rotated_map_is_not_conjugate_symmetric():
     h = PowerSeries([0.0, 1.0, 0.25j, 0.0])
-    f = make_from_h(h, 0.0, 1)
+    f = make_from_h(h, 0.0, 1, "from-h")
     assert not is_conjugate_symmetric(f)
 

@@ -127,7 +127,8 @@ def test_kernel_derivs_are_bit_identical_to_the_views(f, zs):
     make_extremal(ClassParams(0.5, 0.5, 1), 1.0),  # -log u term
     make_extremal(ClassParams(0.0, 0.15j, 3), -1.0),
     make_extremal(ClassParams(-0.5, 0.2 + 0.1j, 1), cmath.exp(2.0j)),
-    make_from_h(PowerSeries([0.0, 1.0, 0.2 - 0.1j, 0.05j]), 0.2 + 0.2j, 2),
+    make_from_h(PowerSeries([0.0, 1.0, 0.2 - 0.1j, 0.05j]), 0.2 + 0.2j, 2,
+                "from-h:order=3,zeta=0.2+0.2j,n=2"),
 ], ids=lambda f: f.label)
 def test_values_do_not_depend_on_array_length(f):
     # past 16,384 complex values numpy may compute ``a * <temporary>`` as
@@ -286,7 +287,7 @@ def test_conjugate_symmetry_is_read_from_the_kernel(kernel, zeta, n):
         assume(not 0.0 < abs(kernel.q) < 1e-15 and not _tiny(kernel.delta, zeta))
     else:
         assume(not _tiny(kernel.hp.coeffs, zeta))
-    f = HarmonicMapping(kernel, zeta, n)
+    f = HarmonicMapping(kernel, zeta, n, "kernel")
     assert is_conjugate_symmetric(f) == _old_symmetry_rule(f)
 
 
@@ -295,7 +296,7 @@ def test_conjugate_symmetry_is_read_from_the_kernel(kernel, zeta, n):
 def test_hp_bound_dominates_h_prime(kernel, rho):
     # sampled on |z| = rho (enough, by the maximum principle), including the
     # points where a power kernel attains the bound
-    f = HarmonicMapping(kernel, 0.0, 1)
+    f = HarmonicMapping(kernel, 0.0, 1, "kernel")
     z = rho * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 512))
     if isinstance(kernel, PowerKernel):
         z = np.append(z, [rho / kernel.delta, -rho / kernel.delta])
@@ -337,7 +338,7 @@ def test_disk_extrema_lie_on_the_circle(kernel, own, tested, rho, seed):
     # curvature is unbounded and the check fails.  (An h' of subnormal size
     # is left out: its curvature is rejected as numerically singular.)
     assume(not isinstance(kernel, PolyKernel) or np.max(np.abs(kernel.hp.coeffs)) > 1e-6)
-    f = HarmonicMapping(kernel, own.zeta, own.n)
+    f = HarmonicMapping(kernel, own.zeta, own.n, "kernel")
     grid = DiskGrid(rho)
     report = check_membership(f, tested, grid=grid)
     rep = curvature_extrema(f, grid)

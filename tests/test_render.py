@@ -153,6 +153,18 @@ def test_scene_spec_validation_messages():
         SceneSpec(family="identity", half_width=-0.5)
 
 
+@pytest.mark.parametrize("kw", [
+    {"center": complex(math.nan, 0.0), "half_width": 1.0},
+    {"center": complex(0.0, -math.inf), "half_width": 1.0},
+    {"center": 0j, "half_width": math.inf},
+    {"half_width": math.nan},
+])
+def test_scene_spec_rejects_a_non_finite_viewport(kw):
+    # it wrote viewBox="nan -1 2 2" or "-inf -inf inf inf"
+    with pytest.raises(ParameterError, match="viewport"):
+        SceneSpec("identity", **kw)
+
+
 def test_scene_metadata_round_trip():
     spec = SceneSpec("identity", center=0.25 + 0.1j, half_width=0.2)
     svg = render_image_domain(spec, make_identity())

@@ -108,6 +108,13 @@ def test_collision_infeasible_radius_raises():
         find_symmetric_collision(1.25, r0=0.9)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_collision_tolerance_must_be_finite_and_positive(tol):
+    # a NaN tolerance passed every residual, since |Im f| > nan is never true
+    with pytest.raises(ParameterError, match="collision tolerance must be finite and > 0"):
+        find_symmetric_collision(1.25, tol=tol)
+
+
 def test_imaginary_part_antisymmetry():
     f = make_counterexample(1.25)
     rng = np.random.default_rng(73)
@@ -183,7 +190,7 @@ def test_scan_report_shape():
 
 
 def _rotated_bl(c2=-0.4 * cmath.exp(0.7j)):
-    return make_from_h(PowerSeries([0.0, 1.0, c2]), cmath.exp(2.1j), 1)
+    return make_from_h(PowerSeries([0.0, 1.0, c2]), cmath.exp(2.1j), 1, "rotated-bl")
 
 
 def test_scan_finds_collision_of_rotated_map():
@@ -307,6 +314,25 @@ def test_candidate_pairs_cover_every_close_pair(f, r):
         p += a
         want = set(zip(np.minimum(box[p], box[q]).tolist(), np.maximum(box[p], box[q]).tolist()))
         assert want <= found, sorted(want - found)[:5]
+
+
+@pytest.mark.parametrize("f, kw", [
+    # a NaN or negative tolerance confirms no collision, so the scan certified
+    # a map that it reports as a collision with the default tolerance
+    (make_counterexample(1.25), {"r": 0.995, "collision_tol": math.nan}),
+    (make_counterexample(1.25), {"r": 0.995, "collision_tol": -1.0}),
+    (make_counterexample(1.25), {"r": 0.995, "collision_tol": math.inf}),
+    (make_identity(), {"r": 0.5, "separation_floor": 0.0}),  # divided by zero
+    (make_identity(), {"r": 0.5, "separation_floor": -1.0}),  # a "collision" of z with itself
+    (make_identity(), {"r": 0.5, "separation_floor": math.nan}),
+    # no two points of |z| <= r lie 2r apart or more, so nothing could be found
+    (make_bshouty_lyzzaik(0.4), {"r": 0.999, "separation_floor": 3.0}),
+    (make_identity(), {"r": 0.5, "separation_floor": 1.0}),
+], ids=["tol-nan", "tol-negative", "tol-inf", "floor-zero", "floor-negative", "floor-nan",
+        "floor-past-the-diameter", "floor-at-the-diameter"])
+def test_scan_rejects_tolerances_that_cannot_give_a_verdict(f, kw):
+    with pytest.raises(ParameterError):
+        univalence_scan(f, cells=64, **kw)
 
 
 # -- batch refiner ----------------------------------------------------------------
