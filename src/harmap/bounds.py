@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .mappings import (ClassParams, HarmonicMapping, PolyKernel, check_radius, make_extremal,
-                       within_zeta_cap, zeta_cap)
+from .mappings import (ClassParams, HarmonicMapping, PolyKernel, check_radius, check_tolerance,
+                       make_extremal, within_zeta_cap, zeta_cap)
 from .quadrature import disk_integral, integrate_real
 from .reports import BoundReport, complex_pair
 from .special import hyp2f1
@@ -83,6 +83,7 @@ def verify_coeff_relation(f: HarmonicMapping, n: int, zeta, K: int,
     """Check the coefficient recursion ``(k+n) b_{k+n} = zeta k a_k`` for
     ``1 <= k <= K``, on the Taylor arrays of ``f`` through ``K`` and ``K + n``.
     """
+    tol = check_tolerance(tol, "tolerance")
     th, tg = f.taylor(max(K, K + n - f.n))
     zeta = complex(zeta)
     worst, witness, _ = _worst(
@@ -253,6 +254,7 @@ def area(f: HarmonicMapping, r: float, tol: float = _AREA_TOL) -> tuple[float, s
     ``_SERIES_CAP`` (2^22) terms, by polar disk quadrature to relative ``tol``
     (route ``"quadrature"``, ``terms`` None)."""
     check_radius(r, "radius")
+    tol = check_tolerance(tol, "tolerance")
     zeta2 = abs(f.zeta) ** 2
     if isinstance(f.kernel, PolyKernel):
         c = np.abs(f.kernel.hp.coeffs)
@@ -309,6 +311,7 @@ def verify_sharpness(params: ClassParams, r_list, tol: float = 1e-8) -> BoundRep
     values come from the elementary closed forms, the envelope from
     quadrature, so the two sides are independent code paths.
     """
+    tol = check_tolerance(tol, "tolerance")
     alpha, zeta, n, _ = _growth_params(params)
     base = ClassParams(alpha, zeta, n)
     f_psi = make_extremal(base)
@@ -341,6 +344,7 @@ def verify_coeff_sharpness(params: ClassParams, K: int, tol: float = 1e-10) -> B
     ``1 <= k <= K`` against the closed-form bounds; the worst absolute
     deviation drives the verdict.
     """
+    tol = check_tolerance(tol, "tolerance")
     th, tg = make_extremal(params).taylor(K)
 
     def deviations():
@@ -364,6 +368,7 @@ def verify_coeff_sharpness(params: ClassParams, K: int, tol: float = 1e-10) -> B
 def verify_growth_consistency(params: ClassParams, r_list,
                               tol: float = 1e-9) -> BoundReport:
     """Closed-form vs adaptive-quadrature agreement of the growth envelope."""
+    tol = check_tolerance(tol, "tolerance")
 
     def deviations():
         for r in r_list:
@@ -387,6 +392,7 @@ def verify_growth_consistency(params: ClassParams, r_list,
 def verify_covering_consistency(params: ClassParams, tol: float = 1e-4) -> BoundReport:
     """The covering radius should match the lower envelope as ``r -> 1``,
     here at ``r = 1 - 1e-6``."""
+    tol = check_tolerance(tol, "tolerance")
     r = 1.0 - 1e-6
     rad = covering_radius(params)
     phi = growth_bounds(r, params).phi

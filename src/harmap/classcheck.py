@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError, SingularityError
-from .mappings import ClassParams, HarmonicMapping, PBetaParams, check_radius, within_zeta_cap
+from .mappings import (ClassParams, HarmonicMapping, PBetaParams, check_radius,
+                       check_tolerance, within_zeta_cap)
 from .reports import BoundReport, complex_pair
 
 #: radius of the default sample circle, close to the boundary
@@ -166,6 +167,7 @@ def _band_check(f: HarmonicMapping, check: str, bound: float, upper: bool,
     The report carries both margins; the headline margin and witness come
     from whichever condition is tighter.  ``head`` leads the details.
     """
+    tol = check_tolerance(tol, "tolerance")
     grid = grid or DiskGrid()
     z, hp, sampled, seeds = _sample(f, grid)
 

@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family spec, e.g. identity | counterexample:gamma=5/4 "
                         "| bl:lam=0.3 | extremal:alpha=0.5,zeta=0.5,n=1 "
                         "| from-h:path=coeffs.json")
-    p.add_argument("--z", required=True, help="evaluation point as 're,im'")
+    p.add_argument("--z", required=True, help="evaluation point as 're,im' (--z=-0.3,0.1 when it starts with -)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", parents=[common],
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circles", type=int, default=None)
     p.add_argument("--rays", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--center", default=None, help="viewport center 're,im'")
+    p.add_argument("--center", default=None, help="viewport center 're,im' (--center=-0.5,0 when it starts with -)")
     p.add_argument("--half-width", dest="half_width", type=float, default=None)
     p.set_defaults(func=cmd_render)
     return top

@@ -315,7 +315,7 @@ def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
 
 
 def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
-                     box: np.ndarray, sep_pre: float):
+                     box: np.ndarray, sep_pre: float, lower: np.ndarray):
     """Index pairs ``(I, J, levels, truncated)`` of grid points to refine.
 
     A multi-level spatial hash (Teschner et al., VMV 2003): point ``p`` lives
@@ -326,8 +326,11 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
     level; a pair is kept when the images lie within the two reaches and the
     groups' preimages can lie ``sep_pre`` apart.  So every point pair in two
     boxes with ``|w_p - w_q| <= rad_p + rad_q`` and ``|z_p - z_q| >= sep_pre``
-    meets as a kept pair of the same boxes.  ``truncated``: collection stopped
-    after more than ``MAX_CANDIDATES`` pairs.
+    meets as a kept pair of the same boxes.  ``lower`` marks the points of
+    the open lower half of a mirrored grid (all False on any other): a pair
+    of groups that both lie wholly there is dropped, since each of its point
+    pairs is the exact mirror of one that a kept pair holds.  ``truncated``:
+    collection stopped after more than ``MAX_CANDIDATES`` pairs.
     """
     top = max(float(rad.max()), 5e-13)
     u = w - complex(w.real.min(), w.imag.min())
@@ -347,6 +350,8 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
     _, rep, grp = np.unique(cell * (int(box.max()) + 1) + box, return_index=True,
                             return_inverse=True)
     rlev, wr, zr = lev[rep], w[rep], z[rep]
+    wholly_lower = np.ones(len(rep), dtype=bool)
+    wholly_lower[grp[~lower]] = False
     reach, spread = np.zeros(len(rep)), np.zeros(len(rep))
     np.maximum.at(reach, grp, rad + np.abs(w - wr[grp]))
     np.maximum.at(spread, grp, np.abs(z - zr[grp]))
@@ -371,7 +376,7 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
             a = np.repeat(src[b0:b1], c)
             b = qs[t[np.arange(len(a)) - np.repeat(np.cumsum(c) - c - lo[b0:b1], c)]]
             # cheapest test first; each later one sees only the survivors
-            m = (rlev[a] < level) | (a < b)
+            m = ((rlev[a] < level) | (a < b)) & ~(wholly_lower[a] & wholly_lower[b])
             a, b = a[m], b[m]
             m = np.abs(wr[a] - wr[b]) <= reach[a] + reach[b]
             a, b = a[m], b[m]
@@ -403,6 +408,31 @@ def _first_smallest_per_key(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return order[hit[first]]
 
 
+def _scan_grid(f: HarmonicMapping, r: float, cells: int, mirror: bool):
+    """``(Z, W, h', g', rad)`` on the ``cells x 2*cells`` polar grid of
+    ``|z| <= r``; ``rad`` is each point's largest image gap to a grid
+    neighbour.  A ``mirror`` grid puts columns 0 and ``cells`` exactly on the
+    real axis, evaluates ``f`` on columns ``0..cells`` only and takes column
+    ``2*cells - j`` as the conjugate of column ``j``: exact for a
+    conjugate-symmetric ``f``, and then ``rad`` is mirror-symmetric too.
+    """
+    n_a = 2 * cells
+    rho = r * np.arange(1, cells + 1) / cells
+    theta = 2.0 * np.pi * np.arange(n_a) / n_a
+    Z = rho[:, None] * np.exp(1j * theta)[None, :]
+    if mirror:
+        Z[:, cells] = -rho
+        Z[:, cells + 1:] = np.conj(Z[:, cells - 1:0:-1])
+        W, hp, gp = (np.concatenate([a, np.conj(a[:, cells - 1:0:-1])], axis=1)
+                     for a in f.eval_all(Z[:, : cells + 1]))
+    else:
+        W, hp, gp = f.eval_all(Z)
+    gap_r = np.abs(np.diff(W, axis=0, prepend=W[:1], append=W[-1:]))
+    gap_a = np.abs(W - np.roll(W, 1, axis=1))
+    rad = np.maximum.reduce([gap_r[:-1], gap_r[1:], gap_a, np.roll(gap_a, -1, axis=1)])
+    return Z, W, hp, gp, rad
+
+
 def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
                     cells: int = DEFAULT_CELLS,
                     collision_tol: float = DEFAULT_COLLISION_TOL,
@@ -413,7 +443,11 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
     (its largest image gap to a grid neighbour), pairs points whose images
     lie within the sum of their radii and whose preimages lie apart through a
     multi-level spatial hash (so the work follows the local distortion, not
-    its worst spot), and refines the pairs by damped Gauss-Newton.  Verdicts:
+    its worst spot), and refines the pairs by damped Gauss-Newton.  For a
+    conjugate-symmetric map (``details["mirror"]``) the lower half of the grid
+    is the reflection of the upper and pairs wholly in it are left to their
+    mirror images; ``candidate_pairs`` and ``candidates_refined`` count the
+    pairs handled.  Verdicts:
 
     * ``collision`` -- a refined pair with image gap <= ``collision_tol`` and
       preimage separation >= ``separation_floor`` (re-verified by direct
@@ -430,11 +464,9 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
     if not 0.0 < separation_floor < 2.0 * r:
         raise ParameterError(f"separation floor must lie in (0, 2r), got {separation_floor}")
 
+    mirror = is_conjugate_symmetric(f)
     n_r, n_a = cells, 2 * cells
-    rho = r * np.arange(1, n_r + 1) / n_r
-    theta = 2.0 * np.pi * np.arange(n_a) / n_a
-    Z = rho[:, None] * np.exp(1j * theta)[None, :]
-    W, hp, gp = f.eval_all(Z)
+    Z, W, hp, gp, rad = _scan_grid(f, r, cells, mirror)
     J = jacobian_of(hp, gp)
 
     degenerate_point = None
@@ -443,9 +475,6 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
         i, j = bad[0]
         degenerate_point = complex(Z[i, j])
 
-    gap_r = np.abs(np.diff(W, axis=0, prepend=W[:1], append=W[-1:]))
-    gap_a = np.abs(W - np.roll(W, 1, axis=1))
-    rad = np.maximum.reduce([gap_r[:-1], gap_r[1:], gap_a, np.roll(gap_a, -1, axis=1)])
     cell_size = 2.0 * float(rad.max()) or 1e-12
 
     w, z = W.ravel(), Z.ravel()
@@ -461,9 +490,10 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
     ring = np.minimum((np.abs(z) / r * n_ring).astype(np.int64), n_ring - 1)
     sect = ((np.angle(z) + np.pi) / (2.0 * np.pi) * n_sect).astype(np.int64) % n_sect
     box = ring * n_sect + sect
-    I, Jc, levels, truncated = _candidate_pairs(w, z, rad.ravel(), box, sep_pre)
+    I, Jc, levels, truncated = _candidate_pairs(w, z, rad.ravel(), box, sep_pre,
+                                                mirror & (z.imag < 0.0))
 
-    if is_conjugate_symmetric(f):
+    if mirror:
         # the grid is mirror-symmetric, so conjugate collision pairs appear
         # as (point, mirrored grid point); seed the best of those directly
         mirror_col = (n_a - np.arange(n_a)) % n_a
@@ -516,6 +546,7 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
         "candidate_pairs": len(I),
         "candidates_refined": tested,
         "truncated": truncated,
+        "mirror": mirror,
         "anchor": "none",
     }
     if collision is None and unconfirmed is not None:
@@ -523,7 +554,7 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
 
     if collision is not None:
         za, zb = collision
-        if is_conjugate_symmetric(f):
+        if mirror:
             polished = _polish_symmetric(f, za, r, separation_floor, collision_tol)
             if polished is not None:
                 za, zb, _ = polished

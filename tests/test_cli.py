@@ -58,6 +58,20 @@ def test_eval_greek_alias_and_fraction():
     assert json.loads(res.stdout)["f"] == json.loads(ref.stdout)["f"]
 
 
+def test_values_that_start_with_a_minus_sign_join_their_flag(tmp_path):
+    # after a space argparse reads "-0.3,0.1" as an option; joined by "=" it
+    # is the flag's value, as the README writes it
+    res = run_cli("eval", "--family", "bl:lam=0.3", "--z=-0.3,0.1", "--json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["z"] == [-0.3, 0.1]
+    res = run_cli("render", "--family", "extremal:alpha=0,zeta=0.3,n=2", "--preset", "zoom",
+                  "--center=-0.46,-1.0", "--out", tmp_path / "z.svg", "--json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["scene"]["center"] == [-0.46, -1.0]
+    res = run_cli("eval", "--family", "bl:lam=0.3", "--z", "-0.3,0.1")
+    assert res.returncode == 2 and "expected one argument" in res.stderr
+
+
 def test_eval_reports_a_family_label_that_names_the_same_map():
     # 1.23456789 has more digits than ``:g`` prints; the label keeps them all
     res = run_cli("eval", "--family", "counterexample:gamma=1.23456789", "--z", "0.1,0.2",

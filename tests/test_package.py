@@ -9,9 +9,13 @@ from harmap import (
     ClassParams,
     DiskGrid,
     ParameterError,
+    PBetaParams,
     SceneSpec,
     area,
     area_bounds,
+    check_membership,
+    check_pbeta,
+    check_theorem_b_condition,
     feasibility_threshold,
     growth_bounds,
     kaplan_min_arc_integral,
@@ -19,6 +23,11 @@ from harmap import (
     make_identity,
     render_boundary_curve,
     univalence_scan,
+    verify_coeff_relation,
+    verify_coeff_sharpness,
+    verify_covering_consistency,
+    verify_growth_consistency,
+    verify_sharpness,
     winding_check,
 )
 
@@ -57,3 +66,29 @@ def test_every_radius_takes_the_one_open_unit_rule(call, noun, r):
 def test_every_gamma_takes_the_one_range_rule(call, gamma):
     with pytest.raises(ParameterError, match=rf"^gamma must lie in \(1, 7/4\], got {gamma}$"):
         call(gamma)
+
+
+_TOLERANCE_SITES = {
+    "check_membership": lambda tol: check_membership(make_identity(), ClassParams(0, 0, 1),
+                                                     tol=tol),
+    "check_pbeta": lambda tol: check_pbeta(make_identity(), PBetaParams(1.2), tol=tol),
+    "check_theorem_b_condition": lambda tol: check_theorem_b_condition(make_identity(), 1.0,
+                                                                       0.5, 1, tol=tol),
+    "verify_coeff_relation": lambda tol: verify_coeff_relation(make_identity(), 1, 0.0, 4, tol),
+    "area": lambda tol: area(make_identity(), 0.5, tol),
+    "verify_sharpness": lambda tol: verify_sharpness(ClassParams(0.5, 0, 1), [0.5], tol),
+    "verify_coeff_sharpness": lambda tol: verify_coeff_sharpness(ClassParams(0.5, 0, 1), 4, tol),
+    "verify_growth_consistency": lambda tol: verify_growth_consistency(ClassParams(0.5, 0, 1),
+                                                                       [0.5], tol),
+    "verify_covering_consistency": lambda tol: verify_covering_consistency(
+        ClassParams(0.5, 0, 1), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("name", list(_TOLERANCE_SITES))
+def test_every_tolerance_is_finite_and_positive(name, tol):
+    # a NaN tolerance made a check report ``passed=False, margin=nan``, and a
+    # negative one a failed check with that margin, instead of an input error
+    with pytest.raises(ParameterError, match=rf"^tolerance must be finite and > 0, got {tol}$"):
+        _TOLERANCE_SITES[name](tol)

@@ -202,6 +202,7 @@ def test_scan_finds_collision_of_rotated_map():
     report = univalence_scan(f, r=0.999, cells=64, separation_floor=0.2)
     assert report.verdict == "collision"
     assert report.details["anchor"] == "none"
+    assert report.details["mirror"] is False
     assert abs(complex(f(report.z1)) - complex(f(report.z2))) <= 1e-8
     assert report.separation >= 0.2
 
@@ -280,40 +281,128 @@ def test_scan_certifies_univalent_extremal_map():
     assert d["candidate_pairs"] >= d["candidates_refined"] > 0
 
 
-@pytest.mark.parametrize("f, r", [
-    (make_bshouty_lyzzaik(0.40), 0.999),
-    (make_counterexample(1.2), 0.995),
-    (_rotated_bl(), 0.999),
-    (make_identity(), 0.9),
-], ids=["bl-0.40", "counterexample-1.2", "rotated-bl", "identity"])
-def test_candidate_pairs_cover_every_close_pair(f, r):
+def _close_pairs(W, Z, rad, box, sep_pre):
+    """Every unordered pair of grid points ``(p, q)`` in two boxes with
+    ``|w_p - w_q| <= rad_p + rad_q`` and ``|z_p - z_q| >= sep_pre``.
+
+    The grid is cut into tiles of 4 x 4 points.  A point pair can be close
+    only when the image bounding boxes of its two tiles lie within the sum of
+    the tiles' largest radii (up to a relative rounding slack), so only those
+    tile pairs are compared point by point, by the exact test."""
+    (n_r, n_a), t = W.shape, 4
+    w, z, rad, box = W.ravel(), Z.ravel(), rad.ravel(), box.ravel()
+    tile = (np.arange(n_r)[:, None] // t * (n_a // t) + np.arange(n_a) // t).ravel()
+    members = np.argsort(tile, kind="stable").reshape(-1, t * t)
+    wt, reach = w[members], rad[members].max(axis=1)
+    lo_x, hi_x = wt.real.min(axis=1), wt.real.max(axis=1)
+    lo_y, hi_y = wt.imag.min(axis=1), wt.imag.max(axis=1)
+    A, B = np.triu_indices(len(members))
+    dx = np.maximum(0.0, np.maximum(lo_x[B] - hi_x[A], lo_x[A] - hi_x[B]))
+    dy = np.maximum(0.0, np.maximum(lo_y[B] - hi_y[A], lo_y[A] - hi_y[B]))
+    keep = np.hypot(dx, dy) <= (reach[A] + reach[B]) * (1.0 + 1e-9)
+    A, B = A[keep], B[keep]
+    shape = (len(A), t * t, t * t)
+    p = np.broadcast_to(members[A][:, :, None], shape).ravel()
+    q = np.broadcast_to(members[B][:, None, :], shape).ravel()
+    once = np.repeat(A != B, t ** 4) | (p < q)
+    near = (once & (np.abs(w[p] - w[q]) <= rad[p] + rad[q])
+            & (np.abs(z[p] - z[q]) >= sep_pre) & (box[p] != box[q]))
+    return p[near], q[near]
+
+
+@pytest.mark.parametrize("f, r, mirror", [
+    (make_bshouty_lyzzaik(0.40), 0.999, False),
+    (make_counterexample(1.2), 0.995, False),
+    (_rotated_bl(), 0.999, False),
+    (make_identity(), 0.9, False),
+    (make_bshouty_lyzzaik(0.40), 0.999, True),
+    (make_counterexample(1.2), 0.995, True),
+], ids=["bl-0.40", "counterexample-1.2", "rotated-bl", "identity", "bl-0.40-mirrored",
+        "counterexample-1.2-mirrored"])
+def test_candidate_pairs_cover_every_close_pair(f, r, mirror):
     n_r, n_a, sep_pre = 64, 128, 0.05
-    Z = (r * np.arange(1, n_r + 1) / n_r)[:, None] * np.exp(2j * np.pi * np.arange(n_a) / n_a)
-    W = f(Z)
+    Z, W = univalence._scan_grid(f, r, n_r, mirror)[:2]
     rad = np.zeros(W.shape)
     for i in range(n_r):
         for j in range(n_a):
             for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, (j + 1) % n_a)):
                 if 0 <= ii < n_r:
                     rad[i, j] = max(rad[i, j], abs(W[i, j] - W[ii, jj]))
-    w, z, rad = W.ravel(), Z.ravel(), rad.ravel()
     n_ring, n_sect = 17, 105
-    box = (np.minimum((np.abs(z) / r * n_ring).astype(int), n_ring - 1) * n_sect
-           + ((np.angle(z) + np.pi) / (2 * np.pi) * n_sect).astype(int) % n_sect)
+    box = (np.minimum((np.abs(Z) / r * n_ring).astype(int), n_ring - 1) * n_sect
+           + ((np.angle(Z) + np.pi) / (2 * np.pi) * n_sect).astype(int) % n_sect)
+    p, q = _close_pairs(W, Z, rad, box, sep_pre)
 
-    I, J, _, truncated = univalence._candidate_pairs(w, z, rad, box, sep_pre)
+    w, z, rad, box = W.ravel(), Z.ravel(), rad.ravel(), box.ravel()
+    lower = mirror & (z.imag < 0.0)
+    I, J, _, truncated = univalence._candidate_pairs(w, z, rad, box, sep_pre, lower)
     assert not truncated
     found = set(zip(np.minimum(box[I], box[J]).tolist(), np.maximum(box[I], box[J]).tolist()))
-    # brute force over all point pairs; pairs inside one box are left out, as
-    # the scan's boxes are narrower than its separation floor
-    for a in range(0, len(w), 1024):
-        near = ((np.abs(w[a:a + 1024, None] - w) <= rad[a:a + 1024, None] + rad)
-                & (np.abs(z[a:a + 1024, None] - z) >= sep_pre)
-                & (box[a:a + 1024, None] != box))
-        p, q = np.nonzero(near)
-        p += a
-        want = set(zip(np.minimum(box[p], box[q]).tolist(), np.maximum(box[p], box[q]).tolist()))
-        assert want <= found, sorted(want - found)[:5]
+    # pairs inside one box are left out, as the scan's boxes are narrower than
+    # its separation floor; on a mirrored grid a pair may be found through the
+    # box pair of its mirror image, which reflects column j to n_a - j
+    flip = np.arange(len(z)).reshape(n_r, n_a)[:, (n_a - np.arange(n_a)) % n_a].ravel()
+    pp, qq = flip[p], flip[q]
+    want = list(zip(np.minimum(box[p], box[q]).tolist(), np.maximum(box[p], box[q]).tolist()))
+    image = list(zip(np.minimum(box[pp], box[qq]).tolist(), np.maximum(box[pp], box[qq]).tolist()))
+    missed = [k for k, (a, b) in enumerate(zip(want, image))
+              if a not in found and not (mirror and b in found)]
+    assert not missed, [want[k] for k in missed[:5]]
+    # the mirrored grid drops pairs: some close pairs are found only as mirrors
+    assert mirror == any(a not in found for a in want)
+
+
+@pytest.mark.parametrize("f, r", [
+    (make_bshouty_lyzzaik(0.40), 0.999),
+    (make_counterexample(1.2), 0.995),
+    (make_identity(), 0.9),
+], ids=["bl-0.40", "counterexample-1.2", "identity"])
+def test_mirrored_grid_is_exact(f, r):
+    cells = 64
+    Z, W, hp, gp, rad = univalence._scan_grid(f, r, cells, True)
+    full = univalence._scan_grid(f, r, cells, False)
+    # column j of the upper half and its mirror column 2 cells - j
+    up, down = slice(1, cells), slice(2 * cells - 1, cells, -1)
+    for got in (Z, W, hp, gp):
+        assert np.conj(got[:, up]).tobytes() == got[:, down].tobytes()
+    assert rad[:, up].tobytes() == rad[:, down].tobytes()
+    assert not np.any(Z[:, [0, cells]].imag)
+    assert Z[:, cells].real.tolist() == (-Z[:, 0].real).tolist()
+    # the upper half is the full grid's, the rest its points up to rounding
+    for got, want in zip((Z, W, hp, gp), full):
+        assert got[:, :cells].tobytes() == want[:, :cells].tobytes()
+    assert np.max(np.abs(Z - full[0])) <= 1e-15
+
+
+def _full_grid_scan(monkeypatch, f, **kw):
+    """The scan on the whole grid: every column evaluated, no pair dropped."""
+    grid, pairs = univalence._scan_grid, univalence._candidate_pairs
+    with monkeypatch.context() as m:
+        m.setattr(univalence, "_scan_grid", lambda f, r, cells, mirror: grid(f, r, cells, False))
+        m.setattr(univalence, "_candidate_pairs",
+                  lambda w, z, rad, box, sep_pre, lower: pairs(w, z, rad, box, sep_pre,
+                                                               np.zeros_like(lower)))
+        return univalence_scan(f, **kw)
+
+
+@pytest.mark.parametrize("f, r", [
+    (make_bshouty_lyzzaik(0.30), 0.999),
+    (make_bshouty_lyzzaik(0.40), 0.999),
+    (make_counterexample(1.2), 0.995),
+], ids=["bl-0.30", "bl-0.40", "counterexample-1.2"])
+def test_mirrored_scan_matches_full_grid(monkeypatch, f, r):
+    kw = {"r": r, "cells": 64, "separation_floor": 0.2}
+    got, want = univalence_scan(f, **kw), _full_grid_scan(monkeypatch, f, **kw)
+    assert got.details["mirror"] and want.details["mirror"]
+    assert got.verdict == want.verdict
+    assert got.details["anchor"] == want.details["anchor"]
+    if want.z1 is None:
+        assert got.z1 is None and got.z2 is None
+    else:
+        assert abs(got.z1 - want.z1) <= 1e-12 and abs(got.z2 - want.z2) <= 1e-12
+    # pairs wholly in the lower half, about 43 % of them, are not handled
+    assert got.details["candidate_pairs"] < 0.6 * want.details["candidate_pairs"]
+    assert got.details["candidates_refined"] < 0.6 * want.details["candidates_refined"]
 
 
 @pytest.mark.parametrize("f, kw", [
@@ -431,7 +520,8 @@ def _refine_case(f, r, floor, seed, n_pairs=3000):
     rng = np.random.default_rng(seed)
     rad = np.full(len(z), float(np.max(np.abs(np.diff(W, axis=1)))))
     box = np.arange(len(z))
-    I, J, _, _ = univalence._candidate_pairs(w, z, rad, box, 0.25 * floor)
+    I, J, _, _ = univalence._candidate_pairs(w, z, rad, box, 0.25 * floor,
+                                            np.zeros(len(z), dtype=bool))
     pick = rng.choice(len(I), size=min(len(I), n_pairs // 2), replace=False)
     ring, col = rng.integers(n_r, size=(2, n_pairs // 2))
     ring2 = np.clip(ring + rng.integers(-6, 7, size=ring.size), 0, n_r - 1)
