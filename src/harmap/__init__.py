@@ -48,7 +48,6 @@ from .errors import (
     OnCurveError,
     ParameterError,
     PoleError,
-    SeriesOrderError,
     SingularityError,
 )
 from .mappings import (
@@ -72,7 +71,6 @@ from .render import (
     render_image_domain,
 )
 from .reports import BoundReport, UnivalenceReport, dump_json
-from .series import PowerSeries
 from .special import hyp2f1, principal_pow
 from .univalence import (
     SymmetricCollision,
@@ -87,12 +85,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AreaBounds", "BoundReport", "ClassParams",
     "CurvatureReport", "DiskGrid", "GrowthBounds", "HarmonicMapping",
-    "PBetaParams", "PolyKernel", "PowerKernel", "PowerSeries", "SceneSpec",
+    "PBetaParams", "PolyKernel", "PowerKernel", "SceneSpec",
     "SymmetricCollision", "UnivalenceReport",
     "HarmapError", "ParameterError", "AdmissibilityError", "InfeasibilityError",
     "DomainError", "BranchCutError", "PoleError", "NumericalError",
-    "DivergenceError", "ConvergenceError", "SingularityError",
-    "SeriesOrderError", "OnCurveError",
+    "DivergenceError", "ConvergenceError", "SingularityError", "OnCurveError",
     "area", "area_bounds", "cc_radius", "check_membership", "check_pbeta",
     "check_theorem_b_condition", "coeff_bound_a", "coeff_bound_b",
     "covering_radius", "curvature", "curvature_extrema", "default_lattice",

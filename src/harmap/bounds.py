@@ -84,10 +84,12 @@ def verify_coeff_relation(f: HarmonicMapping, n: int, zeta, K: int,
     ``1 <= k <= K``, on the Taylor arrays of ``f`` through ``K`` and ``K + n``.
     """
     tol = check_tolerance(tol, "tolerance")
+    if n < 0:
+        raise ParameterError(f"n must be >= 0, got {n}")
     th, tg = f.taylor(max(K, K + n - f.n))
     zeta = complex(zeta)
     worst, witness, _ = _worst(
-        (abs((k + n) * tg.coeff(k + n) - zeta * k * th.coeff(k)), k)
+        (abs((k + n) * complex(tg[k + n]) - zeta * k * complex(th[k])), k)
         for k in range(1, K + 1))
     return BoundReport(
         check="coefficient-relation",
@@ -257,7 +259,7 @@ def area(f: HarmonicMapping, r: float, tol: float = _AREA_TOL) -> tuple[float, s
     tol = check_tolerance(tol, "tolerance")
     zeta2 = abs(f.zeta) ** 2
     if isinstance(f.kernel, PolyKernel):
-        c = np.abs(f.kernel.hp.coeffs)
+        c = np.abs(f.kernel.hp)
         return float(np.sum(_parseval_terms(c, r, zeta2, f.n))), "series", len(c)
     q = f.kernel.q
     N = max(_SERIES_START, math.ceil(q) + 1)
@@ -349,9 +351,9 @@ def verify_coeff_sharpness(params: ClassParams, K: int, tol: float = 1e-10) -> B
 
     def deviations():
         for k in range(2, K + 1):
-            yield abs(abs(complex(th.coeff(k))) - coeff_bound_a(k, params.alpha)), k
+            yield abs(abs(complex(th[k])) - coeff_bound_a(k, params.alpha)), k
         for k in range(1, K + 1):
-            yield (abs(abs(complex(tg.coeff(k + params.n)))
+            yield (abs(abs(complex(tg[k + params.n]))
                        - coeff_bound_b(k, params.n, params.alpha, params.zeta)), k + params.n)
 
     worst, witness, _ = _worst(deviations())

@@ -50,9 +50,5 @@ class SingularityError(NumericalError):
     """An evaluation hit a zero denominator (e.g. vanishing derivative)."""
 
 
-class SeriesOrderError(HarmapError, ValueError):
-    """A truncated-series operation would underflow the truncation order."""
-
-
 class OnCurveError(HarmapError, ValueError):
     """A winding-number target lies (numerically) on the curve itself."""

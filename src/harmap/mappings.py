@@ -42,7 +42,6 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .series import PowerSeries
 
 #: evaluation points this close to (or beyond) the unit circle are rejected
 _DISK_EDGE = 1.0
@@ -50,6 +49,46 @@ _DISK_EDGE = 1.0
 _NEAR_ZERO = 0.5
 #: a polynomial root this far outside a disk still counts as inside it
 _ROOT_MARGIN = 1e-6
+
+
+def _horner(c, z):
+    """The polynomial with coefficients ``c`` (lowest first, complex128) at
+    ``z``, a complex scalar or an ndarray, by Horner's rule.
+
+    Starts from the top coefficient and skips the additions of zero
+    coefficients, which leave every nonzero value unchanged.
+    """
+    *rest, top = c.tolist()
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
+    elif not rest:
+        return np.full(z.shape, top, dtype=np.complex128)
+    acc = top
+    for c in reversed(rest):
+        acc = acc * z + c if c else acc * z
+    return acc
+
+
+def _derivative(c):
+    """Coefficients of the derivative of the polynomial ``c``."""
+    return c[1:] * np.arange(1, len(c))
+
+
+def _primitive(c):
+    """Coefficients of the primitive of the polynomial ``c`` that vanishes at 0."""
+    return np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
+
+
+def _coefficients(c, noun: str) -> np.ndarray:
+    """``c`` as a complex128 array; a :class:`ParameterError`, naming it as
+    ``noun``, unless it is a non-empty 1-d sequence of finite numbers."""
+    c = np.asarray(c, dtype=np.complex128)
+    if c.ndim != 1 or c.size == 0:
+        raise ParameterError(f"{noun} must form a non-empty 1-d sequence, got shape {c.shape}")
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise ParameterError(f"{noun} must be finite, got {c[bad[0]]} at index {bad[0]}")
+    return c
 
 
 def _check_disk(z) -> None:
@@ -139,14 +178,14 @@ class PowerKernel:
         self.q = float(q)
         self.delta = delta
 
-    def series(self, order: int) -> PowerSeries:
-        """Binomial expansion ``sum_k C(q,k) (-delta)^k z^k`` through ``order``."""
+    def series(self, order: int) -> np.ndarray:
+        """Binomial coefficients ``C(q,k) (-delta)^k`` of ``h'`` through ``order``."""
         c = np.empty(order + 1, dtype=np.complex128)
         c[0] = 1.0
         d = -complex(self.delta)
         for k in range(1, order + 1):
             c[k] = c[k - 1] * (self.q - (k - 1)) / k * d
-        return PowerSeries(c)
+        return c
 
     def real_coefficients(self, zeta: complex) -> bool:
         """Whether ``h'`` and ``zeta h'`` have only real Taylor coefficients:
@@ -176,8 +215,8 @@ class PowerKernel:
                   / (1.0 if m == near else expo[m]) for m in range(n + 1)]
         far = [m for m in range(n + 1) if m != near]
         K = sum(weight[m] for m in far)
-        p = sum((PowerKernel(m, delta).series(n).scale(weight[m]) for m in far),
-                PowerSeries.zero(n))
+        p = sum((PowerKernel(m, delta).series(n) * complex(weight[m]) for m in far),
+                np.zeros(n + 1, dtype=np.complex128))
         h_weight = None if near == 0 else 1.0 / (delta * expo[0])
 
         def near_primitive(L, em=None):
@@ -199,7 +238,7 @@ class PowerKernel:
                 h = (1.0 - E) * h_weight
                 if near is not None:
                     D = near_primitive(L)
-            Ep = p(z)
+            Ep = _horner(p, z)
             Ep = E * Ep  # rebinding frees p(z) at once
             g = K - Ep
             return h, g if near is None else g + weight[near] * D
@@ -250,38 +289,41 @@ class PowerKernel:
 
 
 class PolyKernel:
-    """``h'`` given exactly by a polynomial :class:`PowerSeries`."""
+    """``h'`` given exactly by its polynomial coefficients (lowest first)."""
 
-    def __init__(self, hp: PowerSeries):
-        self.hp = hp
-        self.hpp = hp.derive() if hp.order else PowerSeries([0.0])
+    def __init__(self, hp):
+        self.hp = _coefficients(hp, "h' coefficients")
+        self.hpp = _derivative(self.hp) if self.hp.size > 1 else np.zeros(1, dtype=np.complex128)
         self._roots = None
 
-    def series(self, order: int) -> PowerSeries:
+    def series(self, order: int) -> np.ndarray:
         """The exact polynomial through ``order``: truncated, or padded with zeros."""
-        return self.hp.extend(order).truncate(order)
+        c = np.zeros(order + 1, dtype=np.complex128)
+        k = min(order + 1, self.hp.size)
+        c[:k] = self.hp[:k]
+        return c
 
     def real_coefficients(self, zeta: complex) -> bool:
         """Whether ``h'`` and ``zeta h'`` have only real Taylor coefficients."""
-        c = self.hp.coeffs
-        return not np.any(c.imag) and (zeta.imag == 0.0 or not np.any(c))
+        return not np.any(self.hp.imag) and (zeta.imag == 0.0 or not np.any(self.hp))
 
     def evaluator(self, f: "HarmonicMapping"):
         """``(z, value, order) -> (h, g, h', h'')`` by Horner on the exact
         Taylor arrays of ``h`` and ``g`` and on ``h'`` and ``h''``."""
         hp, hpp = self.hp, self.hpp
-        th, tg = f.taylor(hp.order + 1)
+        th, tg = f.taylor(len(hp))
 
         def evaluate(z, value, order):
-            return (th(z) if value else None, tg(z) if value else None,
-                    hp(z) if order >= 1 else None, hpp(z) if order >= 2 else None)
+            return (_horner(th, z) if value else None, _horner(tg, z) if value else None,
+                    _horner(hp, z) if order >= 1 else None,
+                    _horner(hpp, z) if order >= 2 else None)
 
         return evaluate
 
     def hp_bound(self, rho):
         """Bound ``sum |c_j| rho^j`` on ``max |h'|`` over ``|z| <= rho`` (a
         radius or an array of them)."""
-        return np.polynomial.polynomial.polyval(rho, np.abs(self.hp.coeffs))
+        return np.polynomial.polynomial.polyval(rho, np.abs(self.hp))
 
     def zero_free(self, rho: float) -> bool:
         """Whether ``h'`` has no zero on ``|z| <= rho``.  A numerical root
@@ -296,7 +338,7 @@ class PolyKernel:
         tiny top coefficient only moves a root far out (or to infinity, left
         out).  ``+ 0.0`` keeps a linear ``h'``'s root ``-c0/c1`` bit for bit."""
         if self._roots is None:
-            c = self.hp.coeffs
+            c = self.hp
             k = int(np.argmax(c != 0)) if np.any(c) else 0
             with np.errstate(all="ignore"):
                 roots = 1.0 / np.polynomial.polynomial.polyroots(c[k:][::-1]) + 0.0
@@ -325,13 +367,13 @@ class HarmonicMapping:
                                   lambda z: self._slopes(z)[1],
                                   lambda z: self.g_second(z, *self.derivs(z)))
 
-    def taylor(self, order: int) -> tuple[PowerSeries, PowerSeries]:
-        """Taylor coefficients ``(h, g)`` through ``order`` and ``order + n``
-        (exact, padded with zeros, for a :class:`PolyKernel`)."""
+    def taylor(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Taylor coefficient arrays ``(h, g)`` through ``order`` and
+        ``order + n`` (exact, padded with zeros, for a :class:`PolyKernel`)."""
         if order < 1:
             raise ParameterError(f"Taylor order must be >= 1, got {order}")
         hp = self.kernel.series(order - 1)
-        return hp.integrate(), hp.shift(self.n).scale(self.zeta).integrate()
+        return _primitive(hp), _primitive(np.concatenate((np.zeros(self.n), hp)) * self.zeta)
 
     def _eval(self, z, value: bool, order: int):
         """``(h, g, h', h'')`` at ``z``, disk bound checked: ``h`` and ``g`` if
@@ -429,7 +471,7 @@ class PBetaParams:
 
 
 def make_identity() -> HarmonicMapping:
-    return HarmonicMapping(PolyKernel(PowerSeries([1.0])), 0.0, 1, "identity")
+    return HarmonicMapping(PolyKernel([1.0]), 0.0, 1, "identity")
 
 
 def make_counterexample(gamma: float) -> HarmonicMapping:
@@ -451,7 +493,7 @@ def make_bshouty_lyzzaik(lam: float) -> HarmonicMapping:
     lam = float(lam)
     if not 0.0 <= lam < 0.5:
         raise ParameterError(f"lam must lie in [0, 1/2), got {lam}")
-    return HarmonicMapping(PolyKernel(PowerSeries([1.0, -2.0 * lam])), 1.0, 1,
+    return HarmonicMapping(PolyKernel([1.0, -2.0 * lam]), 1.0, 1,
                            f"bl:lam={_num(lam)}")
 
 
@@ -470,22 +512,23 @@ def make_extremal(params: ClassParams, delta=1.0) -> HarmonicMapping:
                            params.n, label)
 
 
-def make_from_h(h: PowerSeries, zeta, n: int, label: str) -> HarmonicMapping:
-    """Shear a normalized polynomial analytic part by ``g' = zeta * z^n * h'``.
+def make_from_h(h, zeta, n: int, label: str) -> HarmonicMapping:
+    """Shear the normalized polynomial analytic part with coefficients ``h``
+    (lowest first) by ``g' = zeta * z^n * h'``.
 
-    ``g`` is obtained by exact series integration.  Normalization
-    ``h(0)=0, h'(0)=1`` and the cap ``|zeta| <= 1/(2n-1)`` are enforced; a
-    shear outside the class is ``HarmonicMapping(PolyKernel(h.derive()), zeta,
-    n, label)``.
+    ``g`` is obtained by exact integration.  Normalization ``h(0)=0,
+    h'(0)=1`` and the cap ``|zeta| <= 1/(2n-1)`` are enforced; a shear outside
+    the class is ``HarmonicMapping(PolyKernel(h'), zeta, n, label)``.
     """
     zeta = complex(zeta)
     n = _check_class_n(n)
     _check_zeta_cap(zeta, n)
-    if not isinstance(h, PowerSeries):
-        raise ParameterError(f"unsupported analytic-part type: {type(h).__name__}")
-    if abs(h.coeff(0)) > 1e-12 or abs(h.coeff(1) - 1.0) > 1e-12:
+    h = _coefficients(h, "coefficients of h")
+    if h.size < 2:
+        raise ParameterError("coefficients of h need two entries for h(0)=0, h'(0)=1")
+    if abs(h[0]) > 1e-12 or abs(h[1] - 1.0) > 1e-12:
         raise ParameterError("analytic part must be normalized: h(0)=0, h'(0)=1")
-    return HarmonicMapping(PolyKernel(h.derive()), zeta, n, label)
+    return HarmonicMapping(PolyKernel(_derivative(h)), zeta, n, label)
 
 
 # -- family-spec grammar ------------------------------------------------------
@@ -554,8 +597,8 @@ def _load_coeff_file(path: str):
         raise ParameterError(f"cannot read coefficient file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParameterError(f"coefficient file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "coeffs" not in payload:
-        raise ParameterError(f"coefficient file {path!r} must be a JSON object with 'coeffs'")
+    if not isinstance(payload, dict) or not isinstance(payload.get("coeffs"), list):
+        raise ParameterError(f"coefficient file {path!r} must be a JSON object with a 'coeffs' list")
 
     def as_complex(v):
         if isinstance(v, (list, tuple)) and len(v) == 2:
@@ -566,7 +609,7 @@ def _load_coeff_file(path: str):
 
     coeffs = [as_complex(v) for v in payload["coeffs"]]
     zeta = as_complex(payload.get("zeta", 1.0))
-    return PowerSeries(coeffs), zeta, parse_int(payload.get("n", 1), "n")
+    return coeffs, zeta, parse_int(payload.get("n", 1), "n")
 
 
 def parse_family_spec(spec: str) -> tuple[str, dict, list]:
@@ -621,10 +664,10 @@ def family_from_spec(spec: str) -> HarmonicMapping:
         path = raw.get("path") or (positional[0] if positional else None)
         if path is None:
             raise ParameterError("from-h family needs a coefficient-file path")
-        series, zeta, n = _load_coeff_file(path)
+        coeffs, zeta, n = _load_coeff_file(path)
         if "zeta" in raw:
             zeta = parse_scalar(raw["zeta"])
         if "n" in raw:
             n = parse_int(raw["n"], "n")
-        return make_from_h(series, zeta, n, f"from-h:{path},zeta={_num(zeta)},n={n}")
+        return make_from_h(coeffs, zeta, n, f"from-h:{path},zeta={_num(zeta)},n={n}")
     raise ParameterError(f"unknown family {name!r}")

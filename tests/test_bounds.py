@@ -40,6 +40,7 @@ from harmap.mappings import (
     HarmonicMapping,
     PolyKernel,
     PowerKernel,
+    _derivative,
     family_from_spec,
     make_bshouty_lyzzaik,
     make_extremal,
@@ -48,7 +49,6 @@ from harmap.mappings import (
     zeta_cap,
 )
 from harmap.quadrature import disk_integral
-from harmap.series import PowerSeries
 
 from conftest import CLI_LATTICE
 
@@ -85,10 +85,10 @@ def test_extremal_coefficients_attain_bounds():
     th, tg = make_extremal(ClassParams(alpha, zeta, n), 1.0).taylor(12)
     # alpha = 1/2 extremal analytic part is -log(1-z): a_k = 1/k
     for k in range(2, 13):
-        assert abs(th.coeff(k)) == pytest.approx(
+        assert abs(th[k]) == pytest.approx(
             coeff_bound_a(k, alpha), abs=1e-12)
     for k in range(1, 13):
-        assert abs(tg.coeff(k + n)) == pytest.approx(
+        assert abs(tg[k + n]) == pytest.approx(
             coeff_bound_b(k, n, alpha, zeta), abs=1e-12)
 
 
@@ -108,9 +108,15 @@ def test_verify_coeff_relation_reads_the_orders_it_needs():
     assert not verify_coeff_relation(make_bshouty_lyzzaik(0.3), 3, 1, K=12).passed
 
 
+def test_verify_coeff_relation_rejects_a_negative_n():
+    # k + n < 0 would read a Taylor array from its end
+    with pytest.raises(ParameterError, match="n must be >= 0"):
+        verify_coeff_relation(make_bshouty_lyzzaik(0.3), -2, 1, K=3)
+
+
 def test_verify_coeff_relation_flags_mismatch():
     # a shear with zeta = 0.5 checked against zeta = 0.4 must fail
-    h = PowerSeries([0.0, 1.0, 0.25, 0.125] + [0.0] * 10)
+    h = [0.0, 1.0, 0.25, 0.125] + [0.0] * 10
     f = make_from_h(h, 0.5, 1, "from-h")
     report = verify_coeff_relation(f, 1, 0.4, K=3, tol=1e-12)
     assert not report.passed
@@ -258,8 +264,8 @@ def test_identity_area():
 def test_monomial_shear_area_closed_form():
     # h = z, g = zeta z^(n+1)/(n+1): A = pi r^2 - pi |zeta|^2 r^(2n+2)/(n+1)
     for zeta, n, r in ((0.6, 1, 0.7), (0.3, 2, 0.5), (0.2, 3, 0.8)):
-        h = PowerSeries([0.0, 1.0] + [0.0] * (n + 1))
-        f = HarmonicMapping(PolyKernel(h.derive()), zeta, n, "from-h")
+        h = [0.0, 1.0] + [0.0] * (n + 1)
+        f = HarmonicMapping(PolyKernel(_derivative(h)), zeta, n, "from-h")
         want = math.pi * r * r - math.pi * zeta * zeta * r ** (2 * n + 2) / (n + 1)
         assert area(f, r)[0] == pytest.approx(want, rel=1e-9), (zeta, n, r)
 
@@ -304,7 +310,7 @@ def _area_families():
     for spec in ("identity", "bl:lam=0.3", "bl:lam=0.45",
                  "counterexample:gamma=5/4", "counterexample:gamma=1.75"):
         yield family_from_spec(spec), (0.2, 0.5, 0.8, 0.95)
-    yield make_from_h(PowerSeries([0.0, 1.0, 0.0, 0.0]), 0.3, 2, "from-h"), (0.2, 0.5, 0.8, 0.95)
+    yield make_from_h([0.0, 1.0, 0.0, 0.0], 0.3, 2, "from-h"), (0.2, 0.5, 0.8, 0.95)
 
 
 def test_area_series_matches_disk_quadrature():

@@ -35,7 +35,6 @@ from harmap.mappings import (
     make_from_h,
     make_identity,
 )
-from harmap.series import PowerSeries
 
 
 # -- curvature and its extrema ------------------------------------------------
@@ -149,7 +148,7 @@ _BAND_CASES = [
     (HarmonicMapping(PowerKernel(-0.6, cmath.exp(2.1j)), 0.2 - 0.15j, 2, "power"),
      -0.5, 0.2 - 0.15j, 2),
     (make_bshouty_lyzzaik(0.3), -0.5, 1.0, 1),
-    (make_from_h(PowerSeries([0.0, 1.0, 0.2 - 0.1j, 0.05j]), 0.2 + 0.2j, 2,
+    (make_from_h([0.0, 1.0, 0.2 - 0.1j, 0.05j], 0.2 + 0.2j, 2,
                  "from-h:order=3,zeta=0.2+0.2j,n=2"),
      -0.5, 0.2 + 0.2j, 2),
     (make_identity(), 0.5, 0.0, 1),
@@ -191,7 +190,7 @@ def test_interior_zero_of_h_prime_fails_the_check():
     # h = z - z^2: h' = 1 - 2z vanishes at 1/2.  On the circle |z| = r_max the
     # curvature real part stays in [5/3, 3], but it is not harmonic across the
     # pole at 1/2, so only the zero test can fail this map.
-    f = make_from_h(PowerSeries([0.0, 1.0, -1.0]), 0.5, 1, "from-h")
+    f = make_from_h([0.0, 1.0, -1.0], 0.5, 1, "from-h")
     assert not f.kernel.zero_free(DEFAULT_RMAX) and f.kernel.zero_free(0.49)
     report = check_membership(f, ClassParams(0.5, 0.5, 1))
     assert not report.passed
@@ -231,7 +230,7 @@ def _narrow_dip_h():
 
 def test_narrow_dip_at_a_root_direction_fails_the_check():
     a, coeffs = _narrow_dip_h()
-    f = make_from_h(PowerSeries(coeffs), 0.5, 1, "from-h")
+    f = make_from_h(coeffs, 0.5, 1, "from-h")
     assert f.kernel.zero_free(DEFAULT_RMAX)
     sampled = np.real(curvature(f, DiskGrid().points()))
     assert np.min(sampled) > 0.9 and np.argmin(sampled) == 0

@@ -317,6 +317,40 @@ def test_check_passes_with_a_tiny_top_coefficient_of_h(tmp_path, top):
     assert res.stdout.startswith("[pass] membership")
 
 
+_FROM_H_COMMANDS = [
+    ("eval", "--z", "0.1,0"),
+    ("area", "--r", "0.5"),
+    ("render", "--preset", "overview"),
+    ("check", "--cls", "0.5,0.3,2"),
+    ("univalence", "--cells", "64"),
+]
+
+
+@pytest.mark.parametrize("argv", _FROM_H_COMMANDS, ids=lambda a: a[0])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "[0, -Infinity]"])
+def test_non_finite_coefficients_are_a_usage_error(argv, bad, tmp_path):
+    # Python's json reads NaN and Infinity; no verdict can come of them
+    path = tmp_path / "coeffs.json"
+    path.write_text(f'{{"coeffs": [0, 1, {bad}], "zeta": 0.3, "n": 2}}')
+    res = run_cli(argv[0], "--family", f"from-h:{path}", *argv[1:])
+    assert (res.returncode, res.stdout) == (2, ""), res.stdout
+    assert "coefficients of h must be finite" in res.stderr and "at index 2" in res.stderr
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([], "non-empty 1-d"),
+    ([0.0], "two entries"),
+    ([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]], "bad coefficient entry"),
+    (5, "with a 'coeffs' list"),
+], ids=["empty", "single", "2-d", "number"])
+def test_short_or_ill_shaped_coefficients_are_a_usage_error(coeffs, message, tmp_path):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"coeffs": coeffs, "zeta": 0.3, "n": 2}))
+    res = run_cli("eval", "--family", f"from-h:{path}", "--z", "0.1,0")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert message in res.stderr, res.stderr
+
+
 def test_check_theorem_b_admissibility_error():
     res = run_cli("check", "--family", "counterexample:gamma=1.25",
                   "--theorem-b", "1,0,0.6,2")

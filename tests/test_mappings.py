@@ -19,6 +19,9 @@ from harmap.mappings import (
     PBetaParams,
     PolyKernel,
     PowerKernel,
+    _derivative,
+    _horner,
+    _primitive,
     family_from_spec,
     is_conjugate_symmetric,
     make_bshouty_lyzzaik,
@@ -30,7 +33,6 @@ from harmap.mappings import (
     parse_scalar,
     zeta_cap,
 )
-from harmap.series import PowerSeries
 
 
 # -- parameter containers -----------------------------------------------------
@@ -135,8 +137,8 @@ def test_counterexample_taylor_matches_closed_form():
     rng = np.random.default_rng(33)
     for _ in range(15):
         z = 0.35 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert abs(th(z) - f.h.value(z)) < 1e-12
-        assert abs(tg(z) - f.g.value(z)) < 1e-12
+        assert abs(_horner(th, z) - f.h.value(z)) < 1e-12
+        assert abs(_horner(tg, z) - f.g.value(z)) < 1e-12
 
 
 def test_counterexample_conjugate_symmetry():
@@ -208,8 +210,8 @@ def test_extremal_near_zero_exponent_matches_taylor(alpha, n):
     f = make_extremal(ClassParams(alpha, 1.0 / (2 * n - 1), n), 1.0)
     th, tg = f.taylor(64)
     for z in (0.5, -0.45, 0.3 - 0.35j):
-        assert abs(th(z) - f.h.value(z)) < 1e-13
-        assert abs(tg(z) - f.g.value(z)) < 1e-13
+        assert abs(_horner(th, z) - f.h.value(z)) < 1e-13
+        assert abs(_horner(tg, z) - f.g.value(z)) < 1e-13
 
 
 def test_extremal_taylor_matches_values():
@@ -218,8 +220,8 @@ def test_extremal_taylor_matches_values():
     rng = np.random.default_rng(53)
     for _ in range(10):
         z = 0.3 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert abs(th(z) - f.h.value(z)) < 1e-12
-        assert abs(tg(z) - f.g.value(z)) < 1e-12
+        assert abs(_horner(th, z) - f.h.value(z)) < 1e-12
+        assert abs(_horner(tg, z) - f.g.value(z)) < 1e-12
 
 
 @pytest.mark.parametrize("delta", [1.0, cmath.exp(1.1j)], ids=["delta=1", "delta=e^1.1i"])
@@ -232,14 +234,14 @@ def test_extremal_log_branches_match_taylor(alpha, n, delta):
     f = make_extremal(ClassParams(alpha, zeta, n), delta)
     tg = f.taylor(64)[1]
     for z in (0.5, -0.45j, 0.3 + 0.35j, -0.2 - 0.1j):
-        assert abs(f.g.value(z) - tg(z)) < 1e-12
+        assert abs(f.g.value(z) - _horner(tg, z)) < 1e-12
 
 
 # -- shear construction from a supplied analytic part -------------------------
 
 
 def test_make_from_h_series_route():
-    h = PowerSeries([0.0, 1.0, -0.25, 0.125, 0.0, 0.0])
+    h = [0.0, 1.0, -0.25, 0.125, 0.0, 0.0]
     f = make_from_h(h, 0.5, 1, "from-h")
     rng = np.random.default_rng(59)
     for _ in range(15):
@@ -250,17 +252,102 @@ def test_make_from_h_series_route():
 
 def test_make_from_h_normalization_enforced():
     with pytest.raises(ParameterError):
-        make_from_h(PowerSeries([0.1, 1.0, 0.0]), 0.5, 1, "from-h")  # h(0) != 0
+        make_from_h([0.1, 1.0, 0.0], 0.5, 1, "from-h")  # h(0) != 0
     with pytest.raises(ParameterError):
-        make_from_h(PowerSeries([0.0, 2.0, 0.0]), 0.5, 1, "from-h")  # h'(0) != 1
+        make_from_h([0.0, 2.0, 0.0], 0.5, 1, "from-h")  # h'(0) != 1
 
 
 def test_make_from_h_admissibility_gate():
-    h = PowerSeries([0.0, 1.0, 0.0])
+    h = [0.0, 1.0, 0.0]
     with pytest.raises(AdmissibilityError):
         make_from_h(h, 0.9, 2, "from-h")  # cap is 1/3
-    f = HarmonicMapping(PolyKernel(h.derive()), 0.9, 2, "from-h")  # out of the class
+    f = HarmonicMapping(PolyKernel(_derivative(h)), 0.9, 2, "from-h")  # out of the class
     assert abs(f.g.deriv(0.5) - 0.9 * 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))],
+                         ids=["nan", "inf", "-inf j"])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ParameterError, match="must be finite.* at index 2"):
+        PolyKernel([1.0, 0.5, bad])
+    with pytest.raises(ParameterError, match="must be finite.* at index 2"):
+        make_from_h([0.0, 1.0, bad], 0.3, 2, "from-h")
+    with pytest.raises(ParameterError, match="must be finite.* at index 0"):
+        make_from_h([bad, 1.0, 0.0], 0.3, 2, "from-h")  # h' would drop a bad h(0)
+
+
+@pytest.mark.parametrize("coeffs", [[], [[0.0, 1.0], [0.0, 1.0]]], ids=["empty", "2-d"])
+def test_ill_shaped_coefficients_are_rejected(coeffs):
+    with pytest.raises(ParameterError, match="non-empty 1-d"):
+        PolyKernel(coeffs)
+    with pytest.raises(ParameterError, match="non-empty 1-d"):
+        make_from_h(coeffs, 0.3, 2, "from-h")
+
+
+def test_analytic_part_needs_two_coefficients():
+    assert PolyKernel([1.0]).series(2).tolist() == [1, 0, 0]  # h' = 1 is a kernel
+    with pytest.raises(ParameterError, match="two entries"):
+        make_from_h([0.0], 0.3, 2, "from-h")
+
+
+# -- coefficient arrays -------------------------------------------------------
+
+
+def test_horner_evaluation_matches_polyval():
+    rng = np.random.default_rng(42)
+    for _ in range(25):
+        coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
+        zs = rng.normal(size=5) * 0.4 + 1j * rng.normal(size=5) * 0.4
+        want = np.polynomial.polynomial.polyval(zs, coeffs)
+        assert np.allclose(_horner(coeffs, zs), want, rtol=0, atol=1e-12)
+        # a scalar call agrees with the array call
+        assert abs(_horner(coeffs, complex(zs[0])) - want[0]) < 1e-12
+
+
+def test_horner_sums_the_exponential_series():
+    coeffs = np.array([1.0 / math.factorial(k) for k in range(21)], dtype=np.complex128)
+    for z in (0.3, -0.5, 0.2 + 0.4j):
+        err = abs(_horner(coeffs, z) - np.exp(z))
+        # the truncation tail at |z| <= 0.7 is far below 1e-12
+        assert err < 1e-12, f"exp partial sum off by {err} at z={z}"
+
+
+def test_horner_of_a_constant_fills_the_array():
+    z = np.array([[0.1, 0.2j], [-0.3, 0.0]])
+    got = _horner(np.array([2.0 - 1.0j]), z)
+    assert got.shape == z.shape and got.dtype == np.complex128
+    assert np.all(got == 2.0 - 1.0j)
+    assert _horner(np.array([2.0 - 1.0j]), 0.5) == 2.0 - 1.0j
+
+
+def test_horner_skips_zero_coefficients_bit_for_bit():
+    # adding a zero coefficient changes no nonzero value, so skipping it
+    # keeps the plain Horner loop's bits
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
+    coeffs[[0, 2, 3, 6]] = 0.0
+    zs = 0.9 * (rng.uniform(-1, 1, size=64) + 1j * rng.uniform(-1, 1, size=64)) / 2**0.5
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * zs + c
+    assert _horner(coeffs, zs).tobytes() == acc.tobytes()
+
+
+def test_primitive_then_derivative_round_trip():
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
+    np.testing.assert_allclose(_derivative(_primitive(coeffs)), coeffs, rtol=0, atol=1e-14)
+
+
+def test_primitive_has_a_zero_constant_term():
+    assert _primitive(np.array([3.0, 2.0], dtype=np.complex128)).tolist() == [0, 3, 1]
+
+
+def test_poly_kernel_series_truncates_and_pads():
+    kernel = PolyKernel([1.0, 2.0, 3.0, 4.0])
+    assert kernel.series(1).tolist() == [1, 2]
+    assert kernel.series(5).tolist() == [1, 2, 3, 4, 0, 0]
+    assert kernel.series(5).dtype == np.complex128
 
 
 # -- family-spec grammar ------------------------------------------------------
@@ -326,10 +413,10 @@ def test_poly_taylor_is_exact_and_zero_padded():
     # bl: h = z - 0.3 z^2 and g = z^2/2 - 0.2 z^3, through any order
     f = make_bshouty_lyzzaik(0.3)
     th, tg = f.taylor(12)
-    assert th.coeffs.tolist() == [0, 1, -0.3] + [0] * 10
-    assert tg.coeffs.tolist() == [0, 0, 0.5, -0.6 / 3] + [0] * 10
+    assert th.tolist() == [0, 1, -0.3] + [0] * 10
+    assert tg.tolist() == [0, 0, 0.5, -0.6 / 3] + [0] * 10
     th, tg = f.taylor(1)
-    assert th.coeffs.tolist() == [0, 1] and tg.coeffs.tolist() == [0, 0, 0.5]
+    assert th.tolist() == [0, 1] and tg.tolist() == [0, 0, 0.5]
     with pytest.raises(ParameterError):
         f.taylor(0)
 
@@ -337,21 +424,21 @@ def test_poly_taylor_is_exact_and_zero_padded():
 def test_power_taylor_prefix_does_not_depend_on_the_order():
     f = make_extremal(ClassParams(0.3, 0.2 - 0.1j, 2), cmath.exp(0.4j))
     (h5, g5), (h40, g40) = f.taylor(5), f.taylor(40)
-    assert (h5.order, g5.order, h40.order, g40.order) == (5, 7, 40, 42)
-    assert np.array_equal(h40.coeffs[:6], h5.coeffs)
-    assert np.array_equal(g40.coeffs[:8], g5.coeffs)
+    assert (len(h5) - 1, len(g5) - 1, len(h40) - 1, len(g40) - 1) == (5, 7, 40, 42)
+    assert np.array_equal(h40[:6], h5)
+    assert np.array_equal(g40[:8], g5)
 
 
 def test_power_series_keeps_a_tiny_exponent():
     # the k = 1 factor is q - 0, not (q - 1) + 1, which rounds to 0 here
-    assert PowerKernel(1e-20).series(2).coeffs[1] == -1e-20
+    assert PowerKernel(1e-20).series(2)[1] == -1e-20
     assert bounds._binomial_moduli(1e-20, 3)[1] == 1e-20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_root_lies_outside_every_disk():
     # -c0/c1 overflows for c1 = 1e-310; h' is zero-free on every disk
-    kernel = PolyKernel(PowerSeries([1.0, 1e-310]))
+    kernel = PolyKernel([1.0, 1e-310])
     assert kernel.singular_points().size == 0
     assert kernel.zero_free(0.999)
 
@@ -363,7 +450,7 @@ def test_overflowing_root_lies_outside_every_disk():
     ([1.0, 0.5j, 1e-50], [2j]),
 ])
 def test_tiny_top_coefficient_moves_a_root_out_not_to_zero(coeffs, roots):
-    kernel = PolyKernel(PowerSeries(coeffs))
+    kernel = PolyKernel(coeffs)
     got = kernel.singular_points()
     np.testing.assert_allclose(got[np.abs(got) < 1e3], roots, rtol=1e-12)
     assert kernel.zero_free(0.9999)
@@ -374,7 +461,7 @@ def test_tiny_top_coefficient_moves_a_root_out_not_to_zero(coeffs, roots):
     ([0.0, 0.0, 1.0, 2.0], [-0.5, 0.0, 0.0]),
 ])
 def test_zero_low_coefficients_are_roots_at_the_origin(coeffs, roots):
-    kernel = PolyKernel(PowerSeries(coeffs))
+    kernel = PolyKernel(coeffs)
     np.testing.assert_allclose(kernel.singular_points(), roots, atol=1e-15)
     assert not kernel.zero_free(0.1)
 
@@ -383,7 +470,7 @@ def test_linear_h_prime_keeps_its_root_bit_for_bit():
     # numpy's degree-1 root -c0/c1, which the checks of the bl family saw
     for c1 in (-0.8, -2.0 * 0.3, 0.2, 0.3 - 0.4j, -1e-3j, 7.0 + 1e-300j):
         c = np.array([1.0, c1], dtype=np.complex128)
-        root = PolyKernel(PowerSeries(c)).singular_points()
+        root = PolyKernel(c).singular_points()
         assert root.tobytes() == np.array([-c[0] / c[1]]).tobytes(), c1
 
 
@@ -423,7 +510,7 @@ def test_family_labels():
 
 
 def test_rotated_map_is_not_conjugate_symmetric():
-    h = PowerSeries([0.0, 1.0, 0.25j, 0.0])
+    h = [0.0, 1.0, 0.25j, 0.0]
     f = make_from_h(h, 0.0, 1, "from-h")
     assert not is_conjugate_symmetric(f)
 

@@ -18,7 +18,7 @@ from harmap.errors import (
     ParameterError,
     PoleError,
 )
-from harmap.mappings import PowerKernel
+from harmap.mappings import PowerKernel, _horner
 from harmap.special import digamma, hyp2f1, principal_pow
 
 
@@ -56,7 +56,7 @@ def test_branched_power_series_binomial():
     ser = PowerKernel(0.25, 1.0).series(8)  # (1 - z)^0.25
     for k in range(9):
         want = complex(mpmath.binomial(0.25, k)) * (-1.0) ** k
-        assert abs(ser.coeff(k) - want) < 1e-13
+        assert abs(ser[k] - want) < 1e-13
 
 
 def test_branched_power_value_agrees_with_series():
@@ -66,7 +66,7 @@ def test_branched_power_value_agrees_with_series():
         z = 0.3 * complex(rng.normal(), rng.normal())
         if abs(z) > 0.45:
             continue
-        assert abs(cmath.exp(1.3 * cmath.log(1.0 - z)) - ser(z)) < 1e-11
+        assert abs(cmath.exp(1.3 * cmath.log(1.0 - z)) - _horner(ser, z)) < 1e-11
 
 
 # -- digamma ------------------------------------------------------------------

@@ -21,7 +21,6 @@ from harmap.mappings import (
     make_from_h,
     make_identity,
 )
-from harmap.series import PowerSeries
 from harmap.univalence import (
     feasibility_threshold,
     find_symmetric_collision,
@@ -190,7 +189,7 @@ def test_scan_report_shape():
 
 
 def _rotated_bl(c2=-0.4 * cmath.exp(0.7j)):
-    return make_from_h(PowerSeries([0.0, 1.0, c2]), cmath.exp(2.1j), 1, "rotated-bl")
+    return make_from_h([0.0, 1.0, c2], cmath.exp(2.1j), 1, "rotated-bl")
 
 
 def test_scan_finds_collision_of_rotated_map():
