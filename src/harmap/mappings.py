@@ -357,7 +357,7 @@ class HarmonicMapping:
     def __init__(self, kernel, zeta, n: int, label: str):
         self.kernel = kernel
         self.zeta = complex(zeta)
-        self.n = parse_int(n, "n")
+        self.n = _check_class_n(n)
         self.label = label
         self._evaluate = kernel.evaluator(self)
         self.h = AnalyticFunction(lambda z: self._eval(z, True, 0)[0],
@@ -600,15 +600,20 @@ def _load_coeff_file(path: str):
     if not isinstance(payload, dict) or not isinstance(payload.get("coeffs"), list):
         raise ParameterError(f"coefficient file {path!r} must be a JSON object with a 'coeffs' list")
 
-    def as_complex(v):
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(float(v[0]), float(v[1]))
-        if isinstance(v, numbers.Number):
-            return complex(v)
-        raise ParameterError(f"bad coefficient entry {v!r} in {path!r}")
+    def real(v) -> bool:  # JSON's true and false are Python ints too
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
-    coeffs = [as_complex(v) for v in payload["coeffs"]]
-    zeta = as_complex(payload.get("zeta", 1.0))
+    def as_complex(v, what):
+        if isinstance(v, list) and len(v) == 2 and real(v[0]) and real(v[1]):
+            return complex(float(v[0]), float(v[1]))
+        if real(v):
+            return complex(v)
+        raise ParameterError(f"bad {what} in {path!r}: {json.dumps(v)} is not a number "
+                             "or an [re, im] pair of numbers")
+
+    coeffs = [as_complex(v, f"coefficient entry at index {i}")
+              for i, v in enumerate(payload["coeffs"])]
+    zeta = as_complex(payload.get("zeta", 1.0), "zeta")
     return coeffs, zeta, parse_int(payload.get("n", 1), "n")
 
 

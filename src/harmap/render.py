@@ -8,13 +8,17 @@ yield identical bytes.
 
 The pipeline works on whole arrays.  A scene's curves live in flat arrays of
 parameter, image and curve id; each refinement pass evaluates the whole scene
-once, on all its new midpoints.  The Liang-Barsky clip tests every segment at
-once in the order of a per-segment loop, and each polyline is formatted by
-one ``%`` call.  Refinement stops where a segment's image cannot reach the
-viewport: ``hp_bound`` bounds the speed of ``f`` on each segment, so such a
-segment and every chord refining it would draw lie outside the viewport, and
-the output is the same as refining everywhere.  An auto-fitted viewport comes
-from the unrefined samples, which refinement then starts from.
+once, on all its new midpoints, and handles only the segments still too wide,
+so the midpoints join the scene's arrays once, after the last pass.  The clip
+sorts segments by Cohen-Sutherland out-codes: those inside the viewport are
+kept whole, those far beyond one edge are dropped, and only the rest go
+through the Liang-Barsky steps, all at once in the order of a per-segment
+loop.  Each polyline is formatted by one ``%`` call.  Refinement stops where a
+segment's image cannot reach the viewport: ``hp_bound`` bounds the speed of
+``f`` on each segment, so such a segment and every chord refining it would
+draw lie outside the viewport, and the output is the same as refining
+everywhere.  An auto-fitted viewport comes from the unrefined samples, which
+refinement then starts from.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ MAX_REFINE_PASSES = 12
 MAX_CURVE_POINTS = 40_000
 #: relative slack of the viewport reach test, far above the rounding of ``f``
 _REACH_SLACK = 1e-9
+#: margin of the clip's up-front rejection, relative to the largest magnitude
+#: of a coordinate or box edge; Liang-Barsky's ``lo - x0`` and ``x1 - x0``
+#: each round by at most 2**-52 of that
+_CLIP_MARGIN = 2.0**-40
 #: parameter-disk radius of a scene
 DEFAULT_RADIUS = 0.999
 #: uniform samples of a boundary curve
@@ -153,6 +161,13 @@ def _sample_scene(f: HarmonicMapping, spec: SceneSpec) -> _Samples:
     return replace(s, w=_eval_points(f, s.z(t, cid), tags, cid))
 
 
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[0], b[0], a[1], b[1], ...``"""
+    out = np.empty(2 * a.size, dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
+
+
 def _refine_scene(f: HarmonicMapping, s: _Samples, max_gap: float,
                   view: tuple[complex, float]) -> _Samples:
     """Insert parameter midpoints until image gaps fall below ``max_gap``.
@@ -162,31 +177,64 @@ def _refine_scene(f: HarmonicMapping, s: _Samples, max_gap: float,
     ``hw = inf`` refines everywhere), unless its curve would pass
     ``MAX_CURVE_POINTS``.  Each pass calls ``f`` once, on all new midpoints,
     and tests only the new halves: a segment left whole keeps its gap, reach
-    and curve size (a curve not split gets no new segments), so stays whole."""
+    and curve size (a curve not split gets no new segments), so stays whole.
+
+    The passes touch only the wide segments, carried with their end values,
+    and a running point count per curve; the midpoints go into the scene's
+    arrays once, at the end.  A midpoint's index is fixed when it is made
+    (one after its segment's left end) and moves up by one for each later
+    midpoint inserted before it."""
     t, w, cid, nr = s.t, s.w, s.cid, s.dirs.size
     c, hw = view
     centres = {c, c.conjugate()} if s.mirror else {c}
-    fresh = np.nonzero(cid[1:] == cid[:-1])[0]
+    size = np.bincount(cid, minlength=len(s.tags))
+    # the wide segments: left end index in the scene refined so far, end
+    # parameters, end images and curve, sorted by index
+    seg = np.flatnonzero((cid[1:] == cid[:-1]) & (np.abs(w[1:] - w[:-1]) > max_gap))
+    wide = seg, t[seg], t[seg + 1], w[seg], w[seg + 1], cid[seg]
+    places, new = [], []  # per pass: the midpoints' indices, and their (t, w, cid)
     for _ in range(MAX_REFINE_PASSES):
-        seg = fresh[np.abs(w[fresh + 1] - w[fresh]) > max_gap]
+        at, ta, tb, wa, wb, k = wide
         # |df/dt| <= |z'| hp_bound(r) (1 + |zeta| r^n), r the largest |z| on
         # the segment: a ray segment's outer end, or the circle's radius
-        k = np.searchsorted(cid[seg], nr)
-        r = np.concatenate([t[seg[:k] + 1], s.rhos[cid[seg[k:]] - nr]])
-        speed = np.where(np.arange(r.size) < k, 1.0, r) * f.kernel.hp_bound(r)
+        j = np.searchsorted(k, nr)
+        r = np.concatenate([tb[:j], s.rhos[k[j:] - nr]])
+        speed = np.where(np.arange(r.size) < j, 1.0, r) * f.kernel.hp_bound(r)
         speed *= 1.0 + abs(f.zeta) * r**f.n
-        seg = seg[_may_reach(w[seg], w[seg + 1], t[seg + 1] - t[seg], centres, hw, speed)]
-        grow = np.bincount(cid[seg], minlength=len(s.tags))
-        seg = seg[(np.bincount(cid, minlength=grow.size) + grow <= MAX_CURVE_POINTS)[cid[seg]]]
-        if seg.size == 0:
+        split = _may_reach(wa, wb, tb - ta, centres, hw, speed)
+        grow = np.bincount(k[split], minlength=size.size)
+        fits = size + grow <= MAX_CURVE_POINTS
+        split &= fits[k]
+        if not split.any():
             break
-        mid, mcid = 0.5 * (t[seg] + t[seg + 1]), cid[seg]
-        t = np.insert(t, seg + 1, mid)
-        w = np.insert(w, seg + 1, _eval_points(f, s.z(mid, mcid), s.tags, mcid))
-        cid = np.insert(cid, seg + 1, mcid)
-        # the halves of the j-th split segment start at seg[j] + j and one after
-        fresh = ((seg + np.arange(seg.size))[:, None] + [0, 1]).ravel()
-    return replace(s, t=t, w=w, cid=cid)
+        size[fits] += grow[fits]
+        at, ta, tb, wa, wb, k = (a[split] for a in wide)
+        tm = 0.5 * (ta + tb)
+        wm = _eval_points(f, s.z(tm, k), s.tags, k)
+        # an earlier midpoint moves up by one per split segment starting before it
+        for i in places:
+            i += np.searchsorted(at, i)
+        # the j-th split segment's left end moves up by j, its midpoint follows
+        at = at + np.arange(at.size)
+        places.append(at + 1)
+        new.append((tm, wm, k))
+        halves = [_interleave(*h)
+                  for h in ((at, at + 1), (ta, tm), (tm, tb), (wa, wm), (wm, wb), (k, k))]
+        gap = np.abs(halves[4] - halves[3]) > max_gap
+        wide = [h[gap] for h in halves]
+    if not places:
+        return s
+    at = np.concatenate(places)
+    old = np.ones(t.size + at.size, dtype=bool)
+    old[at] = False
+
+    def merged(a, m):
+        out = np.empty(old.size, dtype=a.dtype)
+        out[old], out[at] = a, m
+        return out
+
+    tm, wm, k = (np.concatenate(m) for m in zip(*new))
+    return replace(s, t=merged(t, tm), w=merged(w, wm), cid=merged(cid, k))
 
 
 @dataclass(frozen=True)
@@ -236,24 +284,18 @@ def _resolve_viewport(spec: SceneSpec, curves) -> tuple[complex, float]:
     return center, half
 
 
-def _clip_polyline(points: np.ndarray, center: complex, hw: float,
-                   cut=None) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Split a polyline into maximal runs inside the square viewport.
-
-    Liang-Barsky clipping of every segment at once: the four ``(p, q)`` steps
-    run in order with strict updates of the parametric span ``[t0, t1]``, and
-    endpoint floats are reused verbatim at ``t0 == 0``/``t1 == 1`` so that
-    adjacent segments chain into one run.  The segments indexed by ``cut``
-    are dropped wherever they lie (the joins of curves clipped together).
-    Each run is ``(first, xs, ys)``, ``first`` the index of its first segment.
-    """
-    xs, ys = points.real, points.imag
-    x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
+def _liang_barsky(x0, y0, x1, y1, box):
+    """Liang-Barsky clipping of the segments ``(x0, y0) -> (x1, y1)`` to
+    ``box = (lox, hix, loy, hiy)``, all at once: ``(out, ax, ay, bx, by,
+    whole)``, the rejected segments, then the clipped end points and whether
+    each piece runs to its segment's end.  The four ``(p, q)`` steps run in
+    order with strict updates of the parametric span ``[t0, t1]``, and end
+    point floats are reused verbatim at ``t0 == 0``/``t1 == 1``."""
+    lox, hix, loy, hiy = box
     dx, dy = x1 - x0, y1 - y0
     t0, t1 = np.zeros_like(dx), np.ones_like(dx)
     out = np.zeros(dx.shape, dtype=bool)
-    steps = ((-dx, x0 - (center.real - hw)), (dx, (center.real + hw) - x0),
-             (-dy, y0 - (center.imag - hw)), (dy, (center.imag + hw) - y0))
+    steps = ((-dx, x0 - lox), (dx, hix - x0), (-dy, y0 - loy), (dy, hiy - y0))
     # where q / p divides by zero or overflows, the step is skipped or the
     # segment rejected, so nothing computed from it is emitted
     with np.errstate(all="ignore"):
@@ -264,25 +306,72 @@ def _clip_polyline(points: np.ndarray, center: complex, hw: float,
             out |= (flat & (q < 0.0)) | (enter & (t > t1)) | (leave & (t < t0))
             t0 = np.where(enter & (t > t0), t, t0)
             t1 = np.where(leave & (t < t1), t, t1)
-        if cut is not None:
-            out[cut] = True
-        ax = np.where(t0 == 0.0, x0, x0 + t0 * dx)
-        ay = np.where(t0 == 0.0, y0, y0 + t0 * dy)
-        bx = np.where(t1 == 1.0, x1, x0 + t1 * dx)
-        by = np.where(t1 == 1.0, y1, y0 + t1 * dy)
-    # a kept segment continues the previous run when that one was kept, ran
-    # to its end point, and ended exactly where this one starts
-    joins = np.zeros_like(out)
-    joins[1:] = (~out[:-1] & (t1[:-1] == 1.0) & (bx[:-1] == ax[1:])
-                 & (by[:-1] == ay[1:]))
-    kept = np.nonzero(~out)[0]
-    starts = ~joins[kept]
+        return (out, np.where(t0 == 0.0, x0, x0 + t0 * dx), np.where(t0 == 0.0, y0, y0 + t0 * dy),
+                np.where(t1 == 1.0, x1, x0 + t1 * dx), np.where(t1 == 1.0, y1, y0 + t1 * dy),
+                t1 == 1.0)
+
+
+def _clip_polyline(points: np.ndarray, center: complex, hw: float,
+                   cut=None) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Split a polyline into maximal runs inside the square viewport.
+
+    Cohen-Sutherland out-codes sort the segments first, so that the work
+    follows what can reach the viewport.  A segment with both end points in
+    the closed box is kept whole, as Liang-Barsky would keep it.  A segment
+    with both end points beyond the same edge by more than a margin is
+    dropped: the margin, ``_CLIP_MARGIN`` times the largest magnitude of a
+    coordinate or box edge, is far above the rounding of ``lo - x0`` and
+    ``x1 - x0``, so that edge's step would certainly find ``t < 0`` or ``t >
+    1``.  A margin fixed in absolute terms would not do: far from the box,
+    ``lo - x0`` rounds by more than any such margin.  Every other segment,
+    say one with an end point 1 ulp beyond an edge, whose exit ``t`` may
+    round to 1 and keep a zero-length piece, goes through the exact steps of
+    :func:`_liang_barsky`.  Adjacent kept segments chain into one run.  The
+    segments indexed by ``cut`` are dropped wherever they lie (the joins of
+    curves clipped together).  Each run is ``(first, xs, ys)``, ``first`` the
+    index of its first segment.
+    """
+    if points.size < 2:
+        return []
+    xs, ys = points.real.copy(), points.imag.copy()  # contiguous: faster to scan
+    lox, hix, loy, hiy = center.real - hw, center.real + hw, center.imag - hw, center.imag + hw
+    # a NaN scale, or one near underflow or overflow, rejects nothing up front
+    scale = float(np.max([xs.max(), -xs.min(), ys.max(), -ys.min(),
+                          abs(lox), abs(hix), abs(loy), abs(hiy)]))
+    m = _CLIP_MARGIN * scale if 2.0**-900 < scale < 2.0**1000 else math.inf
+    inside = (xs >= lox) & (xs <= hix) & (ys >= loy) & (ys <= hiy)
+    keep = inside[:-1] & inside[1:]
+    rest = ~keep
+    # the out-codes, one bit (a boolean per point) for each edge: beyond it
+    # by more than the margin
+    for beyond in (xs < lox - m, xs > hix + m, ys < loy - m, ys > hiy + m):
+        rest &= ~(beyond[:-1] & beyond[1:])
+    if cut is not None:
+        keep[cut] = rest[cut] = False
+    seg = np.flatnonzero(rest)
+    if seg.size:
+        out, *ends = _liang_barsky(xs[seg], ys[seg], xs[seg + 1], ys[seg + 1],
+                                   (lox, hix, loy, hiy))
+        seg, ends = seg[~out], [e[~out] for e in ends]
+        keep[seg] = True
+    kept = np.flatnonzero(keep)
+    # whole segments reuse their end points; the clipped ones are patched in
+    ax, ay, bx, by = xs[kept], ys[kept], xs[kept + 1], ys[kept + 1]
+    whole = np.ones(kept.size, dtype=bool)
+    if seg.size:
+        at = np.searchsorted(kept, seg)
+        ax[at], ay[at], bx[at], by[at], whole[at] = ends
+    # a kept segment continues the previous run when that one is the segment
+    # before it, ran to its end point, and ended exactly where this one starts
+    starts = np.ones(kept.size, dtype=bool)
+    starts[1:] = ~((kept[1:] - kept[:-1] == 1) & whole[:-1] & (bx[:-1] == ax[1:])
+                   & (by[:-1] == ay[1:]))
     # each run is the start point of its first segment, then every end point
     slot = np.arange(kept.size) + np.cumsum(starts)
     first = slot[starts] - 1
     rx, ry = np.empty((2, kept.size + first.size))
-    rx[slot], ry[slot] = bx[kept], by[kept]
-    rx[first], ry[first] = ax[kept[starts]], ay[kept[starts]]
+    rx[slot], ry[slot] = bx, by
+    rx[first], ry[first] = ax[starts], ay[starts]
     bounds = first.tolist() + [rx.size]
     return [(s, rx[a:b], ry[a:b])
             for s, a, b in zip(kept[starts].tolist(), bounds, bounds[1:])]

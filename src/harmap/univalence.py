@@ -329,8 +329,10 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
     meets as a kept pair of the same boxes.  ``lower`` marks the points of
     the open lower half of a mirrored grid (all False on any other): a pair
     of groups that both lie wholly there is dropped, since each of its point
-    pairs is the exact mirror of one that a kept pair holds.  ``truncated``:
-    collection stopped after more than ``MAX_CANDIDATES`` pairs.
+    pairs is the exact mirror of one that a kept pair holds.  A query looks
+    up only the targets it can keep: at its own level those after it, and
+    when it lies wholly lower those that do not.  ``truncated``: collection
+    stopped after more than ``MAX_CANDIDATES`` pairs.
     """
     top = max(float(rad.max()), 5e-13)
     u = w - complex(w.real.min(), w.imag.min())
@@ -360,14 +362,31 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
     chunk = 2_000_000  # cap transient allocation per expansion block
     for level in range(levels):
         qs = np.nonzero(rlev <= level)[0]
+        t = np.nonzero(rlev[qs] == level)[0]
+        if not t.size:
+            continue
         qx, qy = bx[rep[qs]] >> level, by[rep[qs]] >> level
         span = int(qy.max()) + 3
         qkey = qx * span + qy + 1
-        t = np.nonzero(rlev[qs] == level)[0]
         t = t[np.argsort(qkey[t], kind="stable")]
+        # the targets sorted by (cell, index), once all of them and once those
+        # not wholly lower, which are all that a wholly lower query keeps; the
+        # keys use the dense rank of the cell, so they stay below 2 n**2 for
+        # n queries and fit in int64 whatever the cell indices
+        n, tcell = len(qs), qkey[t]
+        new = np.r_[True, tcell[1:] != tcell[:-1]]
+        cells = tcell[new]
+        key = (np.cumsum(new) - 1) * n + t
+        upper = ~wholly_lower[qs[t]]
+        keys = np.concatenate([key, key[upper] + cells.size * n])
+        t = np.concatenate([t, t[upper]])
         want = (qkey[:, None] + [dx * span + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]).ravel()
-        lo = np.searchsorted(qkey[t], want)
-        cnt = np.searchsorted(qkey[t], want, "right") - lo
+        rank = np.minimum(np.searchsorted(cells, want), cells.size - 1)
+        base = np.repeat(wholly_lower[qs] * (cells.size * n), 9) + rank * n
+        # a query at this level keeps only the targets after it in its list
+        lo = np.searchsorted(keys, base + np.repeat(np.where(rlev[qs] == level,
+                                                             np.arange(1, n + 1), 0), 9))
+        cnt = np.where(cells[rank] == want, np.searchsorted(keys, base + n) - lo, 0)
         src, ends = np.repeat(qs, 9), np.cumsum(cnt)
         b0 = 0
         while b0 < len(cnt):
@@ -375,9 +394,7 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
             c = cnt[b0:b1]
             a = np.repeat(src[b0:b1], c)
             b = qs[t[np.arange(len(a)) - np.repeat(np.cumsum(c) - c - lo[b0:b1], c)]]
-            # cheapest test first; each later one sees only the survivors
-            m = ((rlev[a] < level) | (a < b)) & ~(wholly_lower[a] & wholly_lower[b])
-            a, b = a[m], b[m]
+            # cheaper test first; the second sees only the survivors
             m = np.abs(wr[a] - wr[b]) <= reach[a] + reach[b]
             a, b = a[m], b[m]
             m = np.abs(zr[a] - zr[b]) + spread[a] + spread[b] >= sep_pre
@@ -392,9 +409,14 @@ def _first_smallest_per_key(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per distinct key, in key order, the first index with the smallest value.
 
     Equals ``np.lexsort((values, keys))`` reduced to the first entry of each
-    key, from one stable sort of the integer keys instead of a two-key sort.
+    key, from one sort of the integer keys instead of a two-key sort.  Each
+    key is made distinct by its index, so the default (unstable) sort gives
+    the stable order; the scan's keys lie below ``n_boxes**2 <= 2**34`` and
+    there are fewer than ``2**24`` of them (``MAX_CANDIDATES``, one expansion
+    block and the mirror seeds), so ``keys * n + index`` stays below ``2**58``.
     """
-    order = np.argsort(keys, kind="stable")
+    n = len(keys)
+    order = np.argsort(keys * n + np.arange(n))
     k, v = keys[order], values[order]
     new = np.ones(len(k), dtype=bool)
     new[1:] = k[1:] != k[:-1]

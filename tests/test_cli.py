@@ -351,6 +351,16 @@ def test_short_or_ill_shaped_coefficients_are_a_usage_error(coeffs, message, tmp
     assert message in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("entry", ["true", "false", '["0.1", 0]'])
+def test_booleans_and_strings_are_not_coefficients(entry, tmp_path):
+    # true read as 1 (so [0, true] was h = z), and a pair went through float()
+    path = tmp_path / "coeffs.json"
+    path.write_text(f'{{"coeffs": [0, 1, {entry}]}}')
+    res = run_cli("eval", "--family", f"from-h:{path}", "--z", "0.1,0")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert f"bad coefficient entry at index 2 in {str(path)!r}: {entry}" in res.stderr, res.stderr
+
+
 def test_check_theorem_b_admissibility_error():
     res = run_cli("check", "--family", "counterexample:gamma=1.25",
                   "--theorem-b", "1,0,0.6,2")

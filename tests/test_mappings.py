@@ -401,6 +401,13 @@ def test_parse_int_rejects_the_rest(value):
         parse_int(value, "n")
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_harmonic_mapping_takes_only_a_class_n(n):
+    # n <= 0 raised a bare IndexError from the kernel evaluator
+    with pytest.raises(AdmissibilityError, match="n must be an integer >= 1"):
+        HarmonicMapping(PowerKernel(0.5), 0.2, n, "power")
+
+
 def test_n_must_be_an_integer():
     with pytest.raises(ParameterError):
         family_from_spec("extremal:alpha=0.5,zeta=0.5,n=1.5")

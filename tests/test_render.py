@@ -276,6 +276,12 @@ def clip_cases(draw):
     return pts, center, hw
 
 
+#: 1 ulp left of the edge -1.0
+_BELOW_LEFT = float(np.nextafter(-1.0, -2.0))
+#: the clip's up-front margin when the largest coordinate or edge magnitude is 2
+_MARGIN_AT_2 = 2.0 * render._CLIP_MARGIN
+
+
 def _hex_runs(runs):
     return [[(float(x).hex(), float(y).hex()) for x, y in run] for run in runs]
 
@@ -288,8 +294,29 @@ def _hex_runs(runs):
 # the first segment keeps an end point 1 ulp below the box (its exit t rounds
 # to 1); the second re-enters at a different float, so a new run starts
 @example(case=(np.array([3j, complex(0.0, np.nextafter(-1.0, -2.0)), 0j]), 0j, 1.0))
+# both ends 1 ulp beyond the left edge: the exact steps, not the out-codes,
+# decide the segment
+@example(case=(np.array([complex(_BELOW_LEFT, 0.5), complex(_BELOW_LEFT, -0.5), 0.5 + 0.5j]),
+               0j, 1.0))
+# both ends just beyond the margin (rejected up front), then just within it
+@example(case=(np.array([complex(-1.0 - 2.0 * _MARGIN_AT_2, 0.2),
+                         complex(-1.0 - 2.0 * _MARGIN_AT_2, -0.2),
+                         complex(-1.0 - 0.5 * _MARGIN_AT_2, -0.2),
+                         complex(-1.0 - 0.5 * _MARGIN_AT_2, 0.2), 2 + 0j]), 0j, 1.0))
+# far from the box, lo - x0 rounds to x1 - x0, so the entry t rounds to 1 and
+# a piece from the edge to x1, 1e-6 beyond it, is kept
+@example(case=(np.array([complex(-1e12, 0.5), complex(-1.0 - 1e-6, 0.5), 0.5j]), 0j, 1.0))
+# a rejected segment between two clipped ones, and between two kept whole
+@example(case=(np.array([0.2j, 0.5 + 0.5j, 3 + 0.5j, 3 - 0.5j, 0.5 - 0.5j, -0.5j]), 0j, 1.0))
+# the run leaves through (1, 0.5) and re-enters at the same float, once from
+# inside the box and once from a point on its edge
+@example(case=(np.array([0.5 + 0.5j, 1.5 + 0.5j, 0.5 + 0.5j, 1 + 0.5j, 1.5 + 0.5j,
+                         1 + 0.5j, 0.5 + 0.5j]), 0j, 1.0))
 def test_vectorised_clip_matches_per_segment_reference(case):
-    pts, center, hw = case
+    _assert_clip_matches_reference(*case)
+
+
+def _assert_clip_matches_reference(pts, center, hw):
     with np.errstate(over="ignore"):  # q / p on numpy scalars may overflow
         want = _clip_polyline_reference(pts, center, hw)
     got = [list(zip(xs.tolist(), ys.tolist()))
@@ -297,18 +324,82 @@ def test_vectorised_clip_matches_per_segment_reference(case):
     assert _hex_runs(got) == _hex_runs(want)
 
 
-def test_scene_clip_matches_clipping_each_curve():
+@st.composite
+def far_clip_cases(draw):
+    """A small box among coordinates up to 1e12 away: there ``lo - x0``
+    rounds by up to 6e-5, far more than any margin fixed in absolute terms
+    (and a tenth of the narrowest box)."""
+    big = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+    center = complex(draw(big), draw(big))
+    hw = draw(st.floats(1e-3, 10.0))
+    edges = [center.real - hw, center.real + hw, center.imag - hw, center.imag + hw]
+    near = [center.real + k * hw for k in (-3, -1.5, 0, 0.5, 2)]
+    near += [center.imag + k * hw for k in (-2, -0.5, 1.5, 3)]
+    pool = (draw(st.lists(big, min_size=1, max_size=4)) + edges + near
+            + [float(np.nextafter(e, d)) for e in edges for d in (-math.inf, math.inf)])
+    pick = st.sampled_from(pool)
+    n = draw(st.integers(0, 24))
+    pts = np.array([complex(draw(pick), draw(pick)) for _ in range(n)], dtype=np.complex128)
+    return pts, center, hw
+
+
+@given(case=far_clip_cases())
+@settings(max_examples=300, deadline=None)
+def test_clip_far_from_a_small_box_matches_per_segment_reference(case):
+    _assert_clip_matches_reference(*case)
+
+
+def test_clip_does_not_join_runs_across_a_cut_segment():
+    # two curves clipped together, the second starting where the first ends
+    pts = np.array([-0.5 + 0j, 0.5j, 0.5j, 0.5 + 0j])
+    runs = render._clip_polyline(pts, 0j, 1.0, cut=np.array([1]))
+    assert [(s, xs.tolist(), ys.tolist()) for s, xs, ys in runs] == [
+        (0, [-0.5, 0.0], [0.0, 0.5]), (2, [0.0, 0.5], [0.5, 0.0])]
+
+
+def test_out_codes_leave_only_the_uncertain_segments_to_the_exact_steps(monkeypatch):
+    seen = []
+    steps = render._liang_barsky
+
+    def spy(x0, *args):
+        seen.append(x0.size)
+        return steps(x0, *args)
+
+    monkeypatch.setattr(render, "_liang_barsky", spy)
+    # a box about 0 of half-width 1, and a point at -2 that sets the margin
+    whole = np.array([-0.5 + 0.5j, 0.5 - 0.5j, 1 + 1j])
+    assert len(render._clip_polyline(whole, 0j, 1.0)) == 1 and seen == []
+    far = np.array([complex(-1.0 - 2.0 * _MARGIN_AT_2, 0.2),
+                    complex(-1.0 - 2.0 * _MARGIN_AT_2, -0.2), -2 + 0j])
+    assert render._clip_polyline(far, 0j, 1.0) == [] and seen == []
+    near = np.array([complex(-1.0 - 0.5 * _MARGIN_AT_2, 0.2),
+                     complex(-1.0 - 0.5 * _MARGIN_AT_2, -0.2), -2 + 0j])
+    assert render._clip_polyline(near, 0j, 1.0) == [] and seen == [2]
+
+
+def test_scene_clip_matches_clipping_each_curve(monkeypatch):
     # the scene is clipped in one pass; the joins between consecutive curves
-    # (inner circles end and start inside this viewport) must not be drawn
+    # (inner circles end and start inside the wide viewport) must not be
+    # drawn.  In the collision zoom the out-codes settle most segments.
     f = make_counterexample(1.25)
-    center, hw = 0.1 + 0.0j, 0.5
-    spec = SceneSpec(f.label, center=center, half_width=hw)
-    curves = render._scene_curves(spec, render._sample_scene(f, spec))
-    want = [(c.tag, render._points_attr(xs, ys)) for c in curves
-            for _, xs, ys in render._clip_polyline(c.points, center, hw)]
-    svg = render._assemble(spec, curves, center, hw)
-    assert re.findall(r'class="([^"]+)"[^>]*points="([^"]*)"', svg) == want
-    assert len({tag for tag, _ in want}) == len(curves)
+    stepped = []
+    steps = render._liang_barsky
+    monkeypatch.setattr(render, "_liang_barsky",
+                        lambda x0, *a: stepped.append(x0.size) or steps(x0, *a))
+    for center, hw in ((0.1 + 0.0j, 0.5), (_collision_center(1.25), 0.05)):
+        spec = SceneSpec(f.label, center=center, half_width=hw)
+        curves = render._scene_curves(spec, render._sample_scene(f, spec))
+        want = [(c.tag, render._points_attr(xs, ys)) for c in curves
+                for _, xs, ys in render._clip_polyline(c.points, center, hw)]
+        stepped.clear()
+        svg = render._assemble(spec, curves, center, hw)
+        assert re.findall(r'class="([^"]+)"[^>]*points="([^"]*)"', svg) == want
+        drawn = len({tag for tag, _ in want})
+        if hw == 0.5:
+            assert drawn == len(curves)
+        else:
+            assert 0 < drawn < len(curves)
+            assert 0 < sum(stepped) < 0.1 * sum(c.points.size for c in curves)
 
 
 def test_points_attr_formats_like_fmt():

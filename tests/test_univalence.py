@@ -309,17 +309,24 @@ def _close_pairs(W, Z, rad, box, sep_pre):
     return p[near], q[near]
 
 
-@pytest.mark.parametrize("f, r, mirror", [
+#: ``(f, r, mirror)`` of the coverage grids
+COVERAGE_GRIDS = [
     (make_bshouty_lyzzaik(0.40), 0.999, False),
     (make_counterexample(1.2), 0.995, False),
     (_rotated_bl(), 0.999, False),
     (make_identity(), 0.9, False),
     (make_bshouty_lyzzaik(0.40), 0.999, True),
     (make_counterexample(1.2), 0.995, True),
-], ids=["bl-0.40", "counterexample-1.2", "rotated-bl", "identity", "bl-0.40-mirrored",
-        "counterexample-1.2-mirrored"])
-def test_candidate_pairs_cover_every_close_pair(f, r, mirror):
-    n_r, n_a, sep_pre = 64, 128, 0.05
+]
+COVERAGE_IDS = ["bl-0.40", "counterexample-1.2", "rotated-bl", "identity", "bl-0.40-mirrored",
+                "counterexample-1.2-mirrored"]
+
+
+def _coverage_grid(f, r, mirror):
+    """``(Z, W, rad, box, sep_pre)``: the 64 x 128 scan grid, each point's
+    largest image gap to a grid neighbour (found point by point), 17 x 105
+    preimage boxes and a preimage separation of 0.05."""
+    n_r, n_a = 64, 128
     Z, W = univalence._scan_grid(f, r, n_r, mirror)[:2]
     rad = np.zeros(W.shape)
     for i in range(n_r):
@@ -330,6 +337,13 @@ def test_candidate_pairs_cover_every_close_pair(f, r, mirror):
     n_ring, n_sect = 17, 105
     box = (np.minimum((np.abs(Z) / r * n_ring).astype(int), n_ring - 1) * n_sect
            + ((np.angle(Z) + np.pi) / (2 * np.pi) * n_sect).astype(int) % n_sect)
+    return Z, W, rad, box, 0.05
+
+
+@pytest.mark.parametrize("f, r, mirror", COVERAGE_GRIDS, ids=COVERAGE_IDS)
+def test_candidate_pairs_cover_every_close_pair(f, r, mirror):
+    Z, W, rad, box, sep_pre = _coverage_grid(f, r, mirror)
+    n_r, n_a = W.shape
     p, q = _close_pairs(W, Z, rad, box, sep_pre)
 
     w, z, rad, box = W.ravel(), Z.ravel(), rad.ravel(), box.ravel()
@@ -349,6 +363,70 @@ def test_candidate_pairs_cover_every_close_pair(f, r, mirror):
     assert not missed, [want[k] for k in missed[:5]]
     # the mirrored grid drops pairs: some close pairs are found only as mirrors
     assert mirror == any(a not in found for a in want)
+
+
+def _candidate_pairs_unpruned(w, z, rad, box, sep_pre, lower):
+    """:func:`univalence._candidate_pairs` expanding every target of the 3x3
+    neighbourhood, then dropping same-level pairs out of order and pairs of
+    two wholly lower groups; also the counts of the two kinds dropped."""
+    top = max(float(rad.max()), 5e-13)
+    u = w - complex(w.real.min(), w.imag.min())
+    ext = max(float(u.real.max()), float(u.imag.max()), top)
+    cap = 19 + math.floor(math.log2(2.0 * top / ext))
+    with np.errstate(divide="ignore"):
+        k = np.minimum(np.floor(np.log2(top / rad)), cap).astype(np.int64)
+    k -= top * np.exp2(-k) < rad
+    levels = int(k.max()) + 1
+    lev = levels - 1 - k
+    s0 = math.ldexp(2.0 * top, 1 - levels)
+    bx, by = np.floor(u.real / s0).astype(np.int64), np.floor(u.imag / s0).astype(np.int64)
+    _, cell = np.unique((lev << 40) + ((bx >> lev) << 20) + (by >> lev), return_inverse=True)
+    _, rep, grp = np.unique(cell * (int(box.max()) + 1) + box, return_index=True,
+                            return_inverse=True)
+    rlev, wr, zr = lev[rep], w[rep], z[rep]
+    wholly_lower = np.ones(len(rep), dtype=bool)
+    wholly_lower[grp[~lower]] = False
+    reach, spread = np.zeros(len(rep)), np.zeros(len(rep))
+    np.maximum.at(reach, grp, rad + np.abs(w - wr[grp]))
+    np.maximum.at(spread, grp, np.abs(z - zr[grp]))
+    pairs, out_of_order, both_lower = [np.zeros((2, 0), dtype=np.int64)], 0, 0
+    for level in range(levels):
+        qs = np.nonzero(rlev <= level)[0]
+        qx, qy = bx[rep[qs]] >> level, by[rep[qs]] >> level
+        span = int(qy.max()) + 3
+        qkey = qx * span + qy + 1
+        t = np.nonzero(rlev[qs] == level)[0]
+        t = t[np.argsort(qkey[t], kind="stable")]
+        want = (qkey[:, None] + [dx * span + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]).ravel()
+        lo = np.searchsorted(qkey[t], want)
+        cnt = np.searchsorted(qkey[t], want, "right") - lo
+        a = np.repeat(np.repeat(qs, 9), cnt)
+        b = qs[t[np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)]]
+        order, lower_pair = (rlev[a] < level) | (a < b), wholly_lower[a] & wholly_lower[b]
+        out_of_order += np.count_nonzero(~order)
+        both_lower += np.count_nonzero(order & lower_pair)
+        a, b = a[order & ~lower_pair], b[order & ~lower_pair]
+        m = np.abs(wr[a] - wr[b]) <= reach[a] + reach[b]
+        a, b = a[m], b[m]
+        m = np.abs(zr[a] - zr[b]) + spread[a] + spread[b] >= sep_pre
+        pairs.append(np.stack([rep[a[m]], rep[b[m]]]))
+    return *np.concatenate(pairs, axis=1), levels, out_of_order, both_lower
+
+
+@pytest.mark.parametrize("f, r, mirror", COVERAGE_GRIDS, ids=COVERAGE_IDS)
+def test_candidate_pairs_match_the_unpruned_expansion(f, r, mirror):
+    # each query looks up only the targets it can keep; the pairs, and their
+    # order (gap ties go to the first pair), are those of the full expansion
+    Z, W, rad, box, sep_pre = _coverage_grid(f, r, mirror)
+    w, z, rad, box = W.ravel(), Z.ravel(), rad.ravel(), box.ravel()
+    lower = mirror & (z.imag < 0.0)
+    I, J, levels, truncated = univalence._candidate_pairs(w, z, rad, box, sep_pre, lower)
+    rI, rJ, rlevels, out_of_order, both_lower = _candidate_pairs_unpruned(w, z, rad, box,
+                                                                          sep_pre, lower)
+    assert (I.tolist(), J.tolist(), levels, truncated) == (rI.tolist(), rJ.tolist(), rlevels,
+                                                             False)
+    # both kinds of pruning are at work here
+    assert len(I) > 0 and out_of_order > 0 and (both_lower > 0) == mirror
 
 
 @pytest.mark.parametrize("f, r", [
