@@ -603,11 +603,17 @@ def _load_coeff_file(path: str):
     def real(v) -> bool:  # JSON's true and false are Python ints too
         return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
+    def as_float(v):  # an integer beyond the float range reads as infinite
+        try:
+            return float(v)
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf
+
     def as_complex(v, what):
         if isinstance(v, list) and len(v) == 2 and real(v[0]) and real(v[1]):
-            return complex(float(v[0]), float(v[1]))
+            return complex(as_float(v[0]), as_float(v[1]))
         if real(v):
-            return complex(v)
+            return complex(as_float(v))
         raise ParameterError(f"bad {what} in {path!r}: {json.dumps(v)} is not a number "
                              "or an [re, im] pair of numbers")
 

@@ -2,9 +2,16 @@
 
 Renders the images of concentric parameter circles and radial rays under a
 mapping as one ``<polyline>`` per curve, with adaptive sampling near high
-distortion (cusps), rectangle clipping to the viewport, and stable 9
-significant-digit coordinate formatting so identical scene specifications
-yield identical bytes.
+distortion (cusps) and rectangle clipping to the viewport, so identical scene
+specifications yield identical bytes.
+
+Coordinates are integers on a canvas grid of ``S = CANVAS_STEPS`` steps per
+side (1/100 of a pixel of the 720 px document), with ``k = S / (2 hw)``:
+``px = S/2 + rint((x - cx) k)`` and ``py = S/2 - rint((y - cy) k)``, so ``y``
+points down.  The inverse, within half a step ``hw / S``, is ``x = cx + (px -
+S/2) / k`` and ``y = cy - (py - S/2) / k``.  ``np.rint`` rounds half to even
+and is odd-symmetric, so a scene mirrored about its centre prints mirrored
+integers exactly.  Strokes are 150 and 270 steps wide (1.5 px and 2.7 px).
 
 The pipeline works on whole arrays.  A scene's curves live in flat arrays of
 parameter, image and curve id; each refinement pass evaluates the whole scene
@@ -13,12 +20,12 @@ so the midpoints join the scene's arrays once, after the last pass.  The clip
 sorts segments by Cohen-Sutherland out-codes: those inside the viewport are
 kept whole, those far beyond one edge are dropped, and only the rest go
 through the Liang-Barsky steps, all at once in the order of a per-segment
-loop.  Each polyline is formatted by one ``%`` call.  Refinement stops where a
-segment's image cannot reach the viewport: ``hp_bound`` bounds the speed of
-``f`` on each segment, so such a segment and every chord refining it would
-draw lie outside the viewport, and the output is the same as refining
-everywhere.  An auto-fitted viewport comes from the unrefined samples, which
-refinement then starts from.
+loop.  All polylines of a scene are formatted by one ``%d`` call.  Refinement
+stops where a segment's image cannot reach the viewport: ``hp_bound`` bounds
+the speed of ``f`` on each segment, so such a segment and every chord
+refining it would draw lie outside the viewport, and the output is the same
+as refining everywhere.  An auto-fitted viewport comes from the unrefined
+samples, which refinement then starts from.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .mappings import HarmonicMapping, check_radius, is_conjugate_symmetric
 
 #: emitted document is a square of this many pixels
 CANVAS_PX = 720
+#: the canvas grid: steps per side of the viewport, 1/100 px each
+CANVAS_STEPS = 100 * CANVAS_PX
 #: adaptive sampling splits segments longer than viewport-width / GAP_DENOM
 GAP_DENOM = 200
 #: maximum midpoint-insertion passes per scene
@@ -55,6 +64,8 @@ ZOOM_HALF_WIDTH = 0.05
 #: strokes of the rays and inner circles, and of the outermost circle and a
 #: boundary curve; fill of the viewport
 GRID_COLOR, BOUNDARY_COLOR, BACKGROUND = "#3a6ea5", "#b22222", "#ffffff"
+#: their stroke widths in canvas steps: hw/240 (1.5 px), and 1.8 times that
+GRID_STROKE, BOUNDARY_STROKE = 150, 270
 
 
 @dataclass(frozen=True)
@@ -63,8 +74,11 @@ class SceneSpec:
 
     ``center``/``half_width`` of ``None`` select an automatic square
     viewport containing every sampled image point with a 5% margin.  The
-    stroke width is ``half_width/240``.  Resolved values are embedded in the
-    output metadata, so a fixed spec always produces identical bytes.
+    viewport maps onto the ``CANVAS_STEPS``-step canvas grid (1/100 px), so
+    ``2 half_width`` and ``CANVAS_STEPS / (2 half_width)`` must be finite.
+    The stroke width is ``half_width/240`` (1.5 px; 2.7 px for the boundary).
+    Resolved values are embedded in the output metadata, so a fixed spec
+    always produces identical bytes.
     """
 
     family: str
@@ -81,11 +95,18 @@ class SceneSpec:
             raise ParameterError(f"samples_per_curve must be >= 128, got {self.samples_per_curve}")
         if self.circles < 0 or self.rays < 0 or self.circles + self.rays == 0:
             raise ParameterError("scene needs at least one circle or ray")
-        if self.center is not None and not np.isfinite(self.center):
-            raise ParameterError(f"viewport center must be finite, got {self.center}")
-        if self.half_width is not None and not 0.0 < self.half_width < math.inf:
-            raise ParameterError(
-                f"viewport half-width must be finite and > 0, got {self.half_width}")
+        _check_viewport(self.center, self.half_width)
+
+
+def _check_viewport(center, hw) -> None:
+    """A :class:`ParameterError` unless the set parts of the viewport are a
+    finite ``center`` and an ``hw > 0`` that the canvas grid can map."""
+    if center is not None and not np.isfinite(center):
+        raise ParameterError(f"viewport center must be finite, got {center}")
+    if hw is not None and not (0.0 < hw and math.isfinite(2.0 * hw)
+                               and math.isfinite(CANVAS_STEPS / (2.0 * hw))):
+        raise ParameterError(f"viewport half-width must be > 0 with 2 hw and "
+                             f"{CANVAS_STEPS}/(2 hw) finite, got {hw}")
 
 
 # -- sampling -----------------------------------------------------------------
@@ -193,14 +214,18 @@ def _refine_scene(f: HarmonicMapping, s: _Samples, max_gap: float,
     seg = np.flatnonzero((cid[1:] == cid[:-1]) & (np.abs(w[1:] - w[:-1]) > max_gap))
     wide = seg, t[seg], t[seg + 1], w[seg], w[seg + 1], cid[seg]
     places, new = [], []  # per pass: the midpoints' indices, and their (t, w, cid)
+
+    # |df/dt| <= |z'| hp_bound(r) (1 + |zeta| r^n), r the largest |z| on the
+    # segment: a ray segment's outer end, or the circle's radius, so each
+    # circle's bound is taken once
+    def speed_bound(r, dz):
+        return dz * f.kernel.hp_bound(r) * (1.0 + abs(f.zeta) * r**f.n)
+
+    circle_speed = speed_bound(s.rhos, s.rhos)
     for _ in range(MAX_REFINE_PASSES):
         at, ta, tb, wa, wb, k = wide
-        # |df/dt| <= |z'| hp_bound(r) (1 + |zeta| r^n), r the largest |z| on
-        # the segment: a ray segment's outer end, or the circle's radius
         j = np.searchsorted(k, nr)
-        r = np.concatenate([tb[:j], s.rhos[k[j:] - nr]])
-        speed = np.where(np.arange(r.size) < j, 1.0, r) * f.kernel.hp_bound(r)
-        speed *= 1.0 + abs(f.zeta) * r**f.n
+        speed = np.concatenate([speed_bound(tb[:j], 1.0), circle_speed[k[j:] - nr]])
         split = _may_reach(wa, wb, tb - ta, centres, hw, speed)
         grow = np.bincount(k[split], minlength=size.size)
         fits = size + grow <= MAX_CURVE_POINTS
@@ -241,7 +266,7 @@ def _refine_scene(f: HarmonicMapping, s: _Samples, max_gap: float,
 class _Curve:
     tag: str
     color: str
-    width_scale: float  # multiplies the resolved stroke width
+    stroke: int  # stroke width in canvas steps
     points: np.ndarray  # complex image points
 
 
@@ -256,13 +281,13 @@ def _scene_curves(spec: SceneSpec, s: _Samples) -> list[_Curve]:
     ends = np.searchsorted(s.cid, np.arange(len(s.tags)), side="right")
     ws = np.split(s.w, ends[:-1])
     rays = ws[:nr] + [np.conjugate(ws[spec.rays - k]) for k in range(nr, spec.rays)]
-    curves = [_Curve(f"ray-{k}", GRID_COLOR, 1.0, w) for k, w in enumerate(rays)]
+    curves = [_Curve(f"ray-{k}", GRID_COLOR, GRID_STROKE, w) for k, w in enumerate(rays)]
     for j, w in enumerate(ws[nr:]):
         w = np.concatenate([w, np.conjugate(w[-2:0:-1]), w[:1]] if s.mirror
                            else [w[:-1], w[:1]])
         edge = j == spec.circles - 1
         curves.append(_Curve(s.tags[nr + j], BOUNDARY_COLOR if edge else GRID_COLOR,
-                             1.8 if edge else 1.0, w))
+                             BOUNDARY_STROKE if edge else GRID_STROKE, w))
     return curves
 
 
@@ -270,17 +295,20 @@ def _scene_curves(spec: SceneSpec, s: _Samples) -> list[_Curve]:
 
 
 def _resolve_viewport(spec: SceneSpec, curves) -> tuple[complex, float]:
-    """The spec's viewport, fitted to the points of ``curves`` where unset."""
+    """The spec's viewport, fitted to the points of ``curves`` where unset;
+    a fit that overflows is rejected as the spec's own would be."""
     if spec.center is not None and spec.half_width is not None:
         return complex(spec.center), float(spec.half_width)
     allpts = np.concatenate([c.points for c in curves])
     xs, ys = allpts.real, allpts.imag
-    cx = 0.5 * (xs.min() + xs.max())
-    cy = 0.5 * (ys.min() + ys.max())
-    hw = 0.5 * max(xs.max() - xs.min(), ys.max() - ys.min()) * 1.05
+    with np.errstate(over="ignore"):
+        cx = 0.5 * (xs.min() + xs.max())
+        cy = 0.5 * (ys.min() + ys.max())
+        hw = 0.5 * max(xs.max() - xs.min(), ys.max() - ys.min()) * 1.05
     hw = max(hw, 1e-9)
     center = complex(cx, cy) if spec.center is None else complex(spec.center)
     half = hw if spec.half_width is None else float(spec.half_width)
+    _check_viewport(center, half)
     return center, half
 
 
@@ -380,45 +408,44 @@ def _clip_polyline(points: np.ndarray, center: complex, hw: float,
 # -- document assembly --------------------------------------------------------
 
 
-# both formatters add 0.0, which turns -0.0 into 0.0 so that it prints as "0"
-def _fmt(x: float) -> str:
-    return format(float(x) + 0.0, ".9g")
-
-
-def _points_attr(xs: np.ndarray, ys: np.ndarray) -> str:
-    """``"x,y x,y ..."`` from one ``%`` call over the interleaved coordinates."""
-    xy = np.column_stack([xs, ys]).ravel() + 0.0
-    return ("%.9g,%.9g " * xs.size)[:-1] % tuple(xy.tolist())
+def _canvas(xs: np.ndarray, ys: np.ndarray, center: complex, hw: float):
+    """The canvas integers ``(px, py)`` of the image points ``xs + i ys``:
+    ``S/2 + rint((x - cx) k)`` and ``S/2 - rint((y - cy) k)``, ``S =
+    CANVAS_STEPS`` and ``k = S / (2 hw)``."""
+    k = CANVAS_STEPS / (2.0 * hw)
+    half = CANVAS_STEPS // 2
+    return (half + np.rint((xs - center.real) * k).astype(np.int64),
+            half - np.rint((ys - center.imag) * k).astype(np.int64))
 
 
 def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex, hw: float) -> str:
-    stroke = hw / 240.0
     meta = json.dumps({**asdict(spec), "center": [center.real, center.imag], "half_width": hw,
-                       "stroke_width": stroke, "grid_color": GRID_COLOR,
+                       "stroke_width": hw / 240.0, "grid_color": GRID_COLOR,
                        "boundary_color": BOUNDARY_COLOR, "background": BACKGROUND},
                       sort_keys=True, separators=(", ", ": "))
-    vb = (f"{_fmt(center.real - hw)} {_fmt(-(center.imag + hw))} "
-          f"{_fmt(2 * hw)} {_fmt(2 * hw)}")
+    side = CANVAS_STEPS
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{CANVAS_PX}" height="{CANVAS_PX}" viewBox="{vb}">',
+        f'width="{CANVAS_PX}" height="{CANVAS_PX}" viewBox="0 0 {side} {side}">',
         f"<!-- scene: {meta} -->",
-        f'<rect x="{_fmt(center.real - hw)}" y="{_fmt(-(center.imag + hw))}" '
-        f'width="{_fmt(2 * hw)}" height="{_fmt(2 * hw)}" '
-        f'fill="{BACKGROUND}"/>',
-        '<g transform="scale(1,-1)" fill="none" stroke-linecap="round" '
-        'stroke-linejoin="round">',
+        f'<rect x="0" y="0" width="{side}" height="{side}" fill="{BACKGROUND}"/>',
+        '<g fill="none" stroke-linecap="round" stroke-linejoin="round">',
     ]
     # one clip for the whole scene; each run is drawn with its curve's style
     ends = np.cumsum([c.points.size for c in curves])
     runs = _clip_polyline(np.concatenate([c.points for c in curves]), center, hw,
                           cut=ends[:-1] - 1)
-    owner = np.searchsorted(ends, [s for s, _, _ in runs], side="right")
-    heads = [f'<polyline class="{c.tag}" stroke="{c.color}" '
-             f'stroke-width="{_fmt(stroke * c.width_scale)}" points="' for c in curves]
-    lines += [heads[k] + _points_attr(xs, ys) + '"/>'
-              for k, (_, xs, ys) in zip(owner.tolist(), runs)]
+    if runs:
+        owner = np.searchsorted(ends, [s for s, _, _ in runs], side="right")
+        heads = [f'<polyline class="{c.tag}" stroke="{c.color}" '
+                 f'stroke-width="{c.stroke}" points="' for c in curves]
+        # every run's points go through one %d call
+        px, py = _canvas(np.concatenate([xs for _, xs, _ in runs]),
+                         np.concatenate([ys for _, _, ys in runs]), center, hw)
+        template = "\n".join(heads[k] + ("%d,%d " * xs.size)[:-1] + '"/>'
+                             for k, (_, xs, _) in zip(owner.tolist(), runs))
+        lines.append(template % tuple(_interleave(px, py).tolist()))
     lines += ["</g>", "</svg>"]
     return "\n".join(lines) + "\n"
 
@@ -454,7 +481,7 @@ def render_boundary_curve(f: HarmonicMapping, r: float, M: int = BOUNDARY_SAMPLE
     z = r * np.exp(1j * theta)
     z[-1] = z[0]
     pts = _eval_points(f, z, ["boundary"], np.zeros(z.size, dtype=int))
-    curve = _Curve("boundary", BOUNDARY_COLOR, 1.8, pts)
+    curve = _Curve("boundary", BOUNDARY_COLOR, BOUNDARY_STROKE, pts)
     spec = SceneSpec(family=f.label, radius=r, circles=1, rays=0,
                      samples_per_curve=max(int(M), 128),
                      center=None if viewport is None else complex(viewport[0]),

@@ -37,7 +37,7 @@ from harmap.mappings import (
     make_counterexample,
     make_extremal,
 )
-from harmap.render import SceneSpec, render_image_domain
+from harmap.render import CANVAS_STEPS, SceneSpec, render_image_domain
 from harmap.special import hyp2f1, principal_pow
 from harmap.univalence import (
     feasibility_threshold,
@@ -238,17 +238,14 @@ def test_criterion_10_deterministic_figures(tmp_path):
     (tmp_path / "figure1.svg").write_text(fig1_a, encoding="utf-8")
     (tmp_path / "figure2.svg").write_text(fig2_a, encoding="utf-8")
 
-    # the emitted point set of the whole-image figure mirrors across the real axis
-    pts = []
-    for chunk in re.findall(r'points="([^"]*)"', fig1_a):
-        for pair in chunk.split():
-            x, y = pair.split(",")
-            pts.append(complex(float(x), float(y)))
-    pts = np.array(pts)
-    mirrored = np.conj(pts)
-    order_a = np.lexsort((pts.imag, pts.real))
-    order_b = np.lexsort((mirrored.imag, mirrored.real))
-    assert np.max(np.abs(pts[order_a] - mirrored[order_b])) < 1e-9
+    # the emitted point set of the whole-image figure mirrors across the real
+    # axis: its centre lies on the axis, so canvas row py goes to S - py exactly
+    assert json.loads(re.search(r"<!-- scene: (.*?) -->", fig1_a).group(1))["center"][1] == 0.0
+    pts = np.array([[int(v) for v in pair.split(",")]
+                    for chunk in re.findall(r'points="([^"]*)"', fig1_a)
+                    for pair in chunk.split()])
+    mirrored = np.column_stack([pts[:, 0], CANVAS_STEPS - pts[:, 1]])
+    assert np.array_equal(pts[np.lexsort(pts.T[::-1])], mirrored[np.lexsort(mirrored.T[::-1])])
 
     # the collision image appears inside the zoom viewport
     meta = json.loads(re.search(r"<!-- scene: (.*?) -->", fig2_a).group(1))

@@ -337,6 +337,16 @@ def test_non_finite_coefficients_are_a_usage_error(argv, bad, tmp_path):
     assert "coefficients of h must be finite" in res.stderr and "at index 2" in res.stderr
 
 
+@pytest.mark.parametrize("entry", ["1" + "0" * 400, "[0, -1" + "0" * 400 + "]"])
+def test_coefficient_beyond_the_float_range_is_a_usage_error(entry, tmp_path):
+    # complex() of a JSON integer past 1.8e308 raised OverflowError, exit 1
+    path = tmp_path / "coeffs.json"
+    path.write_text(f'{{"coeffs": [0, 1, {entry}]}}')
+    res = run_cli("eval", "--family", f"from-h:{path}", "--z", "0.1,0")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "coefficients of h must be finite" in res.stderr and "at index 2" in res.stderr
+
+
 @pytest.mark.parametrize("coeffs, message", [
     ([], "non-empty 1-d"),
     ([0.0], "two entries"),
@@ -642,6 +652,23 @@ def test_render_explicit_zero_is_rejected(argv):
     res = run_cli("render", "--family", "identity", *argv)
     assert res.returncode == 2
     assert res.stderr.startswith("error:"), res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "identity", "--center", "0,0", "--half-width", "1e308"),
+    ("--family", "identity", "--center", "0,0", "--half-width", "1e-320"),
+    ("--preset", "boundary"),
+])
+def test_render_viewport_off_the_canvas_grid_is_a_usage_error(argv, tmp_path):
+    # 2 hw = inf, k = S/(2 hw) = inf, and an auto-fit viewport whose width
+    # overflows: it wrote viewBox="-1e+308 -1e+308 inf inf" and exited 0
+    if "--family" not in argv:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"coeffs": [0, 1, 8.9e307], "zeta": 0.1}))
+        argv = ("--family", f"from-h:{path}") + argv
+    res = run_cli("render", *argv)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("error: viewport"), res.stderr
 
 
 @pytest.mark.parametrize("preset", ["overview", "boundary", "custom"])

@@ -37,13 +37,32 @@ def scene_meta(svg):
     return json.loads(m.group(1))
 
 
+#: steps per side of the canvas grid
+S = render.CANVAS_STEPS
+
+
+def canvas_runs(svg):
+    """Each polyline's points as an ``(n, 2)`` array of canvas integers."""
+    return [np.array([[int(v) for v in pair.split(",")] for pair in chunk.split()],
+                     dtype=np.int64).reshape(-1, 2)
+            for chunk in POINTS_RE.findall(svg)]
+
+
 def all_points(svg):
-    pts = []
-    for chunk in POINTS_RE.findall(svg):
-        for pair in chunk.split():
-            x, y = pair.split(",")
-            pts.append(complex(float(x), float(y)))
-    return np.array(pts, dtype=np.complex128)
+    return np.concatenate(canvas_runs(svg) or [np.empty((0, 2), dtype=np.int64)])
+
+
+def worst_gap(svg):
+    """The longest step between consecutive points of a polyline, in steps."""
+    return max(float(np.max(np.hypot(*np.diff(run, axis=0).T)))
+               for run in canvas_runs(svg) if len(run) > 1)
+
+
+def mirror_symmetric(pts):
+    """Whether the canvas points, as a multiset, equal their images under
+    ``y -> -y`` about a centre on the real axis, i.e. ``py -> S - py``."""
+    mirrored = np.column_stack([pts[:, 0], S - pts[:, 1]])
+    return np.array_equal(pts[np.lexsort(pts.T[::-1])], mirrored[np.lexsort(mirrored.T[::-1])])
 
 
 def test_byte_determinism():
@@ -69,14 +88,19 @@ def test_viewbox_matches_metadata():
     f = make_identity()
     svg = render_image_domain(SceneSpec("identity", radius=0.9), f)
     meta = scene_meta(svg)
-    cx, cy = meta["center"]
     hw = meta["half_width"]
     root = ET.fromstring(svg)
-    vb = [float(v) for v in root.get("viewBox").split()]
-    assert vb[0] == pytest.approx(cx - hw, abs=1e-9)
-    assert vb[1] == pytest.approx(-(cy + hw), abs=1e-9)
-    assert vb[2] == pytest.approx(2 * hw, abs=1e-9)
-    assert vb[3] == pytest.approx(2 * hw, abs=1e-9)
+    # the viewport of side 2 hw is the canvas of S steps, 100 per pixel
+    assert S == 100 * int(root.get("width")) == 72_000
+    assert root.get("viewBox") == f"0 0 {S} {S}"
+    ns = "{http://www.w3.org/2000/svg}"
+    rect = root.find(f"{ns}rect")
+    assert [rect.get(a) for a in ("x", "y", "width", "height")] == ["0", "0", str(S), str(S)]
+    # the metadata's stroke width hw/240 is 150 steps; the boundary's 1.8 times that
+    k = S / (2 * hw)
+    assert meta["stroke_width"] * k == pytest.approx(150)
+    widths = {p.get("class"): p.get("stroke-width") for p in root.iter(f"{ns}polyline")}
+    assert widths["boundary"] == "270" and widths["ray-0"] == widths["circle-1"] == "150"
 
 
 def test_auto_viewport_fits_identity_disk():
@@ -91,13 +115,10 @@ def test_auto_viewport_fits_identity_disk():
 def test_all_points_inside_viewport():
     f = make_bshouty_lyzzaik(0.4)
     svg = render_image_domain(SceneSpec(f.label), f)
-    meta = scene_meta(svg)
-    cx, cy = meta["center"]
-    hw = meta["half_width"]
     pts = all_points(svg)
     assert len(pts) > 1000
-    assert np.max(np.abs(pts.real - cx)) <= hw + 1e-9
-    assert np.max(np.abs(pts.imag - cy)) <= hw + 1e-9
+    # the viewport [cx - hw, cx + hw] x [cy - hw, cy + hw] is the canvas [0, S]^2
+    assert pts.min() >= 0 and pts.max() <= S
 
 
 def test_explicit_viewport_clips_points():
@@ -109,19 +130,17 @@ def test_explicit_viewport_clips_points():
     assert meta["half_width"] == pytest.approx(0.08)
     pts = all_points(svg)
     assert len(pts) > 100
-    assert np.max(np.abs(pts.real - 1.0)) <= 0.08 + 1e-9
-    assert np.max(np.abs(pts.imag)) <= 0.08 + 1e-9
+    assert pts.min() >= 0 and pts.max() <= S
+    # the points drawn go right up to the viewport's edges
+    assert pts.min() == 0 or pts.max() == S
 
 
 def test_mirror_symmetry_of_point_set():
     f = make_counterexample(1.25)
     svg = render_image_domain(SceneSpec(f.label, radius=0.995), f)
-    pts = all_points(svg)
-    mirrored = np.conj(pts)
-    order_a = np.lexsort((pts.imag, pts.real))
-    order_b = np.lexsort((mirrored.imag, mirrored.real))
-    gap = np.max(np.abs(pts[order_a] - mirrored[order_b]))
-    assert gap < 1e-9, f"mirror asymmetry {gap}"
+    assert scene_meta(svg)["center"][1] == 0.0
+    # np.rint is odd, so mirrored points print mirrored integers exactly
+    assert mirror_symmetric(all_points(svg))
 
 
 def test_boundary_curve_closed_polyline():
@@ -158,9 +177,12 @@ def test_scene_spec_validation_messages():
     {"center": complex(0.0, -math.inf), "half_width": 1.0},
     {"center": 0j, "half_width": math.inf},
     {"half_width": math.nan},
+    {"center": 0j, "half_width": 1e308},
+    {"center": 0j, "half_width": 1e-320},
 ])
 def test_scene_spec_rejects_a_non_finite_viewport(kw):
-    # it wrote viewBox="nan -1 2 2" or "-inf -inf inf inf"
+    # it wrote viewBox="nan -1 2 2" or "-inf -inf inf inf"; neither 2 hw = inf
+    # nor k = S / (2 hw) = inf maps onto the canvas grid
     with pytest.raises(ParameterError, match="viewport"):
         SceneSpec("identity", **kw)
 
@@ -191,14 +213,10 @@ def test_adaptive_refinement_limits_gaps():
     # jumps; refinement must bound consecutive gaps by 1% of the viewport
     f = make_counterexample(1.25)
     svg = render_image_domain(SceneSpec(f.label), f)
-    meta = scene_meta(svg)
-    hw = meta["half_width"]
-    worst = 0.0
-    for chunk in POINTS_RE.findall(svg):
-        pts = np.array([complex(*map(float, p.split(","))) for p in chunk.split()])
-        if len(pts) > 1:
-            worst = max(worst, float(np.max(np.abs(np.diff(pts)))))
-    assert worst <= 2.0 * (2 * hw) / 200.0 + 1e-12
+    hw = scene_meta(svg)["half_width"]
+    k = S / (2 * hw)
+    # rounding each end to the grid moves a step by under 1 per axis
+    assert worst_gap(svg) <= 2.0 * (2 * hw) / 200.0 * k + math.sqrt(2)
 
 
 # -- clipping against the per-segment reference --------------------------------
@@ -389,7 +407,7 @@ def test_scene_clip_matches_clipping_each_curve(monkeypatch):
     for center, hw in ((0.1 + 0.0j, 0.5), (_collision_center(1.25), 0.05)):
         spec = SceneSpec(f.label, center=center, half_width=hw)
         curves = render._scene_curves(spec, render._sample_scene(f, spec))
-        want = [(c.tag, render._points_attr(xs, ys)) for c in curves
+        want = [(c.tag, _points_text(xs, ys, center, hw)) for c in curves
                 for _, xs, ys in render._clip_polyline(c.points, center, hw)]
         stepped.clear()
         svg = render._assemble(spec, curves, center, hw)
@@ -402,12 +420,42 @@ def test_scene_clip_matches_clipping_each_curve(monkeypatch):
             assert 0 < sum(stepped) < 0.1 * sum(c.points.size for c in curves)
 
 
-def test_points_attr_formats_like_fmt():
-    xs = np.array([-0.0, 0.0, 1.0 / 3.0, -2.5e-12, 123456789.123])
-    ys = np.array([1e300, -0.0, -1.0, 7.0, -1e-320])
-    assert render._fmt(-0.0) == "0"
-    want = " ".join(f"{render._fmt(x)},{render._fmt(y)}" for x, y in zip(xs, ys))
-    assert render._points_attr(xs, ys) == want
+def _points_text(xs, ys, center, hw):
+    """A run's ``points`` text from the grid map of :func:`render._canvas`."""
+    px, py = render._canvas(xs, ys, center, hw)
+    return " ".join(f"{x},{y}" for x, y in zip(px.tolist(), py.tolist()))
+
+
+@given(cx=st.floats(-1e3, 1e3), cy=st.floats(-1e3, 1e3), hw=st.floats(1e-6, 1e6),
+       offsets=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                        min_size=2, max_size=16))
+@settings(max_examples=300, deadline=None)
+@example(cx=0.0, cy=0.0, hw=1.0, offsets=[(-1.0, 1.0), (1.0, -1.0), (0.5 / 36_000, -1.5 / 36_000)])
+def test_printed_integers_follow_the_canvas_grid(cx, cy, hw, offsets):
+    center = complex(cx, cy)
+    pts = np.array([complex(cx + a * hw, cy + b * hw) for a, b in offsets])
+    curve = render._Curve("boundary", render.BOUNDARY_COLOR, render.BOUNDARY_STROKE, pts)
+    svg = render._assemble(SceneSpec("identity", center=center, half_width=hw),
+                           [curve], center, hw)
+    # every point lies in the viewport, so the polyline is one run of them all
+    (got,) = canvas_runs(svg)
+    k = S / (2 * hw)
+    # Python's round() on a float rounds half to even, as np.rint does
+    want = [[S // 2 + round((p.real - cx) * k), S // 2 - round((p.imag - cy) * k)] for p in pts]
+    assert got.tolist() == want
+    # back to the image plane within half a step hw / S, plus rounding
+    slack = hw / S + 8 * np.finfo(float).eps * (max(abs(cx), abs(cy)) + hw)
+    x = cx + (got[:, 0] - S / 2) / k
+    y = cy - (got[:, 1] - S / 2) / k
+    assert np.all(np.abs(x - pts.real) <= slack) and np.all(np.abs(y - pts.imag) <= slack)
+    # odd about the centre: a point and its mirror image about a centre on
+    # an axis print mirrored integers
+    px, py = render._canvas(pts.real, pts.imag, complex(cx, 0.0), hw)
+    qx, qy = render._canvas(pts.real, -pts.imag, complex(cx, 0.0), hw)
+    assert np.array_equal(qx, px) and np.array_equal(qy, S - py)
+    px, py = render._canvas(pts.real, pts.imag, complex(0.0, cy), hw)
+    qx, qy = render._canvas(-pts.real, pts.imag, complex(0.0, cy), hw)
+    assert np.array_equal(qx, S - px) and np.array_equal(qy, py)
 
 
 # -- refinement contract -------------------------------------------------------
@@ -546,7 +594,7 @@ def _scene_curves_reference(f, spec, max_gap, view=None, start=None):
         tag = f"ray-{k}"
         if mirror and k > spec.rays // 2:
             mirrored = np.conjugate(curves[spec.rays - k].points)
-            curves.append(render._Curve(tag, render.GRID_COLOR, 1.0, mirrored))
+            curves.append(render._Curve(tag, render.GRID_COLOR, render.GRID_STROKE, mirrored))
             continue
         angle = 2.0 * math.pi * k / spec.rays
         direction = complex(math.cos(angle), math.sin(angle))
@@ -554,7 +602,7 @@ def _scene_curves_reference(f, spec, max_gap, view=None, start=None):
         t, w = _refine_params_reference(f, lambda s, d=direction: s * d, t, max_gap,
                                         reach(spec.radius, 1.0), w)
         samples[tag] = (t, w)
-        curves.append(render._Curve(tag, render.GRID_COLOR, 1.0, w))
+        curves.append(render._Curve(tag, render.GRID_COLOR, render.GRID_STROKE, w))
     for j in range(1, spec.circles + 1):
         rho = spec.radius * j / spec.circles
         boundary = j == spec.circles
@@ -574,7 +622,8 @@ def _scene_curves_reference(f, spec, max_gap, view=None, start=None):
         else:
             pts = np.concatenate([w[:-1], w[:1]])
         curves.append(render._Curve(tag, render.BOUNDARY_COLOR if boundary else render.GRID_COLOR,
-                                    1.8 if boundary else 1.0, pts))
+                                    render.BOUNDARY_STROKE if boundary else render.GRID_STROKE,
+                                    pts))
     return curves, samples
 
 
@@ -688,9 +737,6 @@ def test_pruned_zoom_gaps_within_max_gap(family, center, hw):
         center = _collision_center(1.25)
     svg = render_image_domain(SceneSpec(f.label, center=center, half_width=hw), f)
     max_gap = 2.0 * hw / render.GAP_DENOM
-    worst = 0.0
-    for chunk in POINTS_RE.findall(svg):
-        pts = np.array([complex(*map(float, p.split(","))) for p in chunk.split()])
-        worst = max(worst, float(np.max(np.abs(np.diff(pts)))))
-    # the points are printed to 9 significant digits
-    assert worst <= max_gap + 1e-8
+    # the points are printed on the grid: each end moves by at most half a
+    # step per axis
+    assert worst_gap(svg) <= max_gap * S / (2 * hw) + math.sqrt(2)
