@@ -69,9 +69,16 @@ def _horner(c, z):
     return acc
 
 
-def _derivative(c):
-    """Coefficients of the derivative of the polynomial ``c``."""
-    return c[1:] * np.arange(1, len(c))
+def _derivative(c, noun: str):
+    """Coefficients of the derivative of the polynomial ``c`` (``[0]`` for a
+    constant); a :class:`ParameterError`, naming ``c`` as ``noun``, if one overflows."""
+    with np.errstate(over="ignore"):
+        d = c[1:] * np.arange(1, len(c))
+    bad = np.flatnonzero(~np.isfinite(d)) + 1
+    if bad.size:
+        raise ParameterError(f"{noun} must have a finite derivative, got {bad[0]} * "
+                             f"{c[bad[0]]} at index {bad[0]}")
+    return d if d.size else np.zeros(1, dtype=np.complex128)
 
 
 def _primitive(c):
@@ -293,7 +300,7 @@ class PolyKernel:
 
     def __init__(self, hp):
         self.hp = _coefficients(hp, "h' coefficients")
-        self.hpp = _derivative(self.hp) if self.hp.size > 1 else np.zeros(1, dtype=np.complex128)
+        self.hpp = _derivative(self.hp, "h' coefficients")
         self._roots = None
 
     def series(self, order: int) -> np.ndarray:
@@ -528,7 +535,7 @@ def make_from_h(h, zeta, n: int, label: str) -> HarmonicMapping:
         raise ParameterError("coefficients of h need two entries for h(0)=0, h'(0)=1")
     if abs(h[0]) > 1e-12 or abs(h[1] - 1.0) > 1e-12:
         raise ParameterError("analytic part must be normalized: h(0)=0, h'(0)=1")
-    return HarmonicMapping(PolyKernel(_derivative(h)), zeta, n, label)
+    return HarmonicMapping(PolyKernel(_derivative(h, "coefficients of h")), zeta, n, label)
 
 
 # -- family-spec grammar ------------------------------------------------------

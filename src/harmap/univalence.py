@@ -32,15 +32,17 @@ DEFAULT_CELLS = 256
 DEFAULT_COLLISION_TOL = 1e-8
 #: preimage pairs closer than this are treated as trivially equal
 DEFAULT_SEPARATION_FLOOR = 0.05
-#: the scan stops collecting candidate pairs beyond this many (memory cap);
-#: a truncated scan without a confirmed collision is ``inconclusive``
+#: the scan keeps the first this many candidate pairs, in emission order; a
+#: truncated scan without a confirmed collision is ``inconclusive``
 MAX_CANDIDATES = 12_000_000
 #: safety cap on the collision bisection, which stops once the midpoint equals
 #: an end point (in under 70 steps for every feasible gamma and r0 tried)
 _MAX_BISECTIONS = 200
+#: hash pairs the candidate stage expands and filters at a time
+_EXPAND_BLOCK = 1 << 14
 #: Gauss-Newton iterations of the scan's refiner, and the pairs it refines at
-#: a time (its transient arrays are a small multiple of that)
-_REFINE_ITERS, _REFINE_BLOCK = 14, 1_500_000
+#: a time in each of its two stages (its transient arrays scale with that)
+_REFINE_ITERS, _REFINE_BLOCK = 14, 1 << 13
 
 
 def feasibility_threshold(gamma: float) -> float:
@@ -129,36 +131,48 @@ def _batch_refine(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray
 
     The pairs start at the grid points ``(z[I], z[J])`` with image gaps
     ``gap``; ``evals = (w, hp, gp)`` holds ``f.eval_all(z)``, from which the
-    first step takes its residual and Jacobian instead of evaluating again.
-    Works ``_REFINE_BLOCK`` pairs at a time and returns ``(z1, z2, gap,
-    alive)`` where ``alive`` is False for pairs that merged below half the
-    separation floor (trivial near-diagonal minima).
+    first step takes its residual and Jacobian.  That step, which retires
+    most pairs, then the later steps of the live pairs run ``_REFINE_BLOCK``
+    pairs at a time (transients scale with the block, not the pairs), bit for
+    bit as on all at once: a pair's update reads only that pair.  Returns
+    ``(z1, z2, gap, alive)`` where ``alive`` is False for pairs that merged
+    below half the separation floor (trivial near-diagonal minima).
     """
-    b = _REFINE_BLOCK
-    parts = [_batch_refine_block(f, z, evals, I[i : i + b], J[i : i + b], gap[i : i + b],
-                                 r, floor, tol, _REFINE_ITERS)
-             for i in range(0, len(I), b)]
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
+    z1, z2, gap = z[I], z[J], gap.copy()
+    alive, progress = np.ones((2, len(I)), dtype=bool)
+    for i in range(0, len(I), _REFINE_BLOCK):
+        k = slice(i, i + _REFINE_BLOCK)
+        z1[k], z2[k], gap[k], alive[k], progress[k] = _batch_refine_block(
+            f, z1[k], z2[k], gap[k], r, floor, tol, 1, (evals, I[k], J[k]))
+    rest = np.nonzero(alive & progress & (gap > 0.1 * tol))[0]
+    for i in range(0, len(rest), _REFINE_BLOCK):
+        k = rest[i : i + _REFINE_BLOCK]
+        z1[k], z2[k], gap[k], alive[k], _ = _batch_refine_block(
+            f, z1[k], z2[k], gap[k], r, floor, tol, _REFINE_ITERS - 1, None)
+    return z1, z2, gap, alive
 
 
 #: the step lengths of the line search: the full step, then five halvings
 _STEPS = 0.5 ** np.arange(6)[:, None]
 
 
-def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray,
-                        J: np.ndarray, gap: np.ndarray, r: float, floor: float,
-                        tol: float, iters: int):
-    """One block of :func:`_batch_refine`.
+def _batch_refine_block(f: HarmonicMapping, z1: np.ndarray, z2: np.ndarray,
+                        gap: np.ndarray, r: float, floor: float, tol: float, iters: int,
+                        grid: tuple | None):
+    """``iters`` steps of :func:`_batch_refine` on the pairs ``(z1, z2)`` with
+    gaps ``gap``, updated in place; returns them, ``alive`` and ``progress``.
 
-    Each iteration takes the least-norm Gauss-Newton step and line-searches
-    it: the full step for every pair in one call of ``f``, then the halved
-    steps ``0.5**k`` (k = 1..5) of the pairs it failed in one more call; a
-    pair keeps the first that lowers its gap.  A pair whose separation is
-    below half the floor both now and after the full step is retired unseen:
-    the separation is convex along the step and ``clamp`` (a projection onto
-    a disk) does not expand distances, so it merges whatever step is taken.
+    With ``grid = (evals, I, J)`` the pairs are the grid points ``(z[I],
+    z[J])``: the first step reads ``evals`` and merge-tests every pair.  Each
+    iteration takes the least-norm Gauss-Newton step and line-searches it:
+    the full step for every pair in one call of ``f``, then the halved steps
+    ``0.5**k`` (k = 1..5) of the pairs it failed in one more call; a pair
+    keeps the first that lowers its gap.  A pair whose separation is below
+    half the floor both now and after the full step is retired unseen: the
+    separation is convex along the step and ``clamp`` (a projection onto a
+    disk) does not expand distances, so it merges whatever step is taken.
+    The transient arrays are a small multiple of the pairs given.
     """
-    z1, z2, gap = z[I], z[J], gap.copy()
     half = 0.5 * floor
 
     def clamp(zz):
@@ -178,7 +192,7 @@ def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.n
         ``zz`` to ``c[k]``, ``c[k + 1]``.  Values come from ``evals`` at the
         grid points ``index`` when given.  Evaluating one side at a time
         keeps only one side's derivative arrays alive."""
-        w, hp, gp = f.eval_all(zz) if index is None else (e[index] for e in evals)
+        w, hp, gp = f.eval_all(zz) if index is None else (e[index] for e in grid[0])
         gpc = np.conjugate(gp)
         c[k] = sgn * (hp + gpc)
         c[k + 1] = sgn * 1j * (hp - gpc)
@@ -194,9 +208,9 @@ def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.n
         a1, a2 = z1[act], z2[act]
         # residual and the complex columns of its 2x4 real Jacobian
         c = np.empty((4, len(a1)), dtype=np.complex128)
-        first = it == 0
-        R = (side(a1, I[act] if first else None, 1.0, c, 0)
-             - side(a2, J[act] if first else None, -1.0, c, 2))
+        first = it == 0 and grid is not None
+        R = (side(a1, grid[1][act] if first else None, 1.0, c, 0)
+             - side(a2, grid[2][act] if first else None, -1.0, c, 2))
         A = np.sum(c.real * c.real, axis=0)
         B = np.sum(c.real * c.imag, axis=0)
         D = np.sum(c.imag * c.imag, axis=0)
@@ -240,7 +254,7 @@ def _batch_refine_block(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.n
         # merge test; the first test covers every pair, even one never active
         moved = slice(None) if first else act
         alive[moved] &= ~(np.abs(z1[moved] - z2[moved]) < half)
-    return z1, z2, gap, alive
+    return z1, z2, gap, alive, progress
 
 
 def _polish_symmetric(f: HarmonicMapping, z1: complex, r: float, floor: float,
@@ -331,8 +345,10 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
     of groups that both lie wholly there is dropped, since each of its point
     pairs is the exact mirror of one that a kept pair holds.  A query looks
     up only the targets it can keep: at its own level those after it, and
-    when it lies wholly lower those that do not.  ``truncated``: collection
-    stopped after more than ``MAX_CANDIDATES`` pairs.
+    when it lies wholly lower those that do not.  A level's pairs are expanded
+    and filtered ``_EXPAND_BLOCK`` at a time in emission order: beside the kept
+    pairs, transients scale with the block and the nine lookups per query.
+    ``truncated``: only the first ``MAX_CANDIDATES`` of more pairs are returned.
     """
     top = max(float(rad.max()), 5e-13)
     u = w - complex(w.real.min(), w.imag.min())
@@ -358,8 +374,7 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
     np.maximum.at(reach, grp, rad + np.abs(w - wr[grp]))
     np.maximum.at(spread, grp, np.abs(z - zr[grp]))
 
-    pairs = [np.zeros((2, 0), dtype=np.int64)]
-    chunk = 2_000_000  # cap transient allocation per expansion block
+    pairs, count = [np.zeros((2, 0), dtype=np.int64)], 0
     for level in range(levels):
         qs = np.nonzero(rlev <= level)[0]
         t = np.nonzero(rlev[qs] == level)[0]
@@ -387,21 +402,24 @@ def _candidate_pairs(w: np.ndarray, z: np.ndarray, rad: np.ndarray,
         lo = np.searchsorted(keys, base + np.repeat(np.where(rlev[qs] == level,
                                                              np.arange(1, n + 1), 0), 9))
         cnt = np.where(cells[rank] == want, np.searchsorted(keys, base + n) - lo, 0)
+        # the level's pairs, numbered lookup by lookup, are expanded and
+        # filtered a block at a time: each lookup gives its run's part in it
         src, ends = np.repeat(qs, 9), np.cumsum(cnt)
-        b0 = 0
-        while b0 < len(cnt):
-            b1 = max(b0 + 1, int(np.searchsorted(ends, ends[b0] - cnt[b0] + chunk, "right")))
-            c = cnt[b0:b1]
-            a = np.repeat(src[b0:b1], c)
-            b = qs[t[np.arange(len(a)) - np.repeat(np.cumsum(c) - c - lo[b0:b1], c)]]
+        for p0 in range(0, int(ends[-1]), _EXPAND_BLOCK):
+            p1 = min(p0 + _EXPAND_BLOCK, int(ends[-1]))
+            e0, e1 = np.searchsorted(ends, [p0, p1 - 1], "right")
+            e = slice(e0, e1 + 1)
+            c = np.minimum(ends[e], p1) - np.maximum(ends[e] - cnt[e], p0)
+            a = np.repeat(src[e], c)
+            b = qs[t[np.repeat(lo[e] + cnt[e] - ends[e], c) + np.arange(p0, p1)]]
             # cheaper test first; the second sees only the survivors
             m = np.abs(wr[a] - wr[b]) <= reach[a] + reach[b]
             a, b = a[m], b[m]
             m = np.abs(zr[a] - zr[b]) + spread[a] + spread[b] >= sep_pre
-            pairs.append(np.stack([rep[a[m]], rep[b[m]]]))
-            if sum(p.shape[1] for p in pairs) > MAX_CANDIDATES:
+            pairs.append(np.stack([rep[a[m]], rep[b[m]]])[:, : MAX_CANDIDATES - count])
+            count += np.count_nonzero(m)
+            if count > MAX_CANDIDATES:
                 return *np.concatenate(pairs, axis=1), levels, True
-            b0 = b1
     return *np.concatenate(pairs, axis=1), levels, False
 
 
@@ -412,8 +430,8 @@ def _first_smallest_per_key(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     key, from one sort of the integer keys instead of a two-key sort.  Each
     key is made distinct by its index, so the default (unstable) sort gives
     the stable order; the scan's keys lie below ``n_boxes**2 <= 2**34`` and
-    there are fewer than ``2**24`` of them (``MAX_CANDIDATES``, one expansion
-    block and the mirror seeds), so ``keys * n + index`` stays below ``2**58``.
+    there are fewer than ``2**24`` of them (at most ``MAX_CANDIDATES`` plus
+    512 mirror seeds), so ``keys * n + index`` stays below ``2**58``.
     """
     n = len(keys)
     order = np.argsort(keys * n + np.arange(n))
@@ -491,11 +509,8 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
     Z, W, hp, gp, rad = _scan_grid(f, r, cells, mirror)
     J = jacobian_of(hp, gp)
 
-    degenerate_point = None
-    bad = np.argwhere(J <= 0.0)
-    if bad.size:
-        i, j = bad[0]
-        degenerate_point = complex(Z[i, j])
+    bad = np.flatnonzero(J <= 0.0)
+    degenerate_point = complex(Z.flat[bad[0]]) if bad.size else None
 
     cell_size = 2.0 * float(rad.max()) or 1e-12
 
@@ -526,9 +541,7 @@ def univalence_scan(f: HarmonicMapping, r: float = DEFAULT_SCAN_RADIUS,
         I = np.concatenate([I, upper[best]])
         Jc = np.concatenate([Jc, mirrored[best]])
 
-    refinement_residual = None
-    collision = None
-    unconfirmed = None
+    refinement_residual = collision = unconfirmed = None
     tested = 0
     if len(I):
         gaps = np.abs(w[I] - w[Jc])

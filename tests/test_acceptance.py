@@ -159,7 +159,7 @@ def test_criterion_07_area_closed_form_and_sandwich():
     """Monomial-shear areas match the closed form to 1e-9; lattice areas sit inside the envelope."""
     for zeta, n, r in ((0.6, 1, 0.5), (0.3, 2, 0.7), (0.9, 1, 0.3)):
         h = [0.0, 1.0] + [0.0] * (n + 1)
-        f = HarmonicMapping(PolyKernel(_derivative(h)), zeta, n, "from-h")
+        f = HarmonicMapping(PolyKernel(_derivative(h, "h")), zeta, n, "from-h")
         want = math.pi * r * r - math.pi * zeta * zeta * r ** (2 * n + 2) / (n + 1)
         assert area(f, r)[0] == pytest.approx(want, rel=1e-9, abs=1e-12), (zeta, n, r)
 

@@ -265,7 +265,7 @@ def test_monomial_shear_area_closed_form():
     # h = z, g = zeta z^(n+1)/(n+1): A = pi r^2 - pi |zeta|^2 r^(2n+2)/(n+1)
     for zeta, n, r in ((0.6, 1, 0.7), (0.3, 2, 0.5), (0.2, 3, 0.8)):
         h = [0.0, 1.0] + [0.0] * (n + 1)
-        f = HarmonicMapping(PolyKernel(_derivative(h)), zeta, n, "from-h")
+        f = HarmonicMapping(PolyKernel(_derivative(h, "h")), zeta, n, "from-h")
         want = math.pi * r * r - math.pi * zeta * zeta * r ** (2 * n + 2) / (n + 1)
         assert area(f, r)[0] == pytest.approx(want, rel=1e-9), (zeta, n, r)
 

@@ -347,6 +347,26 @@ def test_coefficient_beyond_the_float_range_is_a_usage_error(entry, tmp_path):
     assert "coefficients of h must be finite" in res.stderr and "at index 2" in res.stderr
 
 
+@pytest.mark.parametrize("argv", [("eval", "--z", "0.1,0"), ("render", "--preset", "boundary")],
+                         ids=lambda a: a[0])
+@pytest.mark.parametrize("coeffs, message", [
+    # h' = 1 + 2e308 z overflows
+    ("[0, 1, 1e308]", "coefficients of h must have a finite derivative, got 2 * (1e+308+0j) "
+                      "at index 2"),
+    # h' = 1 + 1.5e308 z**2 is finite, h'' = 3e308 z overflows
+    ("[0, 1, 0, 5e307]", "h' coefficients must have a finite derivative, got 2 * "
+                         "(1.5e+308+0j) at index 2"),
+], ids=["h-prime", "h-second"])
+def test_coefficients_whose_derivative_overflows_are_a_usage_error(argv, coeffs, message,
+                                                                    tmp_path, capsys):
+    # in process, where a RuntimeWarning is an error: the overflow printed a
+    # warning before the usage error, or none and ran with an infinite h''
+    path = tmp_path / "coeffs.json"
+    path.write_text(f'{{"coeffs": {coeffs}}}')
+    assert cli.main([argv[0], "--family", f"from-h:{path}", *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("coeffs, message", [
     ([], "non-empty 1-d"),
     ([0.0], "two entries"),

@@ -261,7 +261,7 @@ def test_make_from_h_admissibility_gate():
     h = [0.0, 1.0, 0.0]
     with pytest.raises(AdmissibilityError):
         make_from_h(h, 0.9, 2, "from-h")  # cap is 1/3
-    f = HarmonicMapping(PolyKernel(_derivative(h)), 0.9, 2, "from-h")  # out of the class
+    f = HarmonicMapping(PolyKernel(_derivative(h, "h")), 0.9, 2, "from-h")  # out of the class
     assert abs(f.g.deriv(0.5) - 0.9 * 0.25) < 1e-12
 
 
@@ -336,7 +336,7 @@ def test_horner_skips_zero_coefficients_bit_for_bit():
 def test_primitive_then_derivative_round_trip():
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-    np.testing.assert_allclose(_derivative(_primitive(coeffs)), coeffs, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_derivative(_primitive(coeffs), "c"), coeffs, rtol=0, atol=1e-14)
 
 
 def test_primitive_has_a_zero_constant_term():

@@ -52,7 +52,7 @@ def class_params(draw, real_zeta=False):
 
 def _shear(h, zeta, n: int) -> HarmonicMapping:
     """The shear ``g' = zeta z^n h'`` of a normalized ``h``, in the class or not."""
-    return HarmonicMapping(PolyKernel(_derivative(h)), zeta, n, "from-h")
+    return HarmonicMapping(PolyKernel(_derivative(h, "h")), zeta, n, "from-h")
 
 
 @st.composite
@@ -227,8 +227,8 @@ def test_taylor_coefficient_relation(case):
 def test_horner_matches_closed_forms(f, z):
     th, tg = f.taylor(64)
     for got, want in ((_horner(th, z), f.h.value(z)), (_horner(tg, z), f.g.value(z)),
-                      (_horner(_derivative(th), z), f.h.deriv(z)),
-                      (_horner(_derivative(tg), z), f.g.deriv(z))):
+                      (_horner(_derivative(th, "h"), z), f.h.deriv(z)),
+                      (_horner(_derivative(tg, "g"), z), f.g.deriv(z))):
         assert abs(complex(got) - complex(want)) <= 1e-12 * max(1.0, abs(complex(want)))
 
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,9 @@ def test_truncated_scan_is_inconclusive(monkeypatch, tmp_path, schema_check):
     monkeypatch.setattr(univalence, "MAX_CANDIDATES", 1000)
     report = univalence_scan(make_bshouty_lyzzaik(0.30), r=0.999, cells=64)
     assert report.details["truncated"]
+    # the first 1000 pairs of the hash, whatever its block size, and the 512
+    # mirror seeds
+    assert report.details["candidate_pairs"] == 1000 + 512
     assert report.verdict == "inconclusive"
     assert not report.certified
     assert "inconclusive" in report.summary()
@@ -224,6 +228,44 @@ def test_truncated_scan_is_inconclusive(monkeypatch, tmp_path, schema_check):
                            "univalence_report.json")
     assert payload["report"]["verdict"] == "inconclusive"
     assert payload["report"]["details"]["truncated"] is True
+    assert payload["report"]["details"]["candidate_pairs"] == 1000 + 512
+
+
+#: the bench scans: 64 cells, separation floor 0.2
+BENCH_SCANS = [("counterexample:gamma=1.2", "0.995"), ("bl:lam=0.4", "0.999")]
+
+
+@pytest.mark.parametrize("family, r", BENCH_SCANS, ids=["counterexample-1.2", "bl-0.40"])
+def test_scan_documents_do_not_depend_on_the_block_sizes(monkeypatch, tmp_path, family, r):
+    # each pair's hash tests and Gauss-Newton updates read only that pair, and
+    # the blocks keep the pairs' order, so one block per stage changes no bit
+    def document():
+        out = tmp_path / "scan.json"
+        assert cli.main(["univalence", "--family", family, "--r", r, "--cells", "64",
+                         "--separation-floor", "0.2", "--json", "--out", str(out)]) == 1
+        return out.read_bytes()
+
+    blocked = document()
+    details = json.loads(blocked)["report"]["details"]
+    assert details["candidate_pairs"] > 2 * univalence._EXPAND_BLOCK
+    assert details["candidates_refined"] > 2 * univalence._REFINE_BLOCK
+    monkeypatch.setattr(univalence, "_EXPAND_BLOCK", 1 << 40)
+    monkeypatch.setattr(univalence, "_REFINE_BLOCK", 1 << 40)
+    assert document() == blocked
+
+
+def test_scan_memory_is_bounded():
+    # the candidate stage and the refiner's first step run in blocks; with
+    # each on all its pairs at once this scan peaked at 11.6 MB
+    tracemalloc.start()
+    try:
+        report = univalence_scan(make_counterexample(1.2), r=0.995, cells=64,
+                                 separation_floor=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "collision"
+    assert peak < 10 * 2**20
 
 
 def test_rotated_map_witness_survives_last_bit_changes():
@@ -322,11 +364,11 @@ COVERAGE_IDS = ["bl-0.40", "counterexample-1.2", "rotated-bl", "identity", "bl-0
                 "counterexample-1.2-mirrored"]
 
 
-def _coverage_grid(f, r, mirror):
-    """``(Z, W, rad, box, sep_pre)``: the 64 x 128 scan grid, each point's
-    largest image gap to a grid neighbour (found point by point), 17 x 105
-    preimage boxes and a preimage separation of 0.05."""
-    n_r, n_a = 64, 128
+def _coverage_grid(f, r, mirror, n_r=64):
+    """``(Z, W, rad, box, sep_pre)``: the ``n_r x 2 n_r`` scan grid, each
+    point's largest image gap to a grid neighbour (found point by point),
+    17 x 105 preimage boxes and a preimage separation of 0.05."""
+    n_a = 2 * n_r
     Z, W = univalence._scan_grid(f, r, n_r, mirror)[:2]
     rad = np.zeros(W.shape)
     for i in range(n_r):
@@ -413,11 +455,11 @@ def _candidate_pairs_unpruned(w, z, rad, box, sep_pre, lower):
     return *np.concatenate(pairs, axis=1), levels, out_of_order, both_lower
 
 
-@pytest.mark.parametrize("f, r, mirror", COVERAGE_GRIDS, ids=COVERAGE_IDS)
-def test_candidate_pairs_match_the_unpruned_expansion(f, r, mirror):
-    # each query looks up only the targets it can keep; the pairs, and their
-    # order (gap ties go to the first pair), are those of the full expansion
-    Z, W, rad, box, sep_pre = _coverage_grid(f, r, mirror)
+def _check_unpruned_expansion(f, r, mirror, n_r):
+    """``_candidate_pairs`` on the coverage grid of ``n_r`` rings equals the
+    full expansion, pairs and order (gap ties go to the first pair), and
+    both kinds of pruning are at work."""
+    Z, W, rad, box, sep_pre = _coverage_grid(f, r, mirror, n_r)
     w, z, rad, box = W.ravel(), Z.ravel(), rad.ravel(), box.ravel()
     lower = mirror & (z.imag < 0.0)
     I, J, levels, truncated = univalence._candidate_pairs(w, z, rad, box, sep_pre, lower)
@@ -425,8 +467,23 @@ def test_candidate_pairs_match_the_unpruned_expansion(f, r, mirror):
                                                                           sep_pre, lower)
     assert (I.tolist(), J.tolist(), levels, truncated) == (rI.tolist(), rJ.tolist(), rlevels,
                                                              False)
-    # both kinds of pruning are at work here
     assert len(I) > 0 and out_of_order > 0 and (both_lower > 0) == mirror
+
+
+@pytest.mark.parametrize("f, r, mirror", COVERAGE_GRIDS, ids=COVERAGE_IDS)
+def test_candidate_pairs_match_the_unpruned_expansion(f, r, mirror):
+    # each query looks up only the targets it can keep
+    _check_unpruned_expansion(f, r, mirror, 64)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("f, r, mirror", COVERAGE_GRIDS, ids=COVERAGE_IDS)
+def test_candidate_pairs_do_not_depend_on_the_expansion_block(monkeypatch, f, r, mirror,
+                                                               block):
+    # blocks that split every lookup's run, on a grid small enough for them
+    # that still has several levels and both kinds of pruning
+    monkeypatch.setattr(univalence, "_EXPAND_BLOCK", block)
+    _check_unpruned_expansion(f, r, mirror, 8)
 
 
 @pytest.mark.parametrize("f, r", [
@@ -505,7 +562,9 @@ def test_scan_rejects_tolerances_that_cannot_give_a_verdict(f, kw):
 
 
 # The block refiner as it was before pairs that must merge were retired
-# unevaluated and the line search took one call of ``f`` per stage, verbatim.
+# unevaluated, the line search took one call of ``f`` per stage and the steps
+# after the first ran on the survivors only, verbatim: one call refines all
+# the pairs.
 def _batch_refine_block_reference(f: HarmonicMapping, z: np.ndarray, evals: tuple, I: np.ndarray,
                         J: np.ndarray, gap: np.ndarray, r: float, floor: float,
                         tol: float, iters: int):
@@ -586,7 +645,7 @@ def _batch_refine_block_reference(f: HarmonicMapping, z: np.ndarray, evals: tupl
 
 
 def _refine_case(f, r, floor, seed, n_pairs=3000):
-    """Inputs of ``_batch_refine_block`` on a 48 x 96 scan grid: the grid, its
+    """Inputs of ``_batch_refine`` on a 48 x 96 scan grid: the grid, its
     evaluation and a random candidate set, half of it pairs the scan's hash
     proposes and half pairs of grid points a few steps apart, whose
     preimages straddle half the separation floor."""
@@ -615,10 +674,12 @@ def _refine_case(f, r, floor, seed, n_pairs=3000):
     (_rotated_bl(), 0.999),
     (family_from_spec("extremal:alpha=-0.5,zeta=1,n=1,delta=0.6+0.8j"), 0.99),
 ], ids=["counterexample-1.2", "bl-0.40", "rotated-bl", "extremal-rotated"])
-def test_batch_refiner_matches_reference(f, r, seed):
+def test_batch_refiner_matches_reference(monkeypatch, f, r, seed):
+    # blocks of 64 pairs split both stages of every case into 3 blocks or more
     floor, tol = 0.2, 1e-8
     z, evals, I, J, gap = _refine_case(f, r, floor, seed)
-    z1, z2, g, alive = univalence._batch_refine_block(f, z, evals, I, J, gap, r, floor, tol, 14)
+    monkeypatch.setattr(univalence, "_REFINE_BLOCK", 64)
+    z1, z2, g, alive = univalence._batch_refine(f, z, evals, I, J, gap, r, floor, tol)
     rz1, rz2, rg, ralive = _batch_refine_block_reference(f, z, evals, I, J, gap, r, floor,
                                                          tol, 14)
     assert alive.tolist() == ralive.tolist()
