@@ -38,9 +38,7 @@ from .classcheck import (
 )
 from .errors import (
     AdmissibilityError,
-    BranchCutError,
     ConvergenceError,
-    DivergenceError,
     DomainError,
     HarmapError,
     InfeasibilityError,
@@ -64,14 +62,14 @@ from .mappings import (
     make_from_h,
     make_identity,
 )
-from .quadrature import disk_integral, integrate, integrate_real
+from .quadrature import disk_integral, integrate_real
 from .render import (
     SceneSpec,
     render_boundary_curve,
     render_image_domain,
 )
 from .reports import BoundReport, UnivalenceReport, dump_json
-from .special import hyp2f1, principal_pow
+from .special import hyp2f1
 from .univalence import (
     SymmetricCollision,
     feasibility_threshold,
@@ -88,16 +86,16 @@ __all__ = [
     "PBetaParams", "PolyKernel", "PowerKernel", "SceneSpec",
     "SymmetricCollision", "UnivalenceReport",
     "HarmapError", "ParameterError", "AdmissibilityError", "InfeasibilityError",
-    "DomainError", "BranchCutError", "PoleError", "NumericalError",
-    "DivergenceError", "ConvergenceError", "SingularityError", "OnCurveError",
+    "DomainError", "PoleError", "NumericalError", "ConvergenceError",
+    "SingularityError", "OnCurveError",
     "area", "area_bounds", "cc_radius", "check_membership", "check_pbeta",
     "check_theorem_b_condition", "coeff_bound_a", "coeff_bound_b",
     "covering_radius", "curvature", "curvature_extrema", "default_lattice",
     "disk_integral", "dump_json", "family_from_spec", "feasibility_threshold",
-    "find_symmetric_collision", "growth_bounds", "hyp2f1", "integrate",
-    "integrate_real", "is_conjugate_symmetric", "kaplan_min_arc_integral",
-    "make_bshouty_lyzzaik", "make_counterexample", "make_extremal", "make_from_h",
-    "make_identity", "principal_pow", "render_boundary_curve", "render_image_domain",
+    "find_symmetric_collision", "growth_bounds", "hyp2f1", "integrate_real",
+    "is_conjugate_symmetric", "kaplan_min_arc_integral", "make_bshouty_lyzzaik",
+    "make_counterexample", "make_extremal", "make_from_h", "make_identity",
+    "render_boundary_curve", "render_image_domain",
     "univalence_scan", "verify_area_sandwich", "verify_coeff_relation",
     "verify_coeff_sharpness", "verify_covering_consistency",
     "verify_growth_consistency", "verify_sharpness", "winding_check",

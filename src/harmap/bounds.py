@@ -27,7 +27,8 @@ from .special import hyp2f1
 
 #: closeness to alpha = 1/2 that selects the logarithmic branch
 _HALF_EPS = 1e-9
-#: relative tolerance of the growth and area envelope quadratures
+#: absolute tolerance of the growth and area envelope quadratures (the 1-d
+#: rule also stops a panel within its rounding floor of 8 ulps)
 _ENVELOPE_TOL = 1e-12
 #: relative tolerance of the area's disk quadrature; the envelope slack is ten times this
 _AREA_TOL = 1e-9
@@ -138,10 +139,10 @@ def _envelope(r: float, s: float, alpha: float, zeta: float, n: int) -> float:
     correction = zeta * r ** (n + 1) / (n + 1.0)
     x = s * r
     if abs(2.0 * alpha - 1.0) < _HALF_EPS:
-        lead, F = math.log1p(x), hyp2f1(1.0, n + 1.0, n + 2.0, -x).real
+        lead, F = math.log1p(x), hyp2f1(1.0, n + 1.0, n + 2.0, -x)
     else:
         lead = ((1.0 + x) ** (2.0 * alpha - 1.0) - 1.0) / (2.0 * alpha - 1.0)
-        F = hyp2f1(n + 1.0, 2.0 - 2.0 * alpha, n + 2.0, -x).real
+        F = hyp2f1(n + 1.0, 2.0 - 2.0 * alpha, n + 2.0, -x)
     return s * lead - s * correction * F
 
 

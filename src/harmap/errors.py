@@ -26,20 +26,12 @@ class DomainError(HarmapError, ValueError):
     """An evaluation point lies outside the operation's domain."""
 
 
-class BranchCutError(DomainError):
-    """A principal-branch function was evaluated on its cut."""
-
-
 class PoleError(ParameterError):
     """A special function was requested at a parameter pole."""
 
 
 class NumericalError(HarmapError, ArithmeticError):
     """Base class for runtime numerical failures."""
-
-
-class DivergenceError(NumericalError):
-    """A series or integral diverges at the requested point."""
 
 
 class ConvergenceError(NumericalError):

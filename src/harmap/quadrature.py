@@ -18,6 +18,8 @@ from .errors import ConvergenceError
 _ORDER = 16
 #: dyadic splits of a panel before the 1-d rule gives up
 _MAX_DEPTH = 48
+#: relative rounding floor of a panel's error budget: eight ulps of its value
+_ROUND_FLOOR = 8 * 2.0**-52
 #: radial and angular nodes of the first level of the disk rule
 _DISK_RADIAL = 128
 _DISK_ANGULAR = 256
@@ -31,24 +33,26 @@ def _legendre_nodes(n: int):
     return x, w
 
 
-def _panel(fn, a: float, b: float) -> complex:
+def _panel(fn, a: float, b: float) -> float:
     x, w = _legendre_nodes(_ORDER)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * np.sum(w * fn(mid + half * x))
 
 
-def integrate(fn, a: float, b: float, tol: float = 1e-12) -> complex:
-    """Adaptive composite Gauss-Legendre integral of ``fn`` over ``[a, b]``.
+def integrate_real(fn, a: float, b: float, tol: float = 1e-12) -> float:
+    """Adaptive composite Gauss-Legendre integral of a real ``fn`` over ``[a, b]``.
 
     Panels are split dyadically until the nested estimate (one panel vs. its
-    two halves) meets the locally apportioned share of ``tol``; exceeding
-    ``_MAX_DEPTH`` splits raises :class:`ConvergenceError`.
+    two halves) meets the locally apportioned share of the absolute ``tol``,
+    or lies within ``_ROUND_FLOOR`` of the panel's value, below which a split
+    cannot sharpen it; exceeding ``_MAX_DEPTH`` splits raises
+    :class:`ConvergenceError`.
     """
     if a == b:
-        return 0j
+        return 0.0
 
-    total = 0j
+    total = 0.0
     # stack entries: (left, right, coarse value, depth)
     stack = [(float(a), float(b), _panel(fn, a, b), 0)]
     width = abs(b - a)
@@ -58,7 +62,7 @@ def integrate(fn, a: float, b: float, tol: float = 1e-12) -> complex:
         left = _panel(fn, lo, mid)
         right = _panel(fn, mid, hi)
         fine = left + right
-        budget = tol * max(abs(hi - lo) / width, 1e-3)
+        budget = max(tol * max(abs(hi - lo) / width, 1e-3), _ROUND_FLOOR * abs(fine))
         if abs(fine - coarse) <= budget:
             total += fine
             continue
@@ -68,12 +72,7 @@ def integrate(fn, a: float, b: float, tol: float = 1e-12) -> complex:
             )
         stack.append((lo, mid, left, depth + 1))
         stack.append((mid, hi, right, depth + 1))
-    return total
-
-
-def integrate_real(fn, a: float, b: float, tol: float = 1e-12) -> float:
-    """As :func:`integrate` for real-valued integrands."""
-    return float(integrate(fn, a, b, tol=tol).real)
+    return float(total)
 
 
 def disk_integral(fn, r: float, tol: float = 1e-9) -> float:

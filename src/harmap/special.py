@@ -1,8 +1,7 @@
-"""Principal-branch powers and the Gauss hypergeometric function.
+"""Real digamma and the Gauss hypergeometric function on the real line.
 
-Everything here is restricted to what disk-mapping work needs: real
-parameters ``a, b, c``, arguments ``|z| <= 1``, and principal branches
-(argument in ``(-pi, pi]``) throughout.
+Everything here is restricted to what the growth and covering envelopes
+need: real parameters ``a, b, c`` and a real argument ``x in [-1, 1)``.
 """
 
 from __future__ import annotations
@@ -10,54 +9,34 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
+from .errors import ConvergenceError, DomainError, PoleError
 
-from .errors import (
-    BranchCutError,
-    ConvergenceError,
-    DivergenceError,
-    DomainError,
-    PoleError,
-)
-
-#: default relative tolerance for hypergeometric summation
+#: tail bound at which a hypergeometric series stops
 HYP_TOL = 1e-12
-#: hard cap on the number of series terms before giving up
+#: cap on the number of series terms before giving up
 HYP_MAX_TERMS = 10_000
 
 
-def principal_pow(w, gamma: float) -> complex:
-    """``w**gamma`` via ``exp(gamma*Log w)`` with the principal logarithm.
-
-    ``w`` must avoid the closed negative real axis (the branch cut, origin
-    included); for real ``w > 0`` the result agrees with the real power.
-    """
-    wc = complex(w)
-    if wc.imag == 0.0 and wc.real <= 0.0:
-        raise BranchCutError(f"principal power undefined on the cut: w={wc}")
-    return cmath.exp(gamma * cmath.log(wc))
-
-
-def _hyp_series(a: float, b: float, c: float, z: complex, tol: float, max_terms: int) -> complex:
+def _hyp_series(a: float, b: float, c: float, x: float, max_terms: int) -> float:
     """Direct summation with a tail-ratio stopping rule.
 
     Stops once the geometric tail bound ``|term| * rho / (1 - rho)`` with
-    ``rho = max(next ratio, |z|)`` drops below ``tol``.
+    ``rho = max(next ratio, |x|)`` drops below ``HYP_TOL``.
     """
-    term = 1.0 + 0j
+    term = 1.0
     total = term
-    az = abs(z)
+    ax = abs(x)
     for k in range(max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
         total += term
-        ratio_next = az * abs(a + k + 1) * abs(b + k + 1) / (abs(c + k + 1) * (k + 2.0))
-        rho = max(ratio_next, az)
-        if rho < 1.0 and abs(term) * rho / (1.0 - rho) <= tol:
+        ratio_next = ax * abs(a + k + 1) * abs(b + k + 1) / (abs(c + k + 1) * (k + 2.0))
+        rho = max(ratio_next, ax)
+        if rho < 1.0 and abs(term) * rho / (1.0 - rho) <= HYP_TOL:
             return total
         if term == 0:
             return total
     raise ConvergenceError(
-        f"hypergeometric series did not converge within {max_terms} terms at z={z}"
+        f"hypergeometric series did not converge within {max_terms} terms at x={x}"
     )
 
 
@@ -89,9 +68,8 @@ def _rgamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _hyp_near_one(a: float, b: float, c: float, x: float, tol: float,
-                  max_terms: int) -> complex:
-    """2F1 for real argument near 1 via the 1-z connection formulas.
+def _hyp_near_one(a: float, b: float, c: float, x: float) -> float:
+    """2F1 for ``x`` near 1 via the ``1 - x`` connection formulas.
 
     Uses the generic two-term connection when ``c - a - b`` is not an
     integer and the logarithmic variants when it is.  Arguments only
@@ -106,13 +84,13 @@ def _hyp_near_one(a: float, b: float, c: float, x: float, tol: float,
 
     if abs(s - m) > 1e-5:
         t1 = (math.gamma(c) * math.gamma(s) * _rgamma(c - a) * _rgamma(c - b)
-              * _hyp_series(a, b, 1.0 - s, u, tol, max_terms))
+              * _hyp_series(a, b, 1.0 - s, u, HYP_MAX_TERMS))
         t2 = (math.gamma(c) * math.gamma(-s) * _rgamma(a) * _rgamma(b)
-              * u**s * _hyp_series(c - a, c - b, 1.0 + s, u, tol, max_terms))
+              * u**s * _hyp_series(c - a, c - b, 1.0 + s, u, HYP_MAX_TERMS))
         return t1 + t2
 
     if abs(s - m) > 1e-12:
-        return _hyp_series(a, b, c, complex(x), tol, max(max_terms, 400_000))
+        return _hyp_series(a, b, c, x, 400_000)
 
     gc = math.gamma(c)
 
@@ -136,12 +114,12 @@ def _hyp_near_one(a: float, b: float, c: float, x: float, tol: float,
         psia, psib = digamma(hi[0]), digamma(hi[1])
         coef = 1.0 / math.gamma(M + 1.0)
         total = 0.0
-        for k in range(max(max_terms, 1000)):
+        for k in range(HYP_MAX_TERMS):
             lk = log_u - psi1 - psi2 + psia + psib
             total += coef * lk
             ratio = abs(hi[0] + k) * abs(hi[1] + k) / ((k + 1.0) * (k + M + 1.0)) * u
             rho = max(u, ratio)
-            if rho < 1.0 and abs(coef) * (abs(lk) + 2.0) * rho / (1.0 - rho) <= tol:
+            if rho < 1.0 and abs(coef) * (abs(lk) + 2.0) * rho / (1.0 - rho) <= HYP_TOL:
                 break
             coef *= (hi[0] + k) * (hi[1] + k) / ((k + 1.0) * (k + M + 1.0)) * u
             psi1 += 1.0 / (k + 1.0)
@@ -150,8 +128,8 @@ def _hyp_near_one(a: float, b: float, c: float, x: float, tol: float,
             psib += 1.0 / (hi[1] + k)
         else:
             raise ConvergenceError(
-                f"logarithmic 2F1 series stalled near z=1 (z={x}, c-a-b={m})")
-        return complex(prefix + scale * total)
+                f"logarithmic 2F1 series stalled near x=1 (x={x}, c-a-b={m})")
+        return prefix + scale * total
 
     if m >= 0:
         return log_branch((a, b), (a + m, b + m))
@@ -159,64 +137,24 @@ def _hyp_near_one(a: float, b: float, c: float, x: float, tol: float,
     return log_branch((a - mm, b - mm), (a, b))
 
 
-def _gauss_value(a: float, b: float, c: float) -> complex:
-    """2F1 at z = 1 via the Gamma-quotient evaluation (needs c-a-b > 0)."""
-    try:
-        val = (
-            math.gamma(c)
-            * math.gamma(c - a - b)
-            / (math.gamma(c - a) * math.gamma(c - b))
-        )
-    except ValueError:
-        # Gamma pole in a denominator factor: the quotient vanishes.
-        val = 0.0
-    return complex(val)
+def hyp2f1(a: float, b: float, c: float, x: float) -> float:
+    """Gauss hypergeometric function for real parameters and ``x in [-1, 1)``.
 
-
-def hyp2f1(a: float, b: float, c: float, z, tol: float = HYP_TOL,
-           max_terms: int = HYP_MAX_TERMS) -> complex:
-    """Gauss hypergeometric function for real parameters and ``|z| <= 1``.
-
-    Strategy: direct summation for ``|z| <= 0.5``; the Pfaff transformation
-    ``z -> z/(z-1)`` when that shrinks the argument (it maps ``z = -1`` to
-    ``1/2``, which also furnishes the analytic continuation at the boundary
-    point needed for range-limit work); the ``1 - z`` connection formulas for
-    real ``z in [0.75, 1)``, where direct summation slows to a crawl;
-    otherwise direct summation inside the open disk, with a hard term cap.
-
-    At ``z = 1`` the function value exists only for ``c - a - b > 0`` (then
-    given by the Gamma-quotient); otherwise a :class:`DivergenceError` is
-    raised.
+    Three branches: the Pfaff transformation ``x -> x/(x-1)`` for
+    ``x < -1/2`` (it maps ``x = -1`` to ``1/2``); direct summation up to
+    ``x = 3/4``; the ``1 - x`` connection formulas from there on, where
+    direct summation slows to a crawl.
     """
     if c <= 0 and float(c).is_integer():
         raise PoleError(f"2F1 parameter pole: c={c} is a non-positive integer")
-    zc = complex(z)
-    az = abs(zc)
-    if az > 1.0 + 1e-12:
-        raise DomainError(f"hyp2f1 requires |z| <= 1, got |z|={az}")
-    if zc == 0:
-        return 1.0 + 0j
-    if abs(zc - 1.0) < 1e-14:
-        if c - a - b > 0:
-            return _gauss_value(a, b, c)
-        raise DivergenceError("2F1 diverges at z=1 when c-a-b <= 0")
-
-    if az <= 0.5:
-        return _hyp_series(a, b, c, zc, tol, max_terms)
-
-    zp = zc / (zc - 1.0)
-    if abs(zp) <= 0.75:
-        prefactor = principal_pow(1.0 - zc, -a)
-        return prefactor * _hyp_series(a, c - b, c, zp, tol, max_terms)
-
-    if zc.imag == 0.0 and 0.75 <= zc.real < 1.0:
-        return _hyp_near_one(a, b, c, zc.real, tol, max_terms)
-
-    if az < 1.0 - 1e-12:
-        return _hyp_series(a, b, c, zc, tol, max_terms)
-
-    # |z| = 1 with no useful transformation: the series converges only for
-    # c - a - b > 0 and far too slowly to be worth attempting under the cap.
-    raise DivergenceError(
-        f"no convergent evaluation for 2F1 at boundary point z={zc} (c-a-b={c - a - b})"
-    )
+    x = float(x)
+    if not -1.0 <= x < 1.0:
+        raise DomainError(f"hyp2f1 requires x in [-1, 1), got x={x}")
+    if x < -0.5:
+        # (1-x)^(-a) through the complex log: the real math.log and ** round
+        # differently in the last bit, and the envelope documents keep this one
+        prefactor = cmath.exp(-a * cmath.log(1.0 - x)).real
+        return prefactor * _hyp_series(a, c - b, c, x / (x - 1.0), HYP_MAX_TERMS)
+    if x < 0.75:
+        return _hyp_series(a, b, c, x, HYP_MAX_TERMS)
+    return _hyp_near_one(a, b, c, x)

@@ -1,6 +1,9 @@
-"""The package's public names, and the range rules its modules share."""
+"""The package's public names, its option count, and the range rules its
+modules share."""
 
+import ast
 import math
+import pathlib
 
 import pytest
 
@@ -92,3 +95,26 @@ def test_every_tolerance_is_finite_and_positive(name, tol):
     # negative one a failed check with that margin, instead of an input error
     with pytest.raises(ParameterError, match=rf"^tolerance must be finite and > 0, got {tol}$"):
         _TOLERANCE_SITES[name](tol)
+
+
+def _option_count() -> int:
+    """Options in ``src/harmap/*.py``: defaulted parameters (lambdas too),
+    ``**kw``, defaulted class-body fields and ``add_argument`` calls."""
+    count = 0
+    for path in sorted(pathlib.Path(harmap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+                count += args.kwarg is not None
+            elif isinstance(node, ast.ClassDef):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                count += 1
+    return count
+
+
+def test_option_count_does_not_grow():
+    # a ratchet: a change that adds a knob raises this pin in plain sight
+    assert _option_count() <= 94

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature: line, path, and disk integrals."""
+"""Adaptive Gauss-Legendre quadrature: line and disk integrals."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from harmap.errors import ConvergenceError
-from harmap.quadrature import disk_integral, integrate, integrate_real
+from harmap.quadrature import disk_integral, integrate_real
 
 
 def test_polynomial_exact():
@@ -29,33 +29,6 @@ def test_nearly_singular_endpoint():
     # steep but integrable peak: 1/sqrt(x) on [1e-12, 1] -> 2 - 2e-6
     got = integrate_real(lambda x: 1.0 / np.sqrt(x), 1e-12, 1.0)
     assert got == pytest.approx(2.0 - 2e-6, abs=1e-8)
-
-
-def test_complex_valued_integrand():
-    got = integrate(lambda x: np.exp(1j * x), 0.0, math.pi)
-    assert abs(got - 2j) < 1e-12
-
-
-def _segment_integral(fn, a: complex, b: complex) -> complex:
-    """``fn`` integrated along the segment from ``a`` to ``b``, through its
-    parametrisation ``t -> a + t (b - a)`` on ``[0, 1]``."""
-    return integrate(lambda t: fn(a + t * (b - a)) * (b - a), 0.0, 1.0)
-
-
-def test_path_integral_of_square():
-    end = 1.0 + 1.0j
-    got = _segment_integral(lambda z: z * z, 0.0 + 0.0j, end)
-    want = end**3 / 3.0
-    assert abs(got - want) < 1e-12
-
-
-def test_path_integral_antiderivative_property():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        a = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        b = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        got = _segment_integral(np.exp, a, b)
-        assert abs(got - (np.exp(b) - np.exp(a))) < 1e-12
 
 
 def test_disk_integral_of_constant():

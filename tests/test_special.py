@@ -1,4 +1,4 @@
-"""Special functions: principal powers, digamma, and the Gauss 2F1 evaluator.
+"""Special functions: branched powers, digamma, and the Gauss 2F1 evaluator.
 
 Reference values come from mpmath (arbitrary precision) and from classical
 closed forms; random spot checks use fixed seeds.
@@ -9,47 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 mpmath = pytest.importorskip("mpmath")
 
-from harmap.errors import (
-    DivergenceError,
-    DomainError,
-    ParameterError,
-    PoleError,
-)
+from harmap.errors import ConvergenceError, DomainError, ParameterError, PoleError
 from harmap.mappings import PowerKernel, _horner
-from harmap.special import digamma, hyp2f1, principal_pow
+from harmap.special import digamma, hyp2f1
 
 
-# -- principal powers ---------------------------------------------------------
-
-
-def test_principal_pow_basic_values():
-    assert principal_pow(0.25, 0.5) == pytest.approx(0.5)
-    # approaching the cut from above: (-1)^(1/2) -> i (principal branch)
-    v = principal_pow(-1.0 + 1e-14j, 0.5)
-    assert abs(v - 1j) < 1e-13
-
-
-def test_principal_pow_rejects_branch_cut():
-    from harmap.errors import BranchCutError
-
-    for w in (-1.0, 0.0, -0.5 + 0j):
-        with pytest.raises(BranchCutError):
-            principal_pow(w, 0.5)
-
-
-def test_principal_pow_matches_exp_log():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        z = complex(rng.normal(), rng.normal())
-        if abs(z) < 1e-3:
-            continue
-        p = rng.normal()
-        want = cmath.exp(p * cmath.log(z))
-        got = principal_pow(z, p)
-        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+# -- branched powers ----------------------------------------------------------
 
 
 def test_branched_power_series_binomial():
@@ -103,29 +73,31 @@ def test_digamma_pole_raises():
             digamma(x)
 
 
-# -- hypergeometric: interior -------------------------------------------------
+# -- hypergeometric: the real line ---------------------------------------------
+# Draws span x in [-1, 0.9], so each test reaches all three branches (Pfaff
+# below -1/2, the series up to 3/4, the connection formulas above).
 
 
 def test_hyp2f1_geometric_series():
-    # 2F1(1, b; b; z) = 1/(1-z)
+    # 2F1(1, b; b; x) = 1/(1-x)
     rng = np.random.default_rng(3)
     for _ in range(30):
-        z = 0.6 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        want = 1.0 / (1.0 - z)
-        got = hyp2f1(1.0, 2.5, 2.5, z)
-        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        x = rng.uniform(-1.0, 0.9)
+        want = 1.0 / (1.0 - x)
+        got = hyp2f1(1.0, 2.5, 2.5, x)
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want)), x
 
 
 def test_hyp2f1_log_identity():
-    # 2F1(1, 1; 2; z) = -log(1-z)/z
+    # 2F1(1, 1; 2; x) = -log(1-x)/x
     rng = np.random.default_rng(9)
     for _ in range(60):
-        z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-        if abs(z) > 0.9 or abs(z) < 1e-6:
+        x = rng.uniform(-1.0, 0.9)
+        if abs(x) < 1e-6:
             continue
-        want = -cmath.log(1.0 - z) / z
-        got = hyp2f1(1.0, 1.0, 2.0, z)
-        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        want = -math.log1p(-x) / x
+        got = hyp2f1(1.0, 1.0, 2.0, x)
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want)), x
 
 
 def test_hyp2f1_reference_value_at_minus_one():
@@ -143,28 +115,26 @@ def test_hyp2f1_matches_mpmath_random_interior():
         a = rng.uniform(-2.0, 3.0)
         b = rng.uniform(-2.0, 3.0)
         c = rng.uniform(0.5, 4.0)
-        z = 0.95 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) >= 0.95:
-            continue
-        want = complex(mpmath.hyp2f1(a, b, c, complex(z)))
-        got = hyp2f1(a, b, c, z)
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want)), (a, b, c, z)
+        x = rng.uniform(-1.0, 0.9)
+        want = float(mpmath.hyp2f1(a, b, c, x))
+        got = hyp2f1(a, b, c, x)
+        assert abs(got - want) < 1e-10 * max(1.0, abs(want)), (a, b, c, x)
 
 
 def test_hyp2f1_euler_transformation():
-    # 2F1(a,b;c;z) = (1-z)^(c-a-b) 2F1(c-a, c-b; c; z)
+    # 2F1(a,b;c;x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x)
     rng = np.random.default_rng(29)
     for _ in range(30):
         a = rng.uniform(-1.5, 2.5)
         b = rng.uniform(-1.5, 2.5)
         c = rng.uniform(1.0, 4.0)
-        z = 0.7 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        lhs = hyp2f1(a, b, c, z)
-        rhs = principal_pow(1.0 - z, c - a - b) * hyp2f1(c - a, c - b, c, z)
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), (a, b, c, z)
+        x = rng.uniform(-1.0, 0.9)
+        lhs = hyp2f1(a, b, c, x)
+        rhs = (1.0 - x) ** (c - a - b) * hyp2f1(c - a, c - b, c, x)
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), (a, b, c, x)
 
 
-# -- hypergeometric: near and at the boundary point 1 -------------------------
+# -- hypergeometric: near the boundary point 1 ---------------------------------
 
 
 NEAR_ONE_CASES = [
@@ -183,7 +153,7 @@ NEAR_ONE_CASES = [
 @pytest.mark.parametrize("x", [0.75, 0.9, 0.999, 0.999999])
 def test_hyp2f1_near_one_real_axis(abc, x):
     a, b, c = abc
-    want = complex(mpmath.hyp2f1(a, b, c, x))
+    want = float(mpmath.hyp2f1(a, b, c, x))
     got = hyp2f1(a, b, c, x)
     assert abs(got - want) < 5e-11 * max(1.0, abs(want)), (a, b, c, x)
 
@@ -193,28 +163,83 @@ def test_hyp2f1_near_one_nearly_integer_exponent():
     a, b = 0.5, 0.5
     c = a + b + 1.0 + 3e-7
     for x in (0.8, 0.95):
-        want = complex(mpmath.hyp2f1(a, b, c, x))
+        want = float(mpmath.hyp2f1(a, b, c, x))
         got = hyp2f1(a, b, c, x)
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
-def test_hyp2f1_at_one_convergent():
-    # 2F1(a,b;c;1) = Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)) for c-a-b>0
-    got = hyp2f1(1.0, 1.0, 3.0, 1.0)
-    want = float(mpmath.gamma(3) * mpmath.gamma(1) /
-                 (mpmath.gamma(2) * mpmath.gamma(2)))
-    assert got == pytest.approx(want, abs=1e-12)
+# -- hypergeometric: identities on random inputs ------------------------------
+
+real_x = st.one_of(st.floats(-1.0, 0.9999), st.sampled_from((-1.0, -0.5, 0.75, 0.9999)))
 
 
-def test_hyp2f1_at_one_divergent_raises():
-    with pytest.raises(DivergenceError):
-        hyp2f1(1.0, 2.0, 3.0, 1.0)  # c-a-b = 0
+def _near_pole(p: float) -> bool:
+    return p < 0.5 and abs(p - round(p)) < 1e-3
+
+
+@st.composite
+def euler_params(draw):
+    """``(a, b, c)`` with ``c - a - b`` an integer, within 1e-13 of one, or at
+    least 2e-5 from one.  Left out, each with its own xfail test below: an
+    offset in ``(1e-12, 1e-5)``, and ``a``, ``b``, ``c - a`` or ``c - b`` at
+    a non-positive integer (a terminating series).  Within 1e-3 of one such
+    pole the logarithmic formula also loses digits (``b - 1`` rounds at
+    ``b = 1e-9``), so that margin is left out too."""
+    a = draw(st.floats(-1.5, 2.5))
+    b = draw(st.floats(-1.5, 2.5))
+    offset = draw(st.one_of(st.just(0.0), st.floats(-1e-13, 1e-13),
+                            st.floats(2e-5, 0.5), st.floats(-0.5, -2e-5)))
+    c = a + b + draw(st.integers(-2, 2)) + offset
+    assume(c >= 0.5 and not any(map(_near_pole, (a, b, c - a, c - b))))
+    return a, b, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(abc=euler_params(), x=real_x)
+def test_hyp2f1_euler_transformation_property(abc, x):
+    # 2F1(a,b;c;x) = (1-x)^(c-a-b) 2F1(c-a, c-b; c; x): c-a-b changes sign
+    a, b, c = abc
+    lhs = hyp2f1(a, b, c, x)
+    rhs = (1.0 - x) ** (c - a - b) * hyp2f1(c - a, c - b, c, x)
+    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs)), (a, b, c, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=real_x)
+def test_hyp2f1_log_identity_property(x):
+    assume(x != 0.0)
+    want = -math.log1p(-x) / x
+    assert abs(hyp2f1(1.0, 1.0, 2.0, x) - want) <= 1e-12 * max(1.0, abs(want)), x
+
+
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="c-a-b within (1e-12, 1e-5) of an integer falls back to the "
+                          "plain series, which needs more than 400,000 terms near x = 1")
+def test_hyp2f1_near_integer_exponent_close_to_one():
+    a, b, c, x = 1.0, 2.0, 1.0 + 1e-6, 0.9999
+    want = float(mpmath.hyp2f1(a, b, c, x))
+    assert hyp2f1(a, b, c, x) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.xfail(raises=PoleError, strict=True,
+                   reason="the logarithmic connection formula takes digamma at a "
+                          "non-positive integer a or b, where the series terminates")
+def test_hyp2f1_terminating_series_with_integer_exponent_near_one():
+    # 2F1(-1, b; b; x) = 1 - x
+    assert hyp2f1(-1.0, 0.5, 0.5, 0.9) == pytest.approx(0.1, rel=1e-12)
+
+
+def test_hyp2f1_at_one_and_nan_are_domain_errors():
+    # the domain is x in [-1, 1): the value at 1 (finite or not) is not served
+    for x in (1.0, 1.0 + 1e-15, 1.5, math.nan):
+        with pytest.raises(DomainError, match=r"^hyp2f1 requires x in \[-1, 1\)"):
+            hyp2f1(1.0, 1.0, 3.0, x)
 
 
 def test_hyp2f1_polynomial_case_terminates():
-    # negative-integer numerator parameter: exact polynomial, any |z| <= 1
+    # negative-integer numerator parameter: an exact polynomial
     got = hyp2f1(-3.0, 2.0, 1.5, 0.99)
-    want = complex(mpmath.hyp2f1(-3, 2, 1.5, 0.99))
+    want = float(mpmath.hyp2f1(-3, 2, 1.5, 0.99))
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -225,10 +250,9 @@ def test_hyp2f1_pole_in_c_raises():
 
 
 def test_hyp2f1_outside_disk_raises():
-    with pytest.raises(DomainError):
-        hyp2f1(0.5, 0.5, 1.5, 1.2)
-    with pytest.raises(DomainError):
-        hyp2f1(0.5, 0.5, 1.5, 1.0 + 0.5j)
+    for x in (1.2, -1.0 - 1e-9, -2.0):
+        with pytest.raises(DomainError):
+            hyp2f1(0.5, 0.5, 1.5, x)
 
 
 def test_branched_power_rejects_bad_arguments():
