@@ -15,17 +15,17 @@ integers exactly.  Strokes are 150 and 270 steps wide (1.5 px and 2.7 px).
 
 The pipeline works on whole arrays.  A scene's curves live in flat arrays of
 parameter, image and curve id; each refinement pass evaluates the whole scene
-once, on all its new midpoints, and handles only the segments still too wide,
-so the midpoints join the scene's arrays once, after the last pass.  The clip
-sorts segments by Cohen-Sutherland out-codes: those inside the viewport are
-kept whole, those far beyond one edge are dropped, and only the rest go
-through the Liang-Barsky steps, all at once in the order of a per-segment
-loop.  All polylines of a scene are formatted by one ``%d`` call.  Refinement
-stops where a segment's image cannot reach the viewport: ``hp_bound`` bounds
-the speed of ``f`` on each segment, so such a segment and every chord
-refining it would draw lie outside the viewport, and the output is the same
-as refining everywhere.  An auto-fitted viewport comes from the unrefined
-samples, which refinement then starts from.
+once, on all its new midpoints, and handles only the segments still too wide;
+the midpoints join the scene's arrays once, after the last pass, by one sort
+on (curve, parameter).  The clip sorts segments by Cohen-Sutherland out-codes:
+those inside the viewport are kept whole, those far beyond one edge are
+dropped, and only the rest go through the Liang-Barsky steps, all at once in
+the order of a per-segment loop.  All polylines of a scene are formatted by one
+``%d`` call.  Refinement stops where a segment's image cannot reach the
+viewport: ``hp_bound`` bounds the speed of ``f`` on each segment, so such a
+segment and every chord refining it would draw lie outside the viewport, and
+the output is the same as refining everywhere.  An auto-fitted viewport comes
+from the unrefined samples, which refinement then starts from.
 """
 
 from __future__ import annotations
@@ -200,20 +200,20 @@ def _refine_scene(f: HarmonicMapping, s: _Samples, max_gap: float,
     and tests only the new halves: a segment left whole keeps its gap, reach
     and curve size (a curve not split gets no new segments), so stays whole.
 
-    The passes touch only the wide segments, carried with their end values,
-    and a running point count per curve; the midpoints go into the scene's
-    arrays once, at the end.  A midpoint's index is fixed when it is made
-    (one after its segment's left end) and moves up by one for each later
-    midpoint inserted before it."""
+    The passes touch only the wide segments, carried with their end values
+    in curve order, and a running point count per curve.  The midpoints join
+    the scene once, after the last pass, by one sort on (curve, parameter):
+    each curve's parameters rise, and a midpoint lies between its segment's
+    ends.  Points with equal (curve, parameter) have the same image, so ties
+    leave the scene unchanged."""
     t, w, cid, nr = s.t, s.w, s.cid, s.dirs.size
     c, hw = view
     centres = {c, c.conjugate()} if s.mirror else {c}
     size = np.bincount(cid, minlength=len(s.tags))
-    # the wide segments: left end index in the scene refined so far, end
-    # parameters, end images and curve, sorted by index
+    # the wide segments: end parameters, end images and curve, by curve
     seg = np.flatnonzero((cid[1:] == cid[:-1]) & (np.abs(w[1:] - w[:-1]) > max_gap))
-    wide = seg, t[seg], t[seg + 1], w[seg], w[seg + 1], cid[seg]
-    places, new = [], []  # per pass: the midpoints' indices, and their (t, w, cid)
+    wide = t[seg], t[seg + 1], w[seg], w[seg + 1], cid[seg]
+    points = [(t, w, cid)]  # the scene, then each pass's midpoints
 
     # |df/dt| <= |z'| hp_bound(r) (1 + |zeta| r^n), r the largest |z| on the
     # segment: a ray segment's outer end, or the circle's radius, so each
@@ -223,7 +223,7 @@ def _refine_scene(f: HarmonicMapping, s: _Samples, max_gap: float,
 
     circle_speed = speed_bound(s.rhos, s.rhos)
     for _ in range(MAX_REFINE_PASSES):
-        at, ta, tb, wa, wb, k = wide
+        ta, tb, wa, wb, k = wide
         j = np.searchsorted(k, nr)
         speed = np.concatenate([speed_bound(tb[:j], 1.0), circle_speed[k[j:] - nr]])
         split = _may_reach(wa, wb, tb - ta, centres, hw, speed)
@@ -233,33 +233,16 @@ def _refine_scene(f: HarmonicMapping, s: _Samples, max_gap: float,
         if not split.any():
             break
         size[fits] += grow[fits]
-        at, ta, tb, wa, wb, k = (a[split] for a in wide)
+        ta, tb, wa, wb, k = (a[split] for a in wide)
         tm = 0.5 * (ta + tb)
         wm = _eval_points(f, s.z(tm, k), s.tags, k)
-        # an earlier midpoint moves up by one per split segment starting before it
-        for i in places:
-            i += np.searchsorted(at, i)
-        # the j-th split segment's left end moves up by j, its midpoint follows
-        at = at + np.arange(at.size)
-        places.append(at + 1)
-        new.append((tm, wm, k))
-        halves = [_interleave(*h)
-                  for h in ((at, at + 1), (ta, tm), (tm, tb), (wa, wm), (wm, wb), (k, k))]
-        gap = np.abs(halves[4] - halves[3]) > max_gap
+        points.append((tm, wm, k))
+        halves = [_interleave(*h) for h in ((ta, tm), (tm, tb), (wa, wm), (wm, wb), (k, k))]
+        gap = np.abs(halves[3] - halves[2]) > max_gap
         wide = [h[gap] for h in halves]
-    if not places:
-        return s
-    at = np.concatenate(places)
-    old = np.ones(t.size + at.size, dtype=bool)
-    old[at] = False
-
-    def merged(a, m):
-        out = np.empty(old.size, dtype=a.dtype)
-        out[old], out[at] = a, m
-        return out
-
-    tm, wm, k = (np.concatenate(m) for m in zip(*new))
-    return replace(s, t=merged(t, tm), w=merged(w, wm), cid=merged(cid, k))
+    t, w, cid = (np.concatenate(a) for a in zip(*points))
+    order = np.lexsort((t, cid))
+    return replace(s, t=t[order], w=w[order], cid=cid[order])
 
 
 @dataclass(frozen=True)
@@ -339,8 +322,7 @@ def _liang_barsky(x0, y0, x1, y1, box):
                 t1 == 1.0)
 
 
-def _clip_polyline(points: np.ndarray, center: complex, hw: float,
-                   cut=None) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def _clip_polyline(points: np.ndarray, center: complex, hw: float, cut: np.ndarray):
     """Split a polyline into maximal runs inside the square viewport.
 
     Cohen-Sutherland out-codes sort the segments first, so that the work
@@ -356,11 +338,13 @@ def _clip_polyline(points: np.ndarray, center: complex, hw: float,
     round to 1 and keep a zero-length piece, goes through the exact steps of
     :func:`_liang_barsky`.  Adjacent kept segments chain into one run.  The
     segments indexed by ``cut`` are dropped wherever they lie (the joins of
-    curves clipped together).  Each run is ``(first, xs, ys)``, ``first`` the
-    index of its first segment.
+    curves clipped together).  The runs come flat, as ``(first, at, xs,
+    ys)``: run ``i`` starts with segment ``first[i]`` and its points are
+    ``xs[at[i]:at[i + 1]]``, ``ys[at[i]:at[i + 1]]`` (the last up to the end).
     """
     if points.size < 2:
-        return []
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0), np.zeros(0)
     xs, ys = points.real.copy(), points.imag.copy()  # contiguous: faster to scan
     lox, hix, loy, hiy = center.real - hw, center.real + hw, center.imag - hw, center.imag + hw
     # a NaN scale, or one near underflow or overflow, rejects nothing up front
@@ -374,8 +358,7 @@ def _clip_polyline(points: np.ndarray, center: complex, hw: float,
     # by more than the margin
     for beyond in (xs < lox - m, xs > hix + m, ys < loy - m, ys > hiy + m):
         rest &= ~(beyond[:-1] & beyond[1:])
-    if cut is not None:
-        keep[cut] = rest[cut] = False
+    keep[cut] = rest[cut] = False
     seg = np.flatnonzero(rest)
     if seg.size:
         out, *ends = _liang_barsky(xs[seg], ys[seg], xs[seg + 1], ys[seg + 1],
@@ -396,13 +379,11 @@ def _clip_polyline(points: np.ndarray, center: complex, hw: float,
                    & (by[:-1] == ay[1:]))
     # each run is the start point of its first segment, then every end point
     slot = np.arange(kept.size) + np.cumsum(starts)
-    first = slot[starts] - 1
-    rx, ry = np.empty((2, kept.size + first.size))
+    at = slot[starts] - 1
+    rx, ry = np.empty((2, kept.size + at.size))
     rx[slot], ry[slot] = bx, by
-    rx[first], ry[first] = ax[starts], ay[starts]
-    bounds = first.tolist() + [rx.size]
-    return [(s, rx[a:b], ry[a:b])
-            for s, a, b in zip(kept[starts].tolist(), bounds, bounds[1:])]
+    rx[at], ry[at] = ax[starts], ay[starts]
+    return kept[starts], at, rx, ry
 
 
 # -- document assembly --------------------------------------------------------
@@ -434,17 +415,16 @@ def _assemble(spec: SceneSpec, curves: list[_Curve], center: complex, hw: float)
     ]
     # one clip for the whole scene; each run is drawn with its curve's style
     ends = np.cumsum([c.points.size for c in curves])
-    runs = _clip_polyline(np.concatenate([c.points for c in curves]), center, hw,
-                          cut=ends[:-1] - 1)
-    if runs:
-        owner = np.searchsorted(ends, [s for s, _, _ in runs], side="right")
+    first, at, xs, ys = _clip_polyline(np.concatenate([c.points for c in curves]),
+                                       center, hw, ends[:-1] - 1)
+    if first.size:
+        owner = np.searchsorted(ends, first, side="right")
         heads = [f'<polyline class="{c.tag}" stroke="{c.color}" '
                  f'stroke-width="{c.stroke}" points="' for c in curves]
         # every run's points go through one %d call
-        px, py = _canvas(np.concatenate([xs for _, xs, _ in runs]),
-                         np.concatenate([ys for _, _, ys in runs]), center, hw)
-        template = "\n".join(heads[k] + ("%d,%d " * xs.size)[:-1] + '"/>'
-                             for k, (_, xs, _) in zip(owner.tolist(), runs))
+        px, py = _canvas(xs, ys, center, hw)
+        template = "\n".join(heads[k] + ("%d,%d " * n)[:-1] + '"/>' for k, n in
+                             zip(owner.tolist(), np.diff(at, append=xs.size).tolist()))
         lines.append(template % tuple(_interleave(px, py).tolist()))
     lines += ["</g>", "</svg>"]
     return "\n".join(lines) + "\n"
@@ -483,7 +463,7 @@ def render_boundary_curve(f: HarmonicMapping, r: float, M: int = BOUNDARY_SAMPLE
     pts = _eval_points(f, z, ["boundary"], np.zeros(z.size, dtype=int))
     curve = _Curve("boundary", BOUNDARY_COLOR, BOUNDARY_STROKE, pts)
     spec = SceneSpec(family=f.label, radius=r, circles=1, rays=0,
-                     samples_per_curve=max(int(M), 128),
+                     samples_per_curve=int(M),
                      center=None if viewport is None else complex(viewport[0]),
                      half_width=None if viewport is None else float(viewport[1]))
     center, hw = _resolve_viewport(spec, [curve])

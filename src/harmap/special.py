@@ -75,7 +75,9 @@ def _hyp_near_one(a: float, b: float, c: float, x: float) -> float:
     integer and the logarithmic variants when it is.  Arguments only
     slightly off an integer (within ``(1e-12, 1e-5)`` of one) would suffer
     catastrophic cancellation between the two generic terms, so that sliver
-    falls back to plain summation with a raised term cap.
+    falls back to plain summation with a raised term cap.  A terminating
+    series (``a`` or ``b`` a non-positive integer), whose logarithmic
+    variant would take digamma at a pole, is summed directly too.
     """
     u = 1.0 - x
     s = c - a - b
@@ -91,6 +93,8 @@ def _hyp_near_one(a: float, b: float, c: float, x: float) -> float:
 
     if abs(s - m) > 1e-12:
         return _hyp_series(a, b, c, x, 400_000)
+    if any(p <= 0.0 and float(p).is_integer() for p in (a, b)):
+        return _hyp_series(a, b, c, x, HYP_MAX_TERMS)
 
     gc = math.gamma(c)
 

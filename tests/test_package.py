@@ -117,4 +117,17 @@ def _option_count() -> int:
 
 def test_option_count_does_not_grow():
     # a ratchet: a change that adds a knob raises this pin in plain sight
-    assert _option_count() <= 94
+    assert _option_count() <= 93
+
+
+def test_every_import_is_used():
+    # each name an import binds in a module is read there, so removing code
+    # cannot leave a dead import behind
+    for path in sorted(pathlib.Path(harmap.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        bound = {(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+                 if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+        assert bound - used - {"annotations"} == set(), path.name

@@ -300,6 +300,14 @@ _BELOW_LEFT = float(np.nextafter(-1.0, -2.0))
 _MARGIN_AT_2 = 2.0 * render._CLIP_MARGIN
 
 
+def _clip_runs(points, center, hw, cut=np.zeros(0, dtype=np.int64)):
+    """The runs of :func:`render._clip_polyline` as a list of ``(first, xs,
+    ys)``, rebuilt from its flat return."""
+    first, at, xs, ys = render._clip_polyline(points, center, hw, cut)
+    bounds = at.tolist() + [xs.size]
+    return [(s, xs[a:b], ys[a:b]) for s, a, b in zip(first.tolist(), bounds, bounds[1:])]
+
+
 def _hex_runs(runs):
     return [[(float(x).hex(), float(y).hex()) for x, y in run] for run in runs]
 
@@ -338,7 +346,7 @@ def _assert_clip_matches_reference(pts, center, hw):
     with np.errstate(over="ignore"):  # q / p on numpy scalars may overflow
         want = _clip_polyline_reference(pts, center, hw)
     got = [list(zip(xs.tolist(), ys.tolist()))
-           for _, xs, ys in render._clip_polyline(pts, center, hw)]
+           for _, xs, ys in _clip_runs(pts, center, hw)]
     assert _hex_runs(got) == _hex_runs(want)
 
 
@@ -370,7 +378,7 @@ def test_clip_far_from_a_small_box_matches_per_segment_reference(case):
 def test_clip_does_not_join_runs_across_a_cut_segment():
     # two curves clipped together, the second starting where the first ends
     pts = np.array([-0.5 + 0j, 0.5j, 0.5j, 0.5 + 0j])
-    runs = render._clip_polyline(pts, 0j, 1.0, cut=np.array([1]))
+    runs = _clip_runs(pts, 0j, 1.0, cut=np.array([1]))
     assert [(s, xs.tolist(), ys.tolist()) for s, xs, ys in runs] == [
         (0, [-0.5, 0.0], [0.0, 0.5]), (2, [0.0, 0.5], [0.5, 0.0])]
 
@@ -386,13 +394,13 @@ def test_out_codes_leave_only_the_uncertain_segments_to_the_exact_steps(monkeypa
     monkeypatch.setattr(render, "_liang_barsky", spy)
     # a box about 0 of half-width 1, and a point at -2 that sets the margin
     whole = np.array([-0.5 + 0.5j, 0.5 - 0.5j, 1 + 1j])
-    assert len(render._clip_polyline(whole, 0j, 1.0)) == 1 and seen == []
+    assert len(_clip_runs(whole, 0j, 1.0)) == 1 and seen == []
     far = np.array([complex(-1.0 - 2.0 * _MARGIN_AT_2, 0.2),
                     complex(-1.0 - 2.0 * _MARGIN_AT_2, -0.2), -2 + 0j])
-    assert render._clip_polyline(far, 0j, 1.0) == [] and seen == []
+    assert _clip_runs(far, 0j, 1.0) == [] and seen == []
     near = np.array([complex(-1.0 - 0.5 * _MARGIN_AT_2, 0.2),
                      complex(-1.0 - 0.5 * _MARGIN_AT_2, -0.2), -2 + 0j])
-    assert render._clip_polyline(near, 0j, 1.0) == [] and seen == [2]
+    assert _clip_runs(near, 0j, 1.0) == [] and seen == [2]
 
 
 def test_scene_clip_matches_clipping_each_curve(monkeypatch):
@@ -408,7 +416,7 @@ def test_scene_clip_matches_clipping_each_curve(monkeypatch):
         spec = SceneSpec(f.label, center=center, half_width=hw)
         curves = render._scene_curves(spec, render._sample_scene(f, spec))
         want = [(c.tag, _points_text(xs, ys, center, hw)) for c in curves
-                for _, xs, ys in render._clip_polyline(c.points, center, hw)]
+                for _, xs, ys in _clip_runs(c.points, center, hw)]
         stepped.clear()
         svg = render._assemble(spec, curves, center, hw)
         assert re.findall(r'class="([^"]+)"[^>]*points="([^"]*)"', svg) == want
@@ -636,12 +644,13 @@ def _render_reference(spec, f):
     return render._assemble(spec, curves, center, hw)
 
 
-#: ``(family, SceneSpec keywords)``; a ``center`` of None is the collision
-#: image of the counterexample
+#: ``(family, SceneSpec keywords)``; a callable ``center`` gives the centre,
+#: here the collision image of a counterexample
 REFERENCE_SCENES = {
     "counterexample-overview": ("counterexample:gamma=5/4", {}),
     "counterexample-collision-zoom": ("counterexample:gamma=5/4",
-                                      {"center": None, "half_width": 0.05}),
+                                      {"center": lambda: _collision_center(1.25),
+                                       "half_width": 0.05}),
     "bl-overview": ("bl:lam=0.4", {}),
     "extremal-nonsymmetric-zoom": ("extremal:alpha=0.25,zeta=0.2+0.2j,n=1",
                                    {"center": -0.29 - 0.9j, "half_width": 0.05}),
@@ -651,6 +660,13 @@ REFERENCE_SCENES = {
     "extremal-ray-zoom": ("extremal:alpha=0,zeta=0.3,n=2",
                           {"circles": 0, "rays": 4, "center": 61.65 + 0j, "half_width": 0.5}),
     "odd-rays": ("counterexample:gamma=5/4", {"circles": 3, "rays": 7}),
+    # deep refinement on many curves at once: all twelve passes and about
+    # 39,000 midpoints, then the collision zoom at the family's end gamma = 7/4
+    "extremal-slow-zoom": ("extremal:alpha=0,zeta=0.3,n=2",
+                           {"center": -0.46 - 1.0j, "half_width": 0.05}),
+    "counterexample-gamma-1.75-collision-zoom": (
+        "counterexample:gamma=7/4",
+        {"center": lambda: _collision_center(1.75), "half_width": 0.02}),
 }
 
 
@@ -658,8 +674,8 @@ REFERENCE_SCENES = {
 def test_batched_scene_matches_per_curve_reference(name):
     family, kw = REFERENCE_SCENES[name]
     f = family_from_spec(family)
-    if "center" in kw and kw["center"] is None:
-        kw = {**kw, "center": _collision_center(1.25)}
+    if callable(kw.get("center")):
+        kw = {**kw, "center": kw["center"]()}
     spec = SceneSpec(family=f.label, **kw)
     svg = render_image_domain(spec, f)
     assert svg == _render_reference(spec, f)

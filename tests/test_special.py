@@ -180,11 +180,11 @@ def _near_pole(p: float) -> bool:
 @st.composite
 def euler_params(draw):
     """``(a, b, c)`` with ``c - a - b`` an integer, within 1e-13 of one, or at
-    least 2e-5 from one.  Left out, each with its own xfail test below: an
-    offset in ``(1e-12, 1e-5)``, and ``a``, ``b``, ``c - a`` or ``c - b`` at
-    a non-positive integer (a terminating series).  Within 1e-3 of one such
-    pole the logarithmic formula also loses digits (``b - 1`` rounds at
-    ``b = 1e-9``), so that margin is left out too."""
+    least 2e-5 from one.  An offset in ``(1e-12, 1e-5)`` is left out, with
+    its own xfail test below.  So is ``a``, ``b``, ``c - a`` or ``c - b``
+    within 1e-3 of a non-positive integer: near such a pole the logarithmic
+    formula loses digits (``b - 1`` rounds at ``b = 1e-9``).  At the pole
+    the series terminates; those draws have their own sweep below."""
     a = draw(st.floats(-1.5, 2.5))
     b = draw(st.floats(-1.5, 2.5))
     offset = draw(st.one_of(st.just(0.0), st.floats(-1e-13, 1e-13),
@@ -221,12 +221,30 @@ def test_hyp2f1_near_integer_exponent_close_to_one():
     assert hyp2f1(a, b, c, x) == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.xfail(raises=PoleError, strict=True,
-                   reason="the logarithmic connection formula takes digamma at a "
-                          "non-positive integer a or b, where the series terminates")
 def test_hyp2f1_terminating_series_with_integer_exponent_near_one():
-    # 2F1(-1, b; b; x) = 1 - x
+    # 2F1(-1, b; b; x) = 1 - x, where the logarithmic connection formula would
+    # take digamma at the pole a + m = 0
     assert hyp2f1(-1.0, 0.5, 0.5, 0.9) == pytest.approx(0.1, rel=1e-12)
+
+
+def test_hyp2f1_terminating_series_near_one_matches_mpmath():
+    # a or b a non-positive integer, c - a - b an integer, x in [0.75, 1): a
+    # polynomial, summed term by term
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        a, b = -float(rng.integers(0, 5)), rng.uniform(-4.0, 4.0)
+        c = a + b + int(rng.integers(-3, 4))
+        x = rng.uniform(0.75, 1.0)
+        if c <= 0.0 and c.is_integer():
+            continue
+        if rng.random() < 0.5:
+            a, b = b, a
+        with mpmath.workdps(30):
+            want = mpmath.hyp2f1(a, b, c, x)
+            scale = sum(abs(mpmath.rf(a, k) * mpmath.rf(b, k) * mpmath.mpf(x) ** k
+                            / (mpmath.rf(c, k) * mpmath.factorial(k)))
+                        for k in range(int(-min(a, b)) + 1))
+        assert abs(hyp2f1(a, b, c, x) - float(want)) <= 1e-15 * float(scale), (a, b, c, x)
 
 
 def test_hyp2f1_at_one_and_nan_are_domain_errors():
